@@ -80,6 +80,10 @@ _COACTION_LISTS = {
 }
 
 
+class UsageError(ValueError):
+    """A command-line value or setting outside its documented range."""
+
+
 def _orders(args, ranges) -> list:
     lo, hi = ranges[args.algebra]
     if args.n is not None:
@@ -355,13 +359,21 @@ def identity_sweep_items(max_index: int, root_cap: int) -> list:
     return items
 
 
+def worker_count(jobs: int, items: int, cpus: int) -> int:
+    """Worker processes for ``items`` work items when ``jobs`` are asked
+    for on a machine with ``cpus`` cores: never more than either, and at
+    least one."""
+    return max(1, min(jobs, cpus, items))
+
+
 def run_identity_sweep(max_index: int, root_cap: int, jobs: int):
     """Run the sweep, returning (per-suite counts, failure strings)."""
     items = identity_sweep_items(max_index, root_cap)
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
+    workers = worker_count(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             outcomes = pool.map(_run_identity_item, items,
-                                chunksize=max(1, len(items) // (8 * jobs)))
+                                chunksize=max(1, len(items) // (8 * workers)))
     else:
         outcomes = [_run_identity_item(item) for item in items]
     counts: dict = {}
@@ -374,10 +386,23 @@ def run_identity_sweep(max_index: int, root_cap: int, jobs: int):
     return counts, failures
 
 
-def cmd_identities(args) -> int:
-    jobs = args.jobs
+def _job_count(args) -> int:
+    """The requested worker count: --jobs, else PARTIAL_HOPF_JOBS, else 1."""
+    source, jobs = "--jobs", args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("PARTIAL_HOPF_JOBS", "1"))
+        source, text = "PARTIAL_HOPF_JOBS", os.environ.get(
+            "PARTIAL_HOPF_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise UsageError("%s must be an integer, got %r" % (source, text))
+    if jobs < 1:
+        raise UsageError("%s must be at least 1, got %d" % (source, jobs))
+    return jobs
+
+
+def cmd_identities(args) -> int:
+    jobs = _job_count(args)
     max_index = args.max if args.max is not None else 6
     root_cap = args.n if args.n is not None else 8
     counts, failures = run_identity_sweep(max_index, root_cap, jobs)
@@ -496,7 +521,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidOrder, NotADivisor, HopfFormatError) as exc:
+    except (InvalidOrder, NotADivisor, HopfFormatError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

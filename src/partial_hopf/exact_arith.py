@@ -2,30 +2,32 @@
 
 Three layers, all exact:
 
-  * ``Rational``  -- arbitrary-precision rationals (gmpy2.mpq, with a
-    stdlib ``fractions.Fraction`` fallback).
+  * ``Rational``  -- arbitrary-precision rationals (``fractions.Fraction``).
   * ``CycNumber`` -- elements of Q(zeta_n), stored in canonical coordinates
-    modulo the n-th cyclotomic polynomial: a tuple of phi(n) rationals.
+    modulo the n-th cyclotomic polynomial: phi(n) integer numerators over
+    one positive common denominator, reduced so that equal values have
+    equal fields.  Sums, products and the reduction modulo Phi_n run on
+    plain Python integers.
   * ``ParamPoly`` -- sparse multivariate polynomials over CycNumber carrying
     free symbolic parameters, so that "for all alpha" claims are discharged
     as exact polynomial identities rather than by sampling.
 
-No floating point appears anywhere in this package.
+No floating point appears anywhere in this package, and it needs nothing
+beyond the standard library.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rational
+Rational = Fraction
 
-_RAT_TYPES = (int, type(Rational(0)))
+_RAT_TYPES = (int, Fraction)
 
-_R0 = Rational(0)
-_R1 = Rational(1)
+_R0 = Fraction(0)
+_R1 = Fraction(1)
 
 
 class OrderMismatch(ValueError):
@@ -73,40 +75,87 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _power_coords(n: int, m: int) -> tuple:
-    """Canonical coordinates of zeta_n^m (equivalently of x^m mod Phi_n)."""
+def _high_powers(n: int):
+    """Yield the integer coordinates of x^phi, x^(phi+1), ... modulo Phi_n,
+    each from the previous one by a shift and one fold of the monic Phi_n."""
     phi = euler_phi(n)
-    if m < phi:
-        return tuple(_R1 if k == m else _R0 for k in range(phi))
-    prev = _power_coords(n, m - 1)
-    fold = tuple(Rational(-c) for c in cyclotomic_polynomial(n)[:phi])
-    shifted = [_R0] + list(prev[:-1])
-    top = prev[-1]
-    if top:
-        shifted = [s + top * f for s, f in zip(shifted, fold)]
-    return tuple(shifted)
+    low = [(k, c) for k, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c]
+    row = [0] * phi
+    row[-1] = 1
+    while True:
+        top = row[-1]
+        row = [0] + row[:-1]
+        for k, c in low:
+            row[k] -= top * c
+        yield tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _fold_table(n: int) -> tuple:
+    """Sparse rows (k, c) of x^m mod Phi_n for phi <= m <= 2*phi - 2: the
+    powers a product of two canonical coordinate vectors can reach."""
+    phi = euler_phi(n)
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                 for row in islice(_high_powers(n), phi - 1))
+
+
+_new = object.__new__
+
+
+def _cyc(order: int, num: tuple, den: int) -> "CycNumber":
+    """The CycNumber num/den (integer numerators, den > 0) in normal form."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    x = _new(CycNumber)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
+@lru_cache(maxsize=None)
+def _zero(order: int) -> "CycNumber":
+    return _cyc(order, (0,) * euler_phi(order), 1)
 
 
 class CycNumber:
     """An element of Q(zeta_order) in canonical coordinates.
 
-    ``coords[k]`` is the coefficient of zeta^k, 0 <= k < phi(order).  Two
-    values are equal iff their orders match and their coordinate tuples are
-    identical; there is no other normal form to compare.
+    The value is (num[0] + num[1]*zeta + ... ) / den with phi(order) integer
+    numerators ``num`` and an integer ``den`` > 0, reduced so that
+    gcd(den, *num) == 1.  The normal form is unique: two values are equal
+    iff their orders and their (num, den) fields are identical.
+    ``coords`` gives the same coordinates as Fractions.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coords: tuple):
+    def __init__(self, order: int, coords):
+        """Build from phi(order) rational coordinates; coords[k] is the
+        coefficient of zeta^k."""
+        fracs = [Fraction(c) for c in coords]
+        if len(fracs) != euler_phi(order):
+            raise ValueError("Q(zeta_%d) takes %d coordinates, got %d"
+                             % (order, euler_phi(order), len(fracs)))
+        den = lcm(*(f.denominator for f in fracs))
         self.order = order
-        self.coords = coords
+        self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """coords[k] is the coefficient of zeta^k, as a Fraction."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "CycNumber":
-        return CycNumber(order, (_R0,) * euler_phi(order))
+        return _zero(order)
 
     @staticmethod
     def one(order: int) -> "CycNumber":
@@ -114,22 +163,25 @@ class CycNumber:
 
     @staticmethod
     def from_rational(order: int, value) -> "CycNumber":
-        v = Rational(value)
-        rest = (_R0,) * (euler_phi(order) - 1)
-        return CycNumber(order, (v,) + rest)
+        if type(value) is int:
+            p, q = value, 1
+        else:
+            value = Fraction(value)
+            p, q = value.numerator, value.denominator
+        return _cyc(order, (p,) + (0,) * (euler_phi(order) - 1), q)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("not a rational value: %r" % (self,))
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -147,20 +199,34 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.order,
-                         tuple(a + b for a, b in zip(self.coords, o.coords)))
+        a, b = self.num, o.num
+        if not any(b):
+            return self
+        if not any(a):
+            return o
+        ad, bd = self.den, o.den
+        if ad == bd:
+            return _cyc(self.order, tuple([x + y for x, y in zip(a, b)]), ad)
+        return _cyc(self.order,
+                    tuple([x * bd + y * ad for x, y in zip(a, b)]), ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-a for a in self.coords))
+        return _cyc(self.order, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.order,
-                         tuple(a - b for a, b in zip(self.coords, o.coords)))
+        a, b = self.num, o.num
+        if not any(b):
+            return self
+        ad, bd = self.den, o.den
+        if ad == bd:
+            return _cyc(self.order, tuple([x - y for x, y in zip(a, b)]), ad)
+        return _cyc(self.order,
+                    tuple([x * bd - y * ad for x, y in zip(a, b)]), ad * bd)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -169,23 +235,7 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        phi = len(a)
-        if phi == 1:
-            return CycNumber(self.order, (a[0] * b[0],))
-        acc = [_R0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] += ai * bj
-        for m in range(2 * phi - 2, phi - 1, -1):
-            c = acc[m]
-            if c:
-                for k, rk in enumerate(_power_coords(self.order, m)):
-                    if rk:
-                        acc[k] += c * rk
-        return CycNumber(self.order, tuple(acc[:phi]))
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
@@ -214,32 +264,46 @@ class CycNumber:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            return self.is_rational() and self.coords[0] == other
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return self.order == other.order and self.coords == other.coords
+        if isinstance(other, CycNumber):
+            return (self.num == other.num and self.den == other.den
+                    and self.order == other.order)
+        if isinstance(other, int):
+            return (self.den == 1 and self.num[0] == other
+                    and self.is_rational())
+        if isinstance(other, Fraction):
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coords))
+        # a rational value hashes as the int or Fraction it compares equal to
+        if not self.is_rational():
+            return hash((self.order, self.num, self.den))
+        if self.den == 1:
+            return hash(self.num[0])
+        return hash(Fraction(self.num[0], self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     # -- display ----------------------------------------------------------
 
     def render(self, symbol: str = "z") -> str:
         parts = []
-        for k, c in enumerate(self.coords):
-            if not c:
+        den = self.den
+        for k, x in enumerate(self.num):
+            if not x:
                 continue
+            g = gcd(x, den)
+            p, q = x // g, den // g
+            c = "%d" % p if q == 1 else "%d/%d" % (p, q)
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
                 continue
             mono = symbol if k == 1 else "%s^%d" % (symbol, k)
-            if c == 1:
+            if c == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif c == "-1":
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % (c, mono))
@@ -251,9 +315,37 @@ class CycNumber:
         return "CycNumber(%d, %s)" % (self.order, self.render())
 
 
+def _mul(a: CycNumber, b: CycNumber) -> CycNumber:
+    """Product of two values of the same order: integer convolution of the
+    numerators, then one fold of the powers >= phi through ``_fold_table``."""
+    x, y = a.num, b.num
+    phi = len(x)
+    if phi == 1:
+        return _cyc(a.order, (x[0] * y[0],), a.den * b.den)
+    acc = [0] * (2 * phi - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    acc[i + j] += xi * yj
+    for row, c in zip(_fold_table(a.order), acc[phi:]):
+        if c:
+            for k, r in row:
+                acc[k] += c * r
+    return _cyc(a.order, tuple(acc[:phi]), a.den * b.den)
+
+
 def zeta_pow(order: int, k: int) -> CycNumber:
     """zeta_order^k as a canonical CycNumber (k may be any integer)."""
-    return CycNumber(order, _power_coords(order, k % order))
+    return _zeta(order, k % order)
+
+
+@lru_cache(maxsize=None)
+def _zeta(order: int, m: int) -> CycNumber:
+    phi = euler_phi(order)
+    if m < phi:
+        return _cyc(order, tuple(int(i == m) for i in range(phi)), 1)
+    return _cyc(order, next(islice(_high_powers(order), m - phi, None)), 1)
 
 
 def _rat_poly_divmod(num: list, den: list):
@@ -282,20 +374,23 @@ def cyc_invert(a: CycNumber) -> CycNumber:
     on zero input."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % a.order)
+    phi = len(a.num)
     if a.is_rational():
-        return CycNumber.from_rational(a.order, _R1 / a.coords[0])
-    phi = euler_phi(a.order)
-    # extended euclid: r0 = Phi_n, r1 = a; keep only the coefficient of a
-    r0 = [Rational(c) for c in cyclotomic_polynomial(a.order)]
-    r1 = list(a.coords)
+        p = a.num[0]
+        return _cyc(a.order, (a.den if p > 0 else -a.den,) + (0,) * (phi - 1),
+                    abs(p))
+    # a = A(zeta)/den, so 1/a = den/A(zeta); extended euclid on r0 = Phi_n,
+    # r1 = A, keeping only the coefficient of A
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(a.order)]
+    r1 = [Fraction(c) for c in a.num]
     s0, s1 = [_R0], [_R1]
     while True:
         while r1 and not r1[-1]:
             r1.pop()
         if len(r1) == 1:
-            inv = _R1 / r1[0]
-            coords = [c * inv for c in s1] + [_R0] * phi
-            return CycNumber(a.order, tuple(coords[:phi]))
+            scale = a.den / r1[0]
+            coords = [c * scale for c in s1] + [_R0] * phi
+            return CycNumber(a.order, coords[:phi])
         q, r = _rat_poly_divmod(r0, r1)
         # s_next = s0 - q*s1
         s_next = list(s0) + [_R0] * max(0, len(q) + len(s1) - 1 - len(s0))
@@ -475,6 +570,9 @@ class ParamPoly:
         return self.order == other.order and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the scalar it compares equal to
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.order, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):

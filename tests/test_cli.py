@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from partial_hopf import reference_tables
+from partial_hopf import cli, reference_tables
 from partial_hopf.algebras import taft
-from partial_hopf.cli import identity_sweep_items, main, run_identity_sweep
+from partial_hopf.cli import (
+    identity_sweep_items, main, run_identity_sweep, worker_count,
+)
 from partial_hopf.hopf_core import to_json_dict
 
 
@@ -218,3 +220,63 @@ def test_below_minimum_order_is_usage_error(capsys):
 def test_max_below_minimum_is_usage_error(capsys):
     code, _, err = run(capsys, "actions", "nichols", "--max", "1")
     assert code == 2
+
+
+# -- worker counts ------------------------------------------------------------
+
+@pytest.mark.parametrize("env", ["abc", "", "1.5", "0", "-2"])
+def test_bad_jobs_environment_is_usage_error(monkeypatch, capsys, env):
+    monkeypatch.setenv("PARTIAL_HOPF_JOBS", env)
+    code, out, err = run(capsys, "identities", "--max", "1", "--n", "2")
+    assert code == 2 and out == ""
+    assert "PARTIAL_HOPF_JOBS" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "identities", "--max", "1", "--n", "2",
+                         "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_non_integer_jobs_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--jobs", "many"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs,items,cpus,want", [
+    (1, 100, 8, 1),
+    (4, 100, 8, 4),
+    (64, 100, 8, 8),
+    (10 ** 9, 100, 2, 2),
+    (8, 3, 8, 3),
+    (8, 0, 8, 1),
+    (3, 100, 1, 1),
+])
+def test_worker_count_clamps(jobs, items, cpus, want):
+    assert worker_count(jobs, items, cpus) == want
+
+
+def test_sweep_pool_is_clamped_to_cores(monkeypatch):
+    # a stand-in Pool records the size asked for and maps serially
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    counts, failures = run_identity_sweep(1, 2, 10 ** 6)
+    assert sizes == [3]
+    assert (counts, failures) == run_identity_sweep(1, 2, 1)

@@ -1,4 +1,7 @@
 """Exact scalar tower: cyclotomic coordinates and parameter polynomials."""
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +136,133 @@ def test_field_axioms(data):
     assert a + (-a) == 0
     if not a.is_zero():
         assert a * cyc_invert(a) == 1
+
+
+# -- differential check against Fraction coordinates --------------------------
+
+def ref_mul(n, a, b):
+    # schoolbook product of Fraction coordinates, then long division by Phi_n
+    phi, cyc = euler_phi(n), cyclotomic_polynomial(n)
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for m in range(len(prod) - 1, phi - 1, -1):
+        c = prod[m]
+        for k, f in enumerate(cyc):
+            prod[m - phi + k] -= c * f
+    return tuple(prod[:phi])
+
+
+def ref_render(coords):
+    parts = []
+    for k, c in enumerate(coords):
+        mono = "" if k == 0 else "z" if k == 1 else "z^%d" % k
+        if c and k == 0:
+            parts.append(str(c))
+        elif c:
+            parts.append(mono if c == 1 else "-" + mono if c == -1
+                         else "%s*%s" % (c, mono))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+DIFF_ORDERS = list(range(1, 13)) + [15, 16]
+
+
+@st.composite
+def order_and_two_coord_tuples(draw):
+    order = draw(st.sampled_from(DIFF_ORDERS))
+    coords = st.tuples(*[st.sampled_from([0, 0, 1, -1]) | rationals]
+                       * euler_phi(order))
+    return order, draw(coords), draw(coords)
+
+
+def assert_normal_form(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_and_two_coord_tuples())
+def test_integer_core_matches_fraction_reference(data):
+    n, ca, cb = data
+    a, b = CycNumber(n, ca), CycNumber(n, cb)
+    assert a.coords == tuple(Fraction(c) for c in ca)
+    assert (a + b).coords == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coords == tuple(x - y for x, y in zip(ca, cb))
+    assert (a * b).coords == ref_mul(n, ca, cb)
+    assert a.render() == ref_render(a.coords)
+    assert (a * b).render() == ref_render(ref_mul(n, ca, cb))
+    for x in (a, a + b, a - b, a * b):
+        assert_normal_form(x)
+    if not a.is_zero():
+        inv = cyc_invert(a)
+        assert_normal_form(inv)
+        one = (Fraction(1),) + (Fraction(0),) * (euler_phi(n) - 1)
+        assert ref_mul(n, inv.coords, ca) == one
+
+
+def test_constructor_checks_coordinate_count():
+    with pytest.raises(ValueError):
+        CycNumber(5, (1, 2))
+
+
+def test_high_power_of_zeta_needs_no_recursion():
+    # powers are built iteratively; a recursive build overflows the stack
+    z = zeta_pow(2000, 1999)
+    assert z * zeta_pow(2000, 1) == 1
+    assert zeta_pow(2000, -1) == z
+
+
+def test_equal_values_have_identical_fields():
+    z = zeta_pow(6, 1)
+    half = CycNumber.from_rational(6, Rational(1, 2))
+    paths = [
+        (1 + z) / 2,
+        half + half * z,
+        CycNumber(6, (Rational(1, 2), Rational(1, 2))),
+        CycNumber(6, (Rational(3, 6), Rational(2, 4))),
+        parse_scalar("(1+z)/2", 6),
+        (z * z + 2 * z + 1) / (2 * (1 + z)),
+        ((1 + z) * 3 / 6 * z) * zeta_pow(6, -1),
+    ]
+    for x in paths:
+        assert (x.num, x.den) == ((1, 1), 2)
+    zeros = [z - z, (z / 3) * 0, CycNumber(6, (Rational(0, 5), 0)),
+             CycNumber.zero(6)]
+    for x in zeros:
+        assert (x.num, x.den) == ((0, 0), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_and_three())
+def test_division_round_trip_restores_fields(data):
+    _, a, b, _ = data
+    if not b.is_zero():
+        back = (a * b) / b
+        assert (back.num, back.den) == (a.num, a.den)
+
+
+# -- equality and hashing agree ----------------------------------------------
+
+@pytest.mark.parametrize("value", [3, -1, 0, Rational(3, 4), Rational(-5, 2)])
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_rational_values_hash_like_their_scalars(order, value):
+    c = CycNumber.from_rational(order, value)
+    p = ParamPoly.const(order, value)
+    assert c == value and p == value and p == c
+    assert hash(c) == hash(value)
+    assert hash(p) == hash(value) == hash(c)
+    assert len({c, value}) == 1
+    assert len({p, value}) == 1
+    assert len({p, c, value}) == 1
+
+
+def test_constant_poly_hashes_like_its_coefficient():
+    z = zeta_pow(4, 1)
+    p = ParamPoly.const(4, z)
+    assert p == z and hash(p) == hash(z)
+    assert len({p, z}) == 1
+    assert hash(ParamPoly.zero(4)) == hash(0)
 
 
 # -- parameter polynomials --------------------------------------------------

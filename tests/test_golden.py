@@ -1,0 +1,31 @@
+"""Byte-exact JSON reports of a fast subset of CLI invocations.
+
+The files under ``golden/`` were captured from the implementation that kept
+every CycNumber coordinate as a Fraction, before the integer-coordinate
+core replaced it; any change to a verdict, a family or a rendered scalar
+shows up here as a byte difference.
+"""
+from pathlib import Path
+
+import pytest
+
+from partial_hopf.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "validate_taft_4": ["validate", "taft", "4"],
+    "duality_taft_3": ["duality", "taft", "3"],
+    "classify_taft_5": ["classify", "taft", "5"],
+    "actions_taft_paper_examples": ["actions", "taft", "--paper-examples"],
+    "coactions_nichols": ["coactions", "nichols"],
+    "identities_n3_max3": ["identities", "--n", "3", "--max", "3",
+                           "--jobs", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_report_matches_golden(capsys, name):
+    assert main(CASES[name] + ["--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
