@@ -44,11 +44,16 @@ class ClassificationError(RuntimeError):
     """The solver could not complete a sound, exhaustive classification."""
 
 
-class NonCyclicGrouplikes(ClassificationError):
+class SolverUnsupported(ClassificationError):
+    """The input lies beyond what the solver implements; no mathematical
+    check failed."""
+
+
+class NonCyclicGrouplikes(SolverUnsupported):
     """Group-like branching implemented for cyclic G(H) only."""
 
 
-class BranchLimitExceeded(ClassificationError):
+class BranchLimitExceeded(SolverUnsupported):
     """Search exceeded the branch budget."""
 
 
@@ -141,7 +146,7 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
             "group-like group of %s is not cyclic" % H.name)
 
     if m > 16:
-        raise ClassificationError(
+        raise SolverUnsupported(
             "exhaustive subgroup audit capped at |G| = 16, got %d" % m)
     closed = []
     for mask in range(1 << m):
@@ -360,7 +365,9 @@ def classify_base_field_actions(H: HopfData, branch_limit: int = 64,
     """Classify all partial actions of H on its base field.
 
     Exhaustive over the branch tree described in the module docstring;
-    raises ClassificationError when soundness cannot be established.
+    raises ClassificationError when soundness cannot be established, as
+    SolverUnsupported when the cause is a limit of the solver rather than a
+    failed check.
     """
     deg = H.basis_degrees or (0,) * H.dim
     pairs = sorted(((h, y) for h in range(H.dim) for y in range(H.dim)),
@@ -409,7 +416,7 @@ def classify_base_field_actions(H: HopfData, branch_limit: int = 64,
             st.trace.append("contradiction: %s" % out[1])
             continue
         if out[0] == "stuck":
-            raise ClassificationError(
+            raise SolverUnsupported(
                 "solver stuck on %s (%s): %s"
                 % (H.name, st.label, "; ".join(out[1])))
         if out[0] == "split":

@@ -11,8 +11,10 @@ Subcommands:
   import      read a JSON algebra back and validate it
 
 Exit status is 0 when every check passes, 1 when a mathematical check
-fails, and 2 for usage or input errors.  `--output json` emits one stable
-JSON document on stdout instead of the text report.
+fails, 2 for usage or input errors, and 3 when the classifier does not
+support the input (e.g. a group-like group above its audit cap).
+`--output json` emits one stable JSON document on stdout instead of the
+text report; for exit 3 it is {"command", "ok": false, "unsupported"}.
 """
 from __future__ import annotations
 
@@ -26,7 +28,9 @@ from .algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
 )
-from .classify import ClassificationError, classify_base_field_actions
+from .classify import (
+    ClassificationError, SolverUnsupported, classify_base_field_actions,
+)
 from .duality import (
     check_character_sum, compose, is_identity, nichols_from_dual,
     nichols_to_dual, taft_from_dual, taft_to_dual, transport,
@@ -533,6 +537,13 @@ def main(argv=None) -> int:
     except HopfValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except SolverUnsupported as exc:
+        if args.output == "json":
+            _emit(args, {"command": args.command, "ok": False,
+                         "unsupported": str(exc)}, ())
+        else:
+            print("error: solver unsupported: %s" % exc, file=sys.stderr)
+        return 3
     except ClassificationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

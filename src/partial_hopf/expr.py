@@ -8,6 +8,11 @@ to equal values.
 
 Division is restricted to constant (parameter-free) divisors, which is all
 the interchange format needs.
+
+Expressions arrive from imported files, so the work one can demand is
+bounded: exponents, integer literals, parenthesis depth and the estimated
+size of a power are capped by the module constants below, and a breach is
+an ExprError raised before the expensive step runs.
 """
 from __future__ import annotations
 
@@ -15,11 +20,23 @@ import re
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, zeta_pow
 
+MAX_EXPONENT = 4096            # |e| in base^e
+MAX_LITERAL_DIGITS = 256       # digits of an integer literal or exponent
+MAX_NESTING = 100              # depth of nested parentheses
+MAX_POWER_BITS = 1 << 16       # estimated bits of a power's coefficients
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
 
 class ExprError(ValueError):
     """Malformed or unsupported coefficient expression."""
+
+
+def _literal(tok: str) -> int:
+    if len(tok) > MAX_LITERAL_DIGITS:
+        raise ExprError("integer literal of %d digits exceeds %d"
+                        % (len(tok), MAX_LITERAL_DIGITS))
+    return int(tok)
 
 
 def _tokenize(s: str) -> list[str]:
@@ -34,10 +51,23 @@ def _tokenize(s: str) -> list[str]:
     return out
 
 
+def _power(base, exp: int):
+    """base ** exp for a ParamPoly or CycNumber base and exp >= 0, refused
+    when the result's coefficients could exceed MAX_POWER_BITS bits."""
+    coeffs = base.terms.values() if isinstance(base, ParamPoly) else (base,)
+    bits = max((max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num))
+                for c in coeffs), default=0)
+    if bits * exp > MAX_POWER_BITS:
+        raise ExprError("power too large: about %d bits, limit %d"
+                        % (bits * exp, MAX_POWER_BITS))
+    return base ** exp
+
+
 class _Parser:
     def __init__(self, tokens, order, root_symbol, params):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.order = order
         self.root = root_symbol
         self.params = params
@@ -78,20 +108,19 @@ class _Parser:
         return value
 
     def parse_factor(self) -> ParamPoly:
-        tok = self.peek()
-        if tok in ("-", "+"):
-            self.take()
-            inner = self.parse_factor()
-            return -inner if tok == "-" else inner
-        base = self.parse_atom()
+        negate = False
+        while self.peek() in ("-", "+"):
+            negate ^= self.take() == "-"
+        value = self.parse_atom()
         if self.peek() in ("^", "**"):
             self.take()
             exp = self.parse_int_exponent()
             if exp >= 0:
-                return base ** exp
-            inv = cyc_invert(base.constant_value())
-            return ParamPoly.const(self.order, inv ** (-exp))
-        return base
+                value = _power(value, exp)
+            else:
+                inv = cyc_invert(value.constant_value())
+                value = ParamPoly.const(self.order, _power(inv, -exp))
+        return -value if negate else value
 
     def parse_int_exponent(self) -> int:
         sign = 1
@@ -101,18 +130,26 @@ class _Parser:
         tok = self.take()
         if tok is None or not tok.isdigit():
             raise ExprError("expected integer exponent, got %r" % (tok,))
-        return sign * int(tok)
+        exp = _literal(tok)
+        if exp > MAX_EXPONENT:
+            raise ExprError("exponent %d exceeds %d" % (exp, MAX_EXPONENT))
+        return sign * exp
 
     def parse_atom(self) -> ParamPoly:
         tok = self.take()
         if tok is None:
             raise ExprError("unexpected end of expression")
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError("parentheses nested deeper than %d"
+                                % MAX_NESTING)
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.isdigit():
-            return ParamPoly.const(self.order, int(tok))
+            return ParamPoly.const(self.order, _literal(tok))
         if tok == self.root:
             return ParamPoly.const(self.order, zeta_pow(self.order, 1))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):

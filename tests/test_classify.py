@@ -8,9 +8,10 @@ from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
 from partial_hopf.hopf_core import HopfData, validate_all
+from partial_hopf import classify
 from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
-    classify_base_field_actions, family_count,
+    SolverUnsupported, classify_base_field_actions, family_count,
 )
 from partial_hopf.families import (
     dual_group_action_families, group_action_families,
@@ -101,8 +102,24 @@ def test_branch_limit():
 def test_unclosed_grouplike_metadata_rejected():
     H = taft(3)
     bad = dataclasses.replace(H, grouplikes=(0, 3))  # {1, g} without g^2
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError) as exc:
         classify_base_field_actions(bad)
+    assert not isinstance(exc.value, SolverUnsupported)
+
+
+def test_solver_limits_are_unsupported_not_failures():
+    assert issubclass(BranchLimitExceeded, SolverUnsupported)
+    assert issubclass(NonCyclicGrouplikes, SolverUnsupported)
+    assert issubclass(SolverUnsupported, ClassificationError)
+    with pytest.raises(SolverUnsupported, match="capped at"):
+        classify_base_field_actions(group_algebra_cyclic(17))
+
+
+def test_stuck_solver_is_unsupported(monkeypatch):
+    monkeypatch.setattr(classify, "_propagate",
+                        lambda H, st: ("stuck", ["u1*u2 - u3"]))
+    with pytest.raises(SolverUnsupported, match="solver stuck"):
+        classify_base_field_actions(taft(2))
 
 
 def _klein_group_algebra():

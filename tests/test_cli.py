@@ -6,6 +6,9 @@ import pytest
 
 from partial_hopf import cli, reference_tables
 from partial_hopf.algebras import taft
+from partial_hopf.classify import (
+    BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
+)
 from partial_hopf.cli import (
     identity_sweep_items, main, run_identity_sweep, worker_count,
 )
@@ -110,6 +113,38 @@ def test_classify_group_sweep(capsys):
     assert counts == {1: 1, 2: 2, 3: 2, 4: 3, 5: 2, 6: 4}
 
 
+def test_classify_beyond_audit_cap_exits_3(capsys):
+    code, out, err = run(capsys, "classify", "group", "17")
+    assert code == 3 and out == ""
+    assert "unsupported" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "classify", "group", "17", "--output", "json")
+    assert code == 3
+    assert json.loads(out) == {
+        "command": "classify", "ok": False,
+        "unsupported": "exhaustive subgroup audit capped at |G| = 16, "
+                       "got 17"}
+
+
+@pytest.mark.parametrize("exc,want", [
+    (BranchLimitExceeded("more than 64 branches"), 3),
+    (NonCyclicGrouplikes("group-like group is not cyclic"), 3),
+    (ClassificationError("group-like consequence audit failed at (0, 1)"),
+     1),
+])
+def test_classify_exit_code_separates_limits_from_failures(
+        monkeypatch, capsys, exc, want):
+    def raising(H):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify_base_field_actions", raising)
+    code, out, err = run(capsys, "classify", "taft", "2", "--output", "json")
+    assert code == want
+    if want == 3:
+        assert json.loads(out)["unsupported"] == str(exc)
+    else:
+        assert out == "" and str(exc) in err
+
+
 def test_duality_text(capsys):
     code, out, _ = run(capsys, "duality", "taft", "4")
     assert code == 0
@@ -198,6 +233,28 @@ def test_import_invalid_structure(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "import", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("counit", "2^100000000"),
+    ("counit", "1" * 257),
+    ("counit", "(" * 101 + "1" + ")" * 101),
+    ("counit", "(2^4096)^16"),
+    ("dim", 513),
+    ("order", 1025),
+])
+def test_import_beyond_limits_is_format_error(tmp_path, capsys, field,
+                                              value):
+    doc = to_json_dict(taft(2))
+    if field == "counit":
+        doc["counit"][1] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
 
 
 def test_unknown_algebra_is_usage_error():

@@ -9,7 +9,10 @@ from partial_hopf.exact_arith import (
     CycNumber, OrderMismatch, ParamPoly, Rational,
     cyc_invert, cyclotomic_polynomial, divisors, euler_phi, zeta_pow,
 )
-from partial_hopf.expr import ExprError, parse_poly, parse_scalar
+from partial_hopf.expr import (
+    MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, ExprError, parse_poly,
+    parse_scalar,
+)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
@@ -363,3 +366,59 @@ def test_parse_rejects_junk():
         parse_poly("1 + $", 4)
     with pytest.raises(ExprError):
         parse_poly("(1", 4)
+
+
+# -- bounds on the work of one expression -------------------------------------
+
+@pytest.fixture
+def powers(monkeypatch):
+    """The exponents of every power computed while the test runs."""
+    seen = []
+    for cls in (ParamPoly, CycNumber):
+        def counted(self, e, _pow=cls.__pow__):
+            seen.append(e)
+            return _pow(self, e)
+
+        monkeypatch.setattr(cls, "__pow__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("text,computed", [
+    ("2^100000000", []), ("2^-100000000", []),
+    ("z^%d" % (MAX_EXPONENT + 1), []),
+    ("(2^4096)^16", [4096]), ("((2^4096)^4096)^4096", [4096]),
+    ("(1/3^4096)^16", [4096]),
+])
+def test_oversized_powers_fail_before_computing(powers, text, computed):
+    with pytest.raises(ExprError):
+        parse_scalar(text, 4)
+    assert powers == computed
+
+
+def test_powers_at_the_limits_parse():
+    assert parse_scalar("z^%d" % MAX_EXPONENT, 4) == 1
+    assert parse_scalar("2^%d" % MAX_EXPONENT, 1) == 2 ** MAX_EXPONENT
+    assert parse_scalar("2^-3", 1) == Rational(1, 8)
+
+
+def test_literal_digits_are_bounded():
+    assert parse_scalar("9" * MAX_LITERAL_DIGITS, 1) == int(
+        "9" * MAX_LITERAL_DIGITS)
+    with pytest.raises(ExprError, match="digits"):
+        parse_scalar("9" * (MAX_LITERAL_DIGITS + 1), 1)
+    with pytest.raises(ExprError, match="digits"):
+        parse_scalar("2^" + "0" * (MAX_LITERAL_DIGITS + 1), 1)
+
+
+def test_nesting_is_bounded_without_recursion_error():
+    assert parse_scalar("(" * MAX_NESTING + "z" + ")" * MAX_NESTING, 3) == (
+        zeta_pow(3, 1))
+    for depth in (MAX_NESTING + 1, 100000):
+        with pytest.raises(ExprError, match="nested"):
+            parse_scalar("(" * depth + "1" + ")" * depth, 3)
+
+
+def test_long_sign_chains_parse_iteratively():
+    assert parse_scalar("-" * 100001 + "z", 3) == -zeta_pow(3, 1)
+    assert parse_scalar("-" * 100000 + "2^3", 1) == 8
+    assert parse_scalar("-2^2", 1) == -4

@@ -2,8 +2,11 @@
 
 The files under ``golden/`` were captured from the implementation that kept
 every CycNumber coordinate as a Fraction, before the integer-coordinate
-core replaced it; any change to a verdict, a family or a rendered scalar
-shows up here as a byte difference.
+core replaced it; ``validate_nichols.json`` (the default sweep, orders 2-6)
+was captured from the validator that checked one basis tuple at a time,
+before it walked the nonzero structure constants.  Any change to a verdict,
+a check count, a family or a rendered scalar shows up here as a byte
+difference.
 """
 from pathlib import Path
 
@@ -15,6 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "validate_taft_4": ["validate", "taft", "4"],
+    "validate_nichols": ["validate", "nichols"],
     "duality_taft_3": ["duality", "taft", "3"],
     "classify_taft_5": ["classify", "taft", "5"],
     "actions_taft_paper_examples": ["actions", "taft", "--paper-examples"],

@@ -157,6 +157,13 @@ def test_json_missing_field():
         from_json_dict(d)
 
 
+@pytest.mark.parametrize("dim,order", [(513, 2), (2, 1025), (10 ** 9, 2)])
+def test_json_size_limits_checked_first(dim, order):
+    # nothing but dim and order is present: the limit must fire first
+    with pytest.raises(HopfFormatError, match="import limits"):
+        from_json_dict({"dim": dim, "order": order})
+
+
 def test_json_bad_index():
     d = to_json_dict(taft(2))
     d["mult"][0] = [99, 0, 0, "1"]

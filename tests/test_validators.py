@@ -1,0 +1,397 @@
+"""The Hopf-axiom validators against a per-tuple reference, under faults.
+
+``reference_validate_bialgebra`` is the earlier validator that built and
+subtracted two coefficient dicts for every basis triple (associativity) and
+every basis pair (Delta-multiplicativity).  The validator in ``hopf_core``
+walks only the nonzero structure constants; it must give the same report,
+check count and failure strings included, and make exactly the same scalar
+products.
+
+The golden files were captured from the per-tuple implementation.
+"""
+import dataclasses
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from partial_hopf import exact_arith
+from partial_hopf.algebras import nichols, taft
+from partial_hopf.exact_arith import CycNumber, euler_phi, zeta_pow
+from partial_hopf.hopf_core import (
+    HopfData, Report, validate_all, validate_bialgebra,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# -- the per-tuple reference ------------------------------------------------
+
+def _ref_add(acc, key, c):
+    prev = acc.get(key)
+    acc[key] = c if prev is None else prev + c
+
+
+def _ref_iszero(d):
+    return all(v.is_zero() for v in d.values())
+
+
+def _ref_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        prev = out.get(k)
+        out[k] = -v if prev is None else prev - v
+    return out
+
+
+def _ref_str(d, H, pair=False):
+    parts = []
+    for k in sorted(d):
+        v = d[k]
+        if v.is_zero():
+            continue
+        if pair:
+            lbl = "%s(x)%s" % (H.basis[k[0]], H.basis[k[1]])
+        elif isinstance(k, tuple):
+            lbl = "(x)".join(H.basis[i] for i in k)
+        else:
+            lbl = H.basis[k]
+        parts.append("(%s)*%s" % (v.render(), lbl))
+    return " + ".join(parts) if parts else "0"
+
+
+def reference_validate_bialgebra(H: HopfData) -> Report:
+    """Every bialgebra axiom, one basis tuple at a time."""
+    rep = Report("bialgebra(%s)" % H.name)
+    dim, mult = H.dim, H.mult
+    zero = H.zero_scalar()
+    one = H.one_scalar()
+
+    unit = dict(H.unit)
+    for i in range(dim):
+        for flip in (False, True):
+            acc: dict = {}
+            for a, ua in unit.items():
+                row = mult.get((a, i) if not flip else (i, a))
+                if row:
+                    for k, c in row:
+                        _ref_add(acc, k, ua * c)
+            _ref_add(acc, i, -one)
+            rep.count()
+            if not _ref_iszero(acc):
+                rep.fail("unit_law", (("1*e" if not flip else "e*1"), i),
+                         _ref_str(acc, H), "0")
+
+    for i in range(dim):
+        for j in range(dim):
+            row_ij = mult.get((i, j), ())
+            for k in range(dim):
+                left: dict = {}
+                for m, c in row_ij:
+                    row2 = mult.get((m, k))
+                    if row2:
+                        for t, c2 in row2:
+                            _ref_add(left, t, c * c2)
+                right: dict = {}
+                for m, c in mult.get((j, k), ()):
+                    row2 = mult.get((i, m))
+                    if row2:
+                        for t, c2 in row2:
+                            _ref_add(right, t, c * c2)
+                rep.count()
+                diff = _ref_sub(left, right)
+                if not _ref_iszero(diff):
+                    rep.fail("associativity", (i, j, k),
+                             _ref_str(left, H), _ref_str(right, H))
+
+    for i in range(dim):
+        lacc: dict = {}
+        racc: dict = {}
+        for c, j, k in H.comult[i]:
+            ej = H.counit[j]
+            if ej:
+                _ref_add(lacc, k, c * ej)
+            ek = H.counit[k]
+            if ek:
+                _ref_add(racc, j, c * ek)
+        _ref_add(lacc, i, -one)
+        _ref_add(racc, i, -one)
+        rep.count(2)
+        if not _ref_iszero(lacc):
+            rep.fail("counit_left", (i,), _ref_str(lacc, H), "0")
+        if not _ref_iszero(racc):
+            rep.fail("counit_right", (i,), _ref_str(racc, H), "0")
+
+    for i in range(dim):
+        left: dict = {}
+        right: dict = {}
+        for c, j, k in H.comult[i]:
+            for c2, a, b in H.comult[j]:
+                _ref_add(left, (a, b, k), c * c2)
+            for c2, a, b in H.comult[k]:
+                _ref_add(right, (j, a, b), c * c2)
+        rep.count()
+        diff = _ref_sub(left, right)
+        if not _ref_iszero(diff):
+            rep.fail("coassociativity", (i,),
+                     _ref_str(left, H), _ref_str(right, H))
+
+    for i in range(dim):
+        ci = H.comult[i]
+        for j in range(dim):
+            lhs: dict = {}
+            for k, c in mult.get((i, j), ()):
+                for c2, a, b in H.comult[k]:
+                    _ref_add(lhs, (a, b), c * c2)
+            rhs: dict = {}
+            for c1, a1, b1 in ci:
+                for c2, a2, b2 in H.comult[j]:
+                    ra = mult.get((a1, a2))
+                    if not ra:
+                        continue
+                    rb = mult.get((b1, b2))
+                    if not rb:
+                        continue
+                    c12 = c1 * c2
+                    for a, ca in ra:
+                        for b, cb in rb:
+                            _ref_add(rhs, (a, b), c12 * (ca * cb))
+            rep.count()
+            diff = _ref_sub(lhs, rhs)
+            if not _ref_iszero(diff):
+                rep.fail("comult_multiplicative", (i, j),
+                         _ref_str(lhs, H, pair=True),
+                         _ref_str(rhs, H, pair=True))
+
+    for i in range(dim):
+        for j in range(dim):
+            acc = zero
+            for k, c in mult.get((i, j), ()):
+                ek = H.counit[k]
+                if ek:
+                    acc = acc + c * ek
+            rep.count()
+            if acc != H.counit[i] * H.counit[j]:
+                rep.fail("counit_multiplicative", (i, j), acc.render(),
+                         (H.counit[i] * H.counit[j]).render())
+    d1: dict = {}
+    for i, ui in H.unit:
+        for c, j, k in H.comult[i]:
+            _ref_add(d1, (j, k), ui * c)
+    for i, ui in H.unit:
+        for j, uj in H.unit:
+            _ref_add(d1, (i, j), -(ui * uj))
+    rep.count()
+    if not _ref_iszero(d1):
+        rep.fail("comult_of_unit", (), _ref_str(d1, H, pair=True), "0")
+    eps1 = zero
+    for i, ui in H.unit:
+        eps1 = eps1 + ui * H.counit[i]
+    rep.count()
+    if eps1 != one:
+        rep.fail("counit_of_unit", (), eps1.render(), "1")
+    return rep
+
+
+def _outcome(rep: Report):
+    return rep.checks_run, [str(f) for f in rep.failures]
+
+
+# -- faults -----------------------------------------------------------------
+
+def perturbations(H: HopfData):
+    """Every single-coefficient fault of H as (label, perturbed copy): each
+    nonzero mult, comult and antipode coefficient doubled, and each counit
+    value plus one."""
+    for key in sorted(H.mult):
+        row = H.mult[key]
+        for t, (k, c) in enumerate(row):
+            if c:
+                mult = dict(H.mult)
+                mult[key] = row[:t] + ((k, c + c),) + row[t + 1:]
+                yield ("mult%s[%d]" % (key, t),
+                       dataclasses.replace(H, mult=mult))
+    for i, row in enumerate(H.comult):
+        for t, (c, j, k) in enumerate(row):
+            if c:
+                comult = list(H.comult)
+                comult[i] = row[:t] + ((c + c, j, k),) + row[t + 1:]
+                yield ("comult[%d][%d]" % (i, t),
+                       dataclasses.replace(H, comult=tuple(comult)))
+    for i, row in enumerate(H.antipode):
+        for t, (j, c) in enumerate(row):
+            if c:
+                antipode = list(H.antipode)
+                antipode[i] = row[:t] + ((j, c + c),) + row[t + 1:]
+                yield ("antipode[%d][%d]" % (i, t),
+                       dataclasses.replace(H, antipode=tuple(antipode)))
+    for i in range(H.dim):
+        counit = list(H.counit)
+        counit[i] = counit[i] + 1
+        yield ("counit[%d]" % i,
+               dataclasses.replace(H, counit=tuple(counit)))
+
+
+FAULT_BASES = {"taft3": (taft, 3), "nichols3": (nichols, 3)}
+
+
+def _faults(name):
+    build, n = FAULT_BASES[name]
+    return list(perturbations(build(n)))
+
+
+def test_fault_suite_size_and_reach():
+    faults = {name: _faults(name) for name in FAULT_BASES}
+    assert sum(len(f) for f in faults.values()) == 160
+    for name, cases in faults.items():
+        build, n = FAULT_BASES[name]
+        last = build(n).dim - 1
+        # faults on the last first index catch an off-by-one in the slicing
+        assert any(label.startswith("mult(%d," % last) for label, _ in cases)
+        assert "comult[%d][0]" % last in dict(cases)
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_BASES))
+def test_every_single_coefficient_fault_is_rejected(name):
+    for label, H in _faults(name):
+        rep = validate_all(H)
+        assert not rep.ok, "%s: %s accepted" % (name, label)
+        assert _outcome(validate_bialgebra(H)) == _outcome(
+            reference_validate_bialgebra(H)), label
+
+
+GOLDEN_FAULTS = (
+    ("taft3", "mult(0, 0)[0]"), ("taft3", "mult(3, 1)[0]"),
+    ("taft3", "mult(8, 6)[0]"), ("taft3", "comult[1][1]"),
+    ("taft3", "comult[8][2]"), ("taft3", "antipode[1][0]"),
+    ("taft3", "counit[3]"),
+    ("nichols3", "mult(1, 2)[0]"), ("nichols3", "mult(7, 1)[0]"),
+    ("nichols3", "comult[2][1]"), ("nichols3", "comult[7][3]"),
+    ("nichols3", "antipode[6][0]"), ("nichols3", "counit[0]"),
+)
+
+
+def _golden_fault_reports() -> dict:
+    out = {}
+    for name, label in GOLDEN_FAULTS:
+        rep = validate_all(dict(_faults(name))[label])
+        out["%s %s" % (name, label)] = {
+            "checks": rep.checks_run,
+            "failures": [str(f) for f in rep.failures]}
+    return out
+
+
+def test_fault_reports_match_golden():
+    want = json.loads((GOLDEN / "validate_failures.json").read_text())
+    assert _golden_fault_reports() == want
+
+
+# -- random sparse tables ---------------------------------------------------
+
+def _scalar(rng, order):
+    roll = rng.random()
+    if roll < 0.1:
+        return CycNumber.zero(order)
+    if roll < 0.55:
+        return CycNumber.from_rational(
+            order, rng.choice((1, -1, 2, -3, Fraction(1, 2))))
+    if roll < 0.8:
+        return zeta_pow(order, rng.randrange(order)) * rng.choice((1, -1))
+    return CycNumber(order, [rng.randint(-2, 2)
+                             for _ in range(euler_phi(order))])
+
+
+def _terms(rng, order, key):
+    """One to three terms, sometimes followed by the term that cancels it."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        k, c = key(), _scalar(rng, order)
+        out.append((k, c))
+        if rng.random() < 0.3:
+            out.append((k, -c))
+    return out
+
+
+def random_table(seed: int) -> HopfData:
+    """A sparse structure-constant table that is (almost surely) not a Hopf
+    algebra: dim <= 6, order in {1, 2, 3, 4}."""
+    rng = random.Random(seed)
+    dim, order = rng.randint(1, 6), rng.choice((1, 2, 3, 4))
+    density = rng.choice((0.15, 0.4, 0.8))
+
+    def idx():
+        return rng.randrange(dim)
+
+    def pair():
+        return idx(), idx()
+
+    mult = {(i, j): tuple(_terms(rng, order, idx))
+            for i in range(dim) for j in range(dim)
+            if rng.random() < density}
+    comult = tuple(
+        tuple((c, j, k) for (j, k), c in _terms(rng, order, pair))
+        if rng.random() < density else () for _ in range(dim))
+    unit = tuple((i, _scalar(rng, order)) for i in range(dim)
+                 if rng.random() < 0.4)
+    counit = tuple(_scalar(rng, order) for _ in range(dim))
+    antipode = tuple(tuple(_terms(rng, order, idx)) for _ in range(dim))
+    return HopfData(name="random%d" % seed, dim=dim, order=order,
+                    basis=tuple("b%d" % i for i in range(dim)), mult=mult,
+                    unit=unit, comult=comult, counit=counit,
+                    antipode=antipode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_sparse_validator_matches_reference_on_random_tables(seed):
+    H = random_table(seed)
+    assert _outcome(validate_bialgebra(H)) == _outcome(
+        reference_validate_bialgebra(H))
+
+
+@pytest.mark.parametrize("build,n", [(taft, 2), (taft, 4), (nichols, 2),
+                                     (nichols, 4)])
+def test_sparse_validator_matches_reference_on_builtins(build, n):
+    H = build(n)
+    assert _outcome(validate_bialgebra(H)) == _outcome(
+        reference_validate_bialgebra(H))
+
+
+# -- work sentinels ---------------------------------------------------------
+
+CHECKS_RUN = {
+    ("taft", 2): 132, ("taft", 3): 965, ("taft", 4): 4734,
+    ("taft", 5): 17067, ("taft", 6): 49520,
+    ("nichols", 2): 131, ("nichols", 3): 704, ("nichols", 4): 4729,
+    ("nichols", 5): 35050, ("nichols", 6): 270795,
+}
+BUILDERS = {"taft": taft, "nichols": nichols}
+
+
+@pytest.mark.parametrize("family,n", sorted(CHECKS_RUN))
+def test_checks_run_counts_every_basis_tuple(family, n):
+    H = BUILDERS[family](n)
+    rep = validate_all(H)
+    assert rep.ok
+    assert rep.checks_run == CHECKS_RUN[(family, n)]
+
+
+SCALAR_PRODUCTS = {("nichols", 5): 38271, ("taft", 4): 7075}
+
+
+@pytest.mark.parametrize("family,n", sorted(SCALAR_PRODUCTS))
+def test_validation_makes_the_same_scalar_products(monkeypatch, family, n):
+    H = BUILDERS[family](n)
+    calls = [0]
+    mul = exact_arith._mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(exact_arith, "_mul", counted)
+    assert validate_all(H).ok
+    assert calls[0] == SCALAR_PRODUCTS[(family, n)]
