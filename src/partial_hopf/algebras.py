@@ -17,47 +17,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_arith import CycNumber, zeta_pow
-from .hopf_core import HopfData, dual_hopf
+from .hopf_core import HopfData, dual_hopf, tensor_mul, vec_mul
 from .qcomb import q_binomial
 
 
 class InvalidOrder(ValueError):
     """Algebra order outside the constructor's domain."""
-
-
-def _vec_mul(mult: dict, v1: dict, v2: dict) -> dict:
-    out: dict = {}
-    for i, c1 in v1.items():
-        for j, c2 in v2.items():
-            row = mult.get((i, j))
-            if not row:
-                continue
-            c12 = c1 * c2
-            for k, c in row:
-                prev = out.get(k)
-                val = c12 * c if prev is None else prev + c12 * c
-                out[k] = val
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _tensor_mul(mult: dict, t1: dict, t2: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            ra = mult.get((a1, a2))
-            if not ra:
-                continue
-            rb = mult.get((b1, b2))
-            if not rb:
-                continue
-            c12 = c1 * c2
-            for a, ca in ra:
-                for b, cb in rb:
-                    key = (a, b)
-                    add = c12 * (ca * cb)
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 @lru_cache(maxsize=None)
@@ -114,9 +79,9 @@ def taft(n: int) -> HopfData:
         for j in range(n):
             acc = {0: one}
             for _ in range(j):
-                acc = _vec_mul(mult, acc, sx)
+                acc = vec_mul(mult, acc, sx)
             for _ in range(i):
-                acc = _vec_mul(mult, acc, sg)
+                acc = vec_mul(mult, acc, sg)
             antipode_rows.append(tuple(sorted(acc.items())))
 
     return HopfData(
@@ -178,10 +143,10 @@ def nichols(n: int) -> HopfData:
     for m in range(dim):
         acc = {(0, 0): one}
         if m & 1:
-            acc = _tensor_mul(mult, acc, dg)
+            acc = tensor_mul(mult, acc, dg)
         for i in xbits(m):
             dxi = {(1 << i, 0): one, (1, 1 << i): one}
-            acc = _tensor_mul(mult, acc, dxi)
+            acc = tensor_mul(mult, acc, dxi)
         comult_rows.append(tuple(
             (c, j, k) for (j, k), c in sorted(acc.items())))
 
@@ -193,9 +158,9 @@ def nichols(n: int) -> HopfData:
     for m in range(dim):
         acc = {0: one}
         for i in reversed(xbits(m)):
-            acc = _vec_mul(mult, acc, {(1 << i) | 1: -one})
+            acc = vec_mul(mult, acc, {(1 << i) | 1: -one})
         if m & 1:
-            acc = _vec_mul(mult, acc, {1: one})
+            acc = vec_mul(mult, acc, {1: one})
         antipode_rows.append(tuple(sorted(acc.items())))
 
     return HopfData(

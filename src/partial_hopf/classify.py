@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
-from .hopf_core import Functional, HopfData, Report
+from .hopf_core import Functional, HopfData, Report, sparse, vec_mul
 from .families import (
     instance_residual, verify_partial_action, verify_symmetric_action,
 )
@@ -72,31 +72,9 @@ def _uname(i: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _grouplike_vectors(H: HopfData) -> list:
-    out = []
     one = CycNumber.one(H.order)
-    for i in H.grouplikes:
-        out.append({i: one})
-    for vec in H.grouplike_vectors:
-        out.append({i: c for i, c in enumerate(vec) if not c.is_zero()})
-    return out
-
-
-def _vec_product(H: HopfData, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            row = H.mult.get((i, j))
-            if not row:
-                continue
-            ab = a * b
-            for k, c in row:
-                s = out.get(k)
-                s = ab * c if s is None else s + ab * c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-    return out
+    return ([{i: one} for i in H.grouplikes]
+            + [sparse(vec) for vec in H.grouplike_vectors])
 
 
 @dataclass(frozen=True)
@@ -123,7 +101,7 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
     for a in range(m):
         row = []
         for b in range(m):
-            prod = _vec_product(H, G[a], G[b])
+            prod = vec_mul(H.mult, G[a], G[b])
             c = next((k for k, v in enumerate(G) if v == prod), None)
             if c is None:
                 raise ClassificationError(

@@ -10,11 +10,14 @@ Subcommands:
   export      write a built-in algebra in the JSON interchange format
   import      read a JSON algebra back and validate it
 
+`actions` and `coactions` share one sweep (`_family_sweep`).
+
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, 2 for usage or input errors, and 3 when the classifier does not
 support the input (e.g. a group-like group above its audit cap).
 `--output json` emits one stable JSON document on stdout instead of the
-text report; for exit 3 it is {"command", "ok": false, "unsupported"}.
+text report; for exit 3 it is {"command", "ok": false, "unsupported"},
+with "results" for the orders classified before the unsupported one.
 """
 from __future__ import annotations
 
@@ -44,8 +47,7 @@ from .families import (
     nichols_parametric_action, nichols_parametric_coaction,
     taft_action_families, taft_coaction_families, taft_parametric_action,
     taft_parametric_coaction, taft_subgroup_action, taft_subgroup_coaction,
-    verify_partial_action, verify_partial_coaction, verify_symmetric_action,
-    verify_symmetric_coaction,
+    verify_partial_action, verify_partial_coaction,
 )
 from .hopf_core import (
     HopfFormatError, HopfValidationError, from_json_dict, to_json_dict,
@@ -145,20 +147,22 @@ def _reference_section(results, lines) -> bool:
     return ok
 
 
-def cmd_actions(args) -> int:
-    listing = _ACTION_LISTS[args.algebra]
+def _family_sweep(args, kind, listings, verify, data) -> int:
+    """Verify every ``kind`` family of the swept orders, plain and
+    symmetric; ``data(fam)`` is what ``verify`` checks."""
+    listing = listings[args.algebra]
     results, lines, ok = [], [], True
     for n in _orders(args, _FAMILY_RANGE):
         fams = listing(n)
-        lines.append("%s(%d): %d action families" % (args.algebra, n,
-                                                     len(fams)))
+        lines.append("%s(%d): %d %s families" % (args.algebra, n, len(fams),
+                                                 kind))
         for fam in fams:
-            H = fam.algebra
-            rep = verify_partial_action(H, fam.functional)
-            srep = verify_symmetric_action(H, fam.functional)
+            H, x = fam.algebra, data(fam)
+            rep = verify(H, x)
+            srep = verify(H, x, symmetric=True)
             good = rep.ok and srep.ok
             ok = ok and good
-            vals = _values(fam.functional.coords, H.basis)
+            vals = _values(x.coords, H.basis)
             results.append({
                 "algebra": args.algebra, "n": n, "family": fam.name,
                 "params": list(fam.params), "values": vals, "verified": good,
@@ -171,54 +175,37 @@ def cmd_actions(args) -> int:
                 lines.append("    " + str(f))
             for label, expr in vals.items():
                 lines.append("    %s: %s" % (label, expr))
-    doc = {"command": "actions", "ok": ok, "results": results}
+    doc = {"command": kind + "s", "ok": ok, "results": results}
     if args.paper_examples:
         refs = []
         doc["reference_tables"] = refs
         doc["ok"] = _reference_section(refs, lines) and doc["ok"]
     return _emit(args, doc, lines)
+
+
+def cmd_actions(args) -> int:
+    return _family_sweep(args, "action", _ACTION_LISTS, verify_partial_action,
+                         lambda fam: fam.functional)
 
 
 def cmd_coactions(args) -> int:
-    listing = _COACTION_LISTS[args.algebra]
-    results, lines, ok = [], [], True
-    for n in _orders(args, _FAMILY_RANGE):
-        fams = listing(n)
-        lines.append("%s(%d): %d coaction families" % (args.algebra, n,
-                                                       len(fams)))
-        for fam in fams:
-            H = fam.algebra
-            rep = verify_partial_coaction(H, fam.element)
-            srep = verify_symmetric_coaction(H, fam.element)
-            good = rep.ok and srep.ok
-            ok = ok and good
-            vals = _values(fam.element.coords, H.basis)
-            results.append({
-                "algebra": args.algebra, "n": n, "family": fam.name,
-                "params": list(fam.params), "values": vals, "verified": good,
-                "checks": rep.checks_run + srep.checks_run,
-            })
-            lines.append("  %s [params: %s] %s" % (
-                fam.name, ", ".join(fam.params) or "none",
-                "ok" if good else "FAILED"))
-            for f in rep.failures + srep.failures:
-                lines.append("    " + str(f))
-            for label, expr in vals.items():
-                lines.append("    %s: %s" % (label, expr))
-    doc = {"command": "coactions", "ok": ok, "results": results}
-    if args.paper_examples:
-        refs = []
-        doc["reference_tables"] = refs
-        doc["ok"] = _reference_section(refs, lines) and doc["ok"]
-    return _emit(args, doc, lines)
+    return _family_sweep(args, "coaction", _COACTION_LISTS,
+                         verify_partial_coaction, lambda fam: fam.element)
 
 
 def cmd_classify(args) -> int:
+    """Classify every swept order.  At the first order the solver does not
+    support, stop: report the reason, and the orders already done under
+    "results" when there are any, and exit 3."""
     build = _BUILDERS[args.algebra]
-    results, lines, ok = [], [], True
+    results, lines, unsupported = [], [], None
     for n in _orders(args, _CLASSIFY_RANGE):
         H = build(n)
-        out = classify_base_field_actions(H)
+        try:
+            out = classify_base_field_actions(H)
+        except SolverUnsupported as exc:
+            unsupported = str(exc)
+            break
         lines.append("%s(%d): %d families in %d branches (exhaustive)"
                      % (args.algebra, n, len(out.families),
                         out.branches_explored))
@@ -237,8 +224,16 @@ def cmd_classify(args) -> int:
         results.append({"algebra": args.algebra, "n": n,
                         "branches": out.branches_explored,
                         "exhaustive": True, "families": fams})
-    doc = {"command": "classify", "ok": ok, "results": results}
-    return _emit(args, doc, lines)
+    if unsupported is None:
+        return _emit(args, {"command": "classify", "ok": True,
+                            "results": results}, lines)
+    doc = {"command": "classify", "ok": False, "unsupported": unsupported}
+    if results:
+        doc["results"] = results
+    _emit(args, doc, lines)
+    if args.output != "json":
+        print("error: solver unsupported: %s" % unsupported, file=sys.stderr)
+    return 3
 
 
 def _taft_transport_pairs(n):
@@ -537,13 +532,6 @@ def main(argv=None) -> int:
     except HopfValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except SolverUnsupported as exc:
-        if args.output == "json":
-            _emit(args, {"command": args.command, "ok": False,
-                         "unsupported": str(exc)}, ())
-        else:
-            print("error: solver unsupported: %s" % exc, file=sys.stderr)
-        return 3
     except ClassificationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

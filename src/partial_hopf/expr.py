@@ -11,19 +11,20 @@ the interchange format needs.
 
 Expressions arrive from imported files, so the work one can demand is
 bounded: exponents, integer literals, parenthesis depth and the estimated
-size of a power are capped by the module constants below, and a breach is
-an ExprError raised before the expensive step runs.
+size of a power (which scales with phi(order), and so bounds its cost too)
+are capped by the module constants below, and a breach is an ExprError
+raised before the expensive step runs.
 """
 from __future__ import annotations
 
 import re
 
-from .exact_arith import CycNumber, ParamPoly, cyc_invert, zeta_pow
+from .exact_arith import CycNumber, ParamPoly, cyc_invert, euler_phi, zeta_pow
 
 MAX_EXPONENT = 4096            # |e| in base^e
 MAX_LITERAL_DIGITS = 256       # digits of an integer literal or exponent
 MAX_NESTING = 100              # depth of nested parentheses
-MAX_POWER_BITS = 1 << 16       # estimated bits of a power's coefficients
+MAX_POWER_BITS = 1 << 16       # estimated bits of a power, all coordinates
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -53,13 +54,19 @@ def _tokenize(s: str) -> list[str]:
 
 def _power(base, exp: int):
     """base ** exp for a ParamPoly or CycNumber base and exp >= 0, refused
-    when the result's coefficients could exceed MAX_POWER_BITS bits."""
+    when the power would take more than MAX_POWER_BITS bits in all: about
+    exp * log2(|num|_1 * den) + 1 bits (|num|_1 sums the absolute numerators
+    of the base, so a root of unity does not grow) in each of phi(order)
+    coordinates, or in one for a rational base."""
     coeffs = base.terms.values() if isinstance(base, ParamPoly) else (base,)
-    bits = max((max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num))
-                for c in coeffs), default=0)
-    if bits * exp > MAX_POWER_BITS:
+    grow = (sum(abs(x) for c in coeffs for x in c.num)
+            * max((c.den for c in coeffs), default=1)).bit_length() - 1
+    coords = (1 if all(c.is_rational() for c in coeffs)
+              else euler_phi(base.order))
+    bits = (grow * exp + 1) * coords
+    if bits > MAX_POWER_BITS:
         raise ExprError("power too large: about %d bits, limit %d"
-                        % (bits * exp, MAX_POWER_BITS))
+                        % (bits, MAX_POWER_BITS))
     return base ** exp
 
 

@@ -402,15 +402,19 @@ def action_consequence_checks(fam: ActionFamily) -> Report:
     H, f = fam.algebra, fam.functional
     rep = Report("consequences(%s/%s)" % (H.name, fam.name))
     one = ParamPoly.one(H.order)
+
+    def on_product(a, b):
+        """lam(e_a e_b)."""
+        acc = ParamPoly.zero(H.order)
+        for k, c in H.mult.get((a, b), ()):
+            acc = acc + f.coords[k] * c
+        return acc
+
     for g in H.grouplikes:
         if f.coords[g] != one:
             continue
         for u in range(H.dim):
-            row = H.mult.get((g, u))
-            acc = ParamPoly.zero(H.order)
-            if row:
-                for k, c in row:
-                    acc = acc + f.coords[k] * c
+            acc = on_product(g, u)
             rep.count()
             if acc != f.coords[u]:
                 rep.fail("translation_invariance", (H.basis[g], H.basis[u]),
@@ -423,11 +427,7 @@ def action_consequence_checks(fam: ActionFamily) -> Report:
                          f.coords[x].render(), "0")
         if f.coords[x].is_zero() and f.coords[h] == one:
             for u in range(H.dim):
-                row = H.mult.get((x, u))
-                acc = ParamPoly.zero(H.order)
-                if row:
-                    for k, c in row:
-                        acc = acc + f.coords[k] * c
+                acc = on_product(x, u)
                 rep.count()
                 if not acc.is_zero():
                     rep.fail("skew_annihilation", (H.basis[x], H.basis[u]),

@@ -14,6 +14,9 @@ time; every basis tuple still counts as one check, and failures are
 reported per tuple in sorted order.  The JSON importer bounds dim, order
 and coefficient expressions before any sweep runs.
 
+Every other product through the structure constants, in this module and
+in the others, runs on one small sparse kernel over {index: scalar} dicts.
+
 Elements and functionals carry ParamPoly coordinates so that families with
 free parameters flow through the same arithmetic as concrete elements.
 """
@@ -93,22 +96,23 @@ def _as_poly(H: HopfData, v) -> ParamPoly:
 
 
 @dataclass(frozen=True, eq=False)
-class AlgElement:
-    """Element of H with ParamPoly coordinates in the declared basis."""
+class _Coords:
+    """ParamPoly coordinates in the basis of one algebra: the shared
+    arithmetic of elements and functionals."""
 
     algebra: HopfData
     coords: tuple
 
-    @staticmethod
-    def from_terms(H: HopfData, terms: dict) -> "AlgElement":
+    @classmethod
+    def _from(cls, H: HopfData, terms: dict):
         coords = [ParamPoly.zero(H.order)] * H.dim
         for key, v in terms.items():
             i = key if isinstance(key, int) else H.label_index(key)
             coords[i] = coords[i] + _as_poly(H, v)
-        return AlgElement(H, tuple(coords))
+        return cls(H, tuple(coords))
 
     def __eq__(self, other):
-        if not isinstance(other, AlgElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.algebra is other.algebra and self.coords == other.coords
 
@@ -117,20 +121,28 @@ class AlgElement:
 
     def __add__(self, other):
         _same(self, other)
-        return AlgElement(self.algebra, tuple(
+        return type(self)(self.algebra, tuple(
             a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         _same(self, other)
-        return AlgElement(self.algebra, tuple(
+        return type(self)(self.algebra, tuple(
             a - b for a, b in zip(self.coords, other.coords)))
+
+    def scale(self, s):
+        p = _as_poly(self.algebra, s)
+        return type(self)(self.algebra, tuple(a * p for a in self.coords))
+
+
+class AlgElement(_Coords):
+    """Element of H with ParamPoly coordinates in the declared basis."""
+
+    @staticmethod
+    def from_terms(H: HopfData, terms: dict) -> "AlgElement":
+        return AlgElement._from(H, terms)
 
     def __neg__(self):
         return AlgElement(self.algebra, tuple(-a for a in self.coords))
-
-    def scale(self, s) -> "AlgElement":
-        p = _as_poly(self.algebra, s)
-        return AlgElement(self.algebra, tuple(a * p for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
@@ -159,42 +171,12 @@ class AlgElement:
         return "AlgElement(%s: %s)" % (self.algebra.name, self.render())
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
+class Functional(_Coords):
     """Linear functional on H; coords[i] is the value on basis element i."""
-
-    algebra: HopfData
-    coords: tuple
 
     @staticmethod
     def from_values(H: HopfData, values: dict) -> "Functional":
-        coords = [ParamPoly.zero(H.order)] * H.dim
-        for key, v in values.items():
-            i = key if isinstance(key, int) else H.label_index(key)
-            coords[i] = coords[i] + _as_poly(H, v)
-        return Functional(H, tuple(coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, Functional):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
-
-    def __add__(self, other):
-        _same(self, other)
-        return Functional(self.algebra, tuple(
-            a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        _same(self, other)
-        return Functional(self.algebra, tuple(
-            a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, s) -> "Functional":
-        p = _as_poly(self.algebra, s)
-        return Functional(self.algebra, tuple(a * p for a in self.coords))
+        return Functional._from(H, values)
 
     def value_on(self, key) -> ParamPoly:
         i = key if isinstance(key, int) else self.algebra.label_index(key)
@@ -233,23 +215,14 @@ def element_from_vector(H: HopfData, vector) -> AlgElement:
     return AlgElement(H, tuple(_as_poly(H, v) for v in vector))
 
 
+def _element(H: HopfData, u: dict) -> AlgElement:
+    return AlgElement(H, dense(u, H.dim, ParamPoly.zero(H.order)))
+
+
 def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
     _same(a, b)
     H = a.algebra
-    out = [ParamPoly.zero(H.order)] * H.dim
-    for i, ca in enumerate(a.coords):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.coords):
-            if cb.is_zero():
-                continue
-            row = H.mult.get((i, j))
-            if not row:
-                continue
-            prod = ca * cb
-            for k, c in row:
-                out[k] = out[k] + prod * c
-    return AlgElement(H, tuple(out))
+    return _element(H, vec_mul(H.mult, sparse(a.coords), sparse(b.coords)))
 
 
 @dataclass(eq=False)
@@ -291,26 +264,8 @@ class TensorSquare:
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("tensor product across algebras")
         H = self.algebra
-        out: dict = {}
-        zero = ParamPoly.zero(H.order)
-        for (j1, k1), v1 in self.terms.items():
-            if v1.is_zero():
-                continue
-            for (j2, k2), v2 in other.terms.items():
-                if v2.is_zero():
-                    continue
-                rj = H.mult.get((j1, j2))
-                if not rj:
-                    continue
-                rk = H.mult.get((k1, k2))
-                if not rk:
-                    continue
-                v = v1 * v2
-                for a, ca in rj:
-                    for b, cb in rk:
-                        key = (a, b)
-                        out[key] = out.get(key, zero) + v * (ca * cb)
-        return TensorSquare(H, out)
+        return TensorSquare(H, tensor_mul(H.mult, self._norm(),
+                                          other._norm()))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.terms.values())
@@ -326,29 +281,14 @@ class TensorSquare:
 
 def tensor_of(a: AlgElement, b: AlgElement) -> TensorSquare:
     _same(a, b)
-    H = a.algebra
-    out: dict = {}
-    for i, ca in enumerate(a.coords):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.coords):
-            if cb.is_zero():
-                continue
-            out[(i, j)] = ca * cb
-    return TensorSquare(H, out)
+    u, v = sparse(a.coords), sparse(b.coords)
+    return TensorSquare(a.algebra, {(i, j): ca * cb for i, ca in u.items()
+                                    for j, cb in v.items()})
 
 
 def comultiply(a: AlgElement) -> TensorSquare:
     H = a.algebra
-    out: dict = {}
-    zero = ParamPoly.zero(H.order)
-    for i, ca in enumerate(a.coords):
-        if ca.is_zero():
-            continue
-        for c, j, k in H.comult[i]:
-            key = (j, k)
-            out[key] = out.get(key, zero) + ca * c
-    return TensorSquare(H, out)
+    return TensorSquare(H, vec_comult(H.comult, enumerate(a.coords)))
 
 
 def apply_functional(f: Functional, a: AlgElement) -> ParamPoly:
@@ -362,32 +302,128 @@ def apply_functional(f: Functional, a: AlgElement) -> ParamPoly:
 
 def antipode_apply(a: AlgElement) -> AlgElement:
     H = a.algebra
-    out = [ParamPoly.zero(H.order)] * H.dim
-    for i, ca in enumerate(a.coords):
-        if ca.is_zero():
-            continue
-        for j, c in H.antipode[i]:
-            out[j] = out[j] + ca * c
-    return AlgElement(H, tuple(out))
+    return _element(H, vec_map(H.antipode, enumerate(a.coords)))
 
 
 def convolution(f: Functional, g: Functional) -> Functional:
     """(f * g)(h) = sum f(h_1) g(h_2) via the comultiplication tensor."""
     _same(f, g)
     H = f.algebra
-    out = []
-    for i in range(H.dim):
-        acc = ParamPoly.zero(H.order)
-        for c, j, k in H.comult[i]:
-            fj = f.coords[j]
-            if fj.is_zero():
+    u = convolve(H.comult, sparse(f.coords), sparse(g.coords))
+    return Functional(H, dense(u, H.dim, ParamPoly.zero(H.order)))
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel
+# ---------------------------------------------------------------------------
+# A vector is a dict {index: scalar} and a tensor in H (x) H a dict
+# {(i, j): scalar}, the scalars CycNumber or ParamPoly; results hold no zero
+# entries.  vec_map, tensor_map and vec_comult read their argument once, as
+# (key, scalar) pairs, so a dict's items(), a structure row or
+# enumerate(coords) all serve; zero scalars among them are skipped.  The
+# structure constant is always the right operand of a product, so a
+# ParamPoly coordinate times a CycNumber constant is one ParamPoly product.
+
+def sparse(values) -> dict:
+    """Dense coordinates to a vector."""
+    return {i: c for i, c in enumerate(values) if c}
+
+
+def dense(u: dict, dim: int, zero) -> tuple:
+    """A vector to ``dim`` dense coordinates, ``zero`` where it has none."""
+    return tuple(u.get(i, zero) for i in range(dim))
+
+
+def vec_mul(mult: dict, u: dict, v: dict) -> dict:
+    """The product u v through the table mult[(i, j)] = ((k, c), ...)."""
+    out: dict = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            row = mult.get((i, j))
+            if row:
+                ab = a * b
+                for k, c in row:
+                    prev = out.get(k)
+                    out[k] = ab * c if prev is None else prev + ab * c
+    return {k: s for k, s in out.items() if s}
+
+
+def tensor_mul(mult: dict, s: dict, t: dict) -> dict:
+    """The product s t in H (x) H: (a (x) b)(c (x) d) = ac (x) bd."""
+    out: dict = {}
+    for (a1, b1), c1 in s.items():
+        for (a2, b2), c2 in t.items():
+            ra = mult.get((a1, a2))
+            if not ra:
                 continue
-            gk = g.coords[k]
-            if gk.is_zero():
+            rb = mult.get((b1, b2))
+            if not rb:
                 continue
-            acc = acc + (fj * gk) * c
-        out.append(acc)
-    return Functional(H, tuple(out))
+            c12 = c1 * c2
+            for a, ca in ra:
+                for b, cb in rb:
+                    key = (a, b)
+                    add = c12 * (ca * cb)
+                    prev = out.get(key)
+                    out[key] = add if prev is None else prev + add
+    return {k: s for k, s in out.items() if s}
+
+
+def vec_map(rows, terms) -> dict:
+    """The image of sum a e_i, over the (i, a) in ``terms``, under the
+    linear map e_i -> sum c e_j over the (j, c) in rows[i]."""
+    out: dict = {}
+    for i, a in terms:
+        if a:
+            for j, c in rows[i]:
+                prev = out.get(j)
+                out[j] = a * c if prev is None else prev + a * c
+    return {j: s for j, s in out.items() if s}
+
+
+def tensor_map(rows, terms) -> dict:
+    """The image of sum c e_a (x) e_b, over the ((a, b), c) in ``terms``,
+    under the map of ``vec_map`` applied to both tensor factors."""
+    out: dict = {}
+    for (a, b), c in terms:
+        if c:
+            for p, u in rows[a]:
+                cu = c * u
+                for q, v in rows[b]:
+                    key = (p, q)
+                    prev = out.get(key)
+                    out[key] = cu * v if prev is None else prev + cu * v
+    return {k: s for k, s in out.items() if s}
+
+
+def vec_comult(comult, terms) -> dict:
+    """Delta of sum a e_i, over the (i, a) in ``terms``, as a tensor."""
+    out: dict = {}
+    for i, a in terms:
+        if a:
+            for c, j, k in comult[i]:
+                key = (j, k)
+                prev = out.get(key)
+                out[key] = a * c if prev is None else prev + a * c
+    return {k: s for k, s in out.items() if s}
+
+
+def convolve(comult, u: dict, v: dict) -> dict:
+    """The product of the functionals with values u and v on the basis, in
+    the dual algebra: (u v)(e_i) = sum c u(e_j) v(e_k) over Delta(e_i)."""
+    out: dict = {}
+    for i, row in enumerate(comult):
+        acc = None
+        for c, j, k in row:
+            uj = u.get(j)
+            if uj:
+                vk = v.get(k)
+                if vk:
+                    add = (uj * vk) * c
+                    acc = add if acc is None else acc + add
+        if acc:
+            out[i] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +483,8 @@ def _cdict_str(d: dict, H: HopfData) -> str:
         v = d[k]
         if v.is_zero():
             continue
-        lbl = "(x)".join(H.basis[i] for i in k)
+        lbl = ("(x)".join(H.basis[i] for i in k) if isinstance(k, tuple)
+               else H.basis[k])
         parts.append("(%s)*%s" % (v.render(), lbl))
     return " + ".join(parts) if parts else "0"
 
@@ -459,13 +496,17 @@ def _compare(rep: Report, check: str, where: tuple, left: dict, right: dict,
     The first ``width`` indices of every key name a basis tuple and the
     rest a basis element of the result, so one pair of dicts can hold a
     whole slice of checks.  Each tuple whose sides differ is reported, in
-    sorted order, as a failure at ``where`` + tuple.  Zero entries are
-    deleted from both dicts.
+    sorted order, as a failure at ``where`` + tuple.  With ``width`` 0 the
+    dicts are one check, and their keys may also be plain basis indices
+    (kernel vectors).  Zero entries are deleted from both dicts.
     """
     for d in (left, right):
         for key in [key for key, v in d.items() if not v]:
             del d[key]
     if left == right:
+        return
+    if not width:
+        rep.fail(check, where, _cdict_str(left, H), _cdict_str(right, H))
         return
     lsplit: dict = {}
     rsplit: dict = {}

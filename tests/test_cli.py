@@ -1,6 +1,7 @@
 """Exit codes, output schemas and round trips of the command-line tool."""
 import io
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from partial_hopf.classify import (
 from partial_hopf.cli import (
     identity_sweep_items, main, run_identity_sweep, worker_count,
 )
+from partial_hopf.exact_arith import divisors
 from partial_hopf.hopf_core import to_json_dict
 
 
@@ -123,6 +125,24 @@ def test_classify_beyond_audit_cap_exits_3(capsys):
         "command": "classify", "ok": False,
         "unsupported": "exhaustive subgroup audit capped at |G| = 16, "
                        "got 17"}
+
+
+def test_classify_sweep_keeps_orders_done_before_the_cap(capsys):
+    code, out, _ = run(capsys, "classify", "group", "--max", "17",
+                       "--output", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["unsupported"] == ("exhaustive subgroup audit capped at "
+                                  "|G| = 16, got 17")
+    assert [r["n"] for r in doc["results"]] == list(range(1, 17))
+    assert [len(r["families"]) for r in doc["results"]] == [
+        len(divisors(n)) for n in range(1, 17)]
+    code, out, err = run(capsys, "classify", "group", "--max", "17")
+    assert code == 3
+    assert out.startswith("group(1): 1 families") and "group(16):" in out
+    assert "group(17)" not in out
+    assert err.startswith("error: solver unsupported:")
 
 
 @pytest.mark.parametrize("exc,want", [
@@ -255,6 +275,20 @@ def test_import_beyond_limits_is_format_error(tmp_path, capsys, field,
     code, out, err = run(capsys, "import", str(path))
     assert code == 2 and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_costly_power_at_a_large_order_is_refused_at_once(tmp_path,
+                                                         capsys):
+    doc = to_json_dict(taft(2))
+    doc["order"] = 1024
+    doc["counit"][1] = "(1+z)^4096"
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "import", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert "power too large" in err and "Traceback" not in err
 
 
 def test_unknown_algebra_is_usage_error():

@@ -1,9 +1,12 @@
 """Self-duality isomorphisms and action/coaction transport."""
+import json
+from pathlib import Path
+
 import pytest
 
 from partial_hopf.exact_arith import CycNumber, divisors
 from partial_hopf.algebras import nichols, taft
-from partial_hopf.hopf_core import basis_element, validate_all
+from partial_hopf.hopf_core import Report, basis_element, validate_all
 from partial_hopf.families import (
     nichols_counit_action, nichols_global_coaction, nichols_parametric_action,
     nichols_parametric_coaction, taft_parametric_action,
@@ -15,6 +18,8 @@ from partial_hopf.duality import (
     nichols_dual, nichols_from_dual, nichols_to_dual, taft_dual,
     taft_from_dual, taft_to_dual, transport, verify_hopf_morphism,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -120,3 +125,113 @@ def test_apply_requires_source_element():
     psi = taft_to_dual(2)
     with pytest.raises(ValueError):
         psi.apply(basis_element(taft(3), 0))
+
+
+# -- reports of faulted morphisms -------------------------------------------
+
+def reference_verify_hopf_morphism(phi):
+    """The morphism check computed loop by loop, as before it ran on the
+    sparse kernel, with the dict-repr failure texts it had then."""
+    S, T = phi.source, phi.target
+    rep = Report("morphism(%s->%s)" % (S.name, T.name))
+    imgs = [{j: c for j, c in enumerate(row) if not c.is_zero()}
+            for row in phi.images]
+    zero = CycNumber.zero(T.order)
+
+    def add(acc, key, c):
+        s = acc.get(key, zero) + c
+        if s.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+
+    unit_img = {}
+    for i, c in S.unit:
+        for j, m in imgs[i].items():
+            unit_img[j] = unit_img.get(j, zero) + c * m
+    want = {i: c for i, c in T.unit}
+    rep.count()
+    if {k: v for k, v in unit_img.items() if not v.is_zero()} != want:
+        rep.fail("unit", (), str(unit_img), str(want))
+    for i in range(S.dim):
+        acc = zero
+        for j, m in imgs[i].items():
+            acc = acc + m * T.counit[j]
+        rep.count()
+        if acc != S.counit[i]:
+            rep.fail("counit", (S.basis[i],), str(acc), str(S.counit[i]))
+    for i in range(S.dim):
+        for j in range(S.dim):
+            lhs, rhs = {}, {}
+            for k, c in S.mult.get((i, j), ()):
+                for t, m in imgs[k].items():
+                    add(lhs, t, c * m)
+            for a, x in imgs[i].items():
+                for b, y in imgs[j].items():
+                    for k, c in T.mult.get((a, b), ()):
+                        add(rhs, k, x * y * c)
+            rep.count()
+            if lhs != rhs:
+                rep.fail("multiplicative", (S.basis[i], S.basis[j]),
+                         str(lhs), str(rhs))
+    for i in range(S.dim):
+        lhs, rhs = {}, {}
+        for c, a, b in S.comult[i]:
+            for p, u in imgs[a].items():
+                for q, v in imgs[b].items():
+                    add(lhs, (p, q), c * u * v)
+        for j, m in imgs[i].items():
+            for c, p, q in T.comult[j]:
+                add(rhs, (p, q), m * c)
+        rep.count()
+        if lhs != rhs:
+            rep.fail("comultiplicative", (S.basis[i],), str(lhs), str(rhs))
+    return rep
+
+
+def image_faults(phi):
+    """Every single-coefficient fault of phi's images: a nonzero
+    coefficient doubled, a zero one plus 1."""
+    for i, row in enumerate(phi.images):
+        for j, c in enumerate(row):
+            bad = row[:j] + (c + c if c else c + 1,) + row[j + 1:]
+            images = phi.images[:i] + (bad,) + phi.images[i + 1:]
+            yield "%d,%d" % (i, j), HopfMorphism(phi.source, phi.target,
+                                                 images)
+
+
+@pytest.mark.parametrize("build,n", [(taft_from_dual, 3), (nichols_to_dual, 3)])
+def test_faulted_morphism_reports_keep_their_checks(build, n):
+    """Every fault is caught, and the report names the same checks at the
+    same places, in the same order, as before."""
+    for label, phi in image_faults(build(n)):
+        rep = verify_hopf_morphism(phi)
+        ref = reference_verify_hopf_morphism(phi)
+        assert not rep.ok, label
+        assert rep.checks_run == ref.checks_run
+        assert ([(f.check, f.where) for f in rep.failures]
+                == [(f.check, f.where) for f in ref.failures]), label
+        for f in rep.failures:
+            assert "CycNumber" not in f.lhs + f.rhs, label
+
+
+GOLDEN_MORPHISM_FAULTS = (("taft", "0,0"), ("taft", "1,1"),
+                          ("nichols", "3,2"))
+
+
+def _golden_morphism_reports() -> dict:
+    builds = {"taft": taft_from_dual(3), "nichols": nichols_to_dual(3)}
+    out = {}
+    for name, label in GOLDEN_MORPHISM_FAULTS:
+        rep = verify_hopf_morphism(dict(image_faults(builds[name]))[label])
+        out["%s %s" % (name, label)] = {
+            "checks": rep.checks_run,
+            "failures": [str(f) for f in rep.failures]}
+    return out
+
+
+def test_faulted_morphism_reports_match_golden():
+    """Failures name target basis labels and rendered scalars, sorted, with
+    no zero terms."""
+    want = json.loads((GOLDEN / "morphism_failures.json").read_text())
+    assert _golden_morphism_reports() == want

@@ -401,6 +401,20 @@ def test_powers_at_the_limits_parse():
     assert parse_scalar("2^-3", 1) == Rational(1, 8)
 
 
+def test_power_bound_scales_with_the_order():
+    # a root of unity does not grow, at any order
+    for e in range(1024):
+        assert parse_scalar("z^%d" % e, 1024) == zeta_pow(1024, e)
+    # (1+z)^e has e-bit coefficients in each of phi(order) coordinates
+    assert parse_scalar("(1+z)^4096", 12) == (1 + zeta_pow(12, 1)) ** 4096
+    assert parse_scalar("(1+z)^127", 1024) == (1 + zeta_pow(1024, 1)) ** 127
+    for text in ("(1+z)^128", "(1+z)^4096", "(2*z)^128"):
+        with pytest.raises(ExprError, match="power too large"):
+            parse_scalar(text, 1024)
+    # a rational power fills one coordinate, whatever the order
+    assert parse_scalar("2^4096", 1024) == 2 ** 4096
+
+
 def test_literal_digits_are_bounded():
     assert parse_scalar("9" * MAX_LITERAL_DIGITS, 1) == int(
         "9" * MAX_LITERAL_DIGITS)

@@ -1,0 +1,97 @@
+"""Fault injection for the partial (co)action verifiers.
+
+Every built-in family on small orders is perturbed one coordinate at a
+time: a nonzero coordinate is doubled, a zero one becomes 1.  A verifier
+that cannot fail proves nothing, so each perturbed family must fail the
+plain or the symmetric check, unless the perturbation lands on another
+valid family member.  Those few are pinned by name, together with the
+member they equal.
+"""
+import pytest
+
+from partial_hopf.exact_arith import ParamPoly
+from partial_hopf.families import (
+    dual_group_action_families, group_action_families,
+    group_subgroup_action, nichols_action_families,
+    nichols_coaction_families, taft_action_families, taft_coaction_families,
+    verify_partial_action, verify_partial_coaction,
+)
+from partial_hopf.hopf_core import AlgElement, Functional
+
+ACTIONS = [(taft_action_families, n) for n in (2, 3, 4)]
+ACTIONS += [(nichols_action_families, n) for n in (2, 3)]
+ACTIONS += [(listing, n) for listing in (group_action_families,
+                                         dual_group_action_families)
+            for n in (1, 4, 6)]
+COACTIONS = [(taft_coaction_families, n) for n in (2, 3, 4)]
+COACTIONS += [(nichols_coaction_families, n) for n in (2, 3)]
+
+
+def _perturbed(coords, i):
+    c = coords[i]
+    new = c + c if c else c + 1
+    return coords[:i] + (new,) + coords[i + 1:]
+
+
+def _faults(kind):
+    """(label, algebra, perturbed coordinates) for every single-coordinate
+    fault of every family of ``kind``."""
+    out = []
+    for listing, n in ACTIONS if kind == "action" else COACTIONS:
+        for fam in listing(n):
+            H = fam.algebra
+            x = fam.functional if kind == "action" else fam.element
+            for i in range(H.dim):
+                label = "%s %s %s[%d]" % (kind, H.name, fam.name, i)
+                out.append((label, H, _perturbed(x.coords, i)))
+    return out
+
+
+def _doubled(coords, order, param):
+    p = ParamPoly.var(order, param)
+    return tuple(c.subs(param, p + p) for c in coords)
+
+
+def _coaction_member(listing, n, param):
+    """The parametric coaction family of ``listing(n)`` at param -> 2 param."""
+    fam = listing(n)[-1]
+    assert fam.name == "parametric"
+    return _doubled(fam.element.coords, fam.algebra.order, param)
+
+
+# perturbations that give another member of a classified family
+VALID = {
+    "action kC_4 subgroup<g^4>[2]": lambda: group_subgroup_action(
+        4, 2).functional.coords,
+    "action kC_6 subgroup<g^6>[3]": lambda: group_subgroup_action(
+        6, 3).functional.coords,
+    "coaction taft(2) parametric[3]": lambda: _coaction_member(
+        taft_coaction_families, 2, "a"),
+    "coaction nichols(2) parametric[3]": lambda: _coaction_member(
+        nichols_coaction_families, 2, "a1"),
+    "coaction nichols(3) parametric[3]": lambda: _coaction_member(
+        nichols_coaction_families, 3, "a1"),
+    "coaction nichols(3) parametric[5]": lambda: _coaction_member(
+        nichols_coaction_families, 3, "a2"),
+}
+
+
+def test_fault_suite_size():
+    assert len(_faults("action")) == 172
+    assert len(_faults("coaction")) == 98
+
+
+@pytest.mark.parametrize("kind", ["action", "coaction"])
+def test_every_coordinate_fault_is_caught(kind):
+    verify = verify_partial_action if kind == "action" \
+        else verify_partial_coaction
+    wrap = Functional if kind == "action" else AlgElement
+    accepted = []
+    for label, H, coords in _faults(kind):
+        x = wrap(H, coords)
+        if verify(H, x).ok and verify(H, x, symmetric=True).ok:
+            accepted.append(label)
+            assert label in VALID, "%s accepted" % label
+            assert coords == VALID[label](), label
+    assert sorted(accepted) == sorted(k for k in VALID
+                                      if k.startswith(kind + " "))

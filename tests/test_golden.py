@@ -4,9 +4,11 @@ The files under ``golden/`` were captured from the implementation that kept
 every CycNumber coordinate as a Fraction, before the integer-coordinate
 core replaced it; ``validate_nichols.json`` (the default sweep, orders 2-6)
 was captured from the validator that checked one basis tuple at a time,
-before it walked the nonzero structure constants.  Any change to a verdict,
-a check count, a family or a rendered scalar shows up here as a byte
-difference.
+before it walked the nonzero structure constants; ``duality_nichols.json``
+and ``coactions_taft.json`` (default sweeps) were captured before the
+structure-constant loops were folded into one sparse kernel.  Any change
+to a verdict, a check count, a family or a rendered scalar shows up here
+as a byte difference.
 """
 from pathlib import Path
 
@@ -20,9 +22,11 @@ CASES = {
     "validate_taft_4": ["validate", "taft", "4"],
     "validate_nichols": ["validate", "nichols"],
     "duality_taft_3": ["duality", "taft", "3"],
+    "duality_nichols": ["duality", "nichols"],
     "classify_taft_5": ["classify", "taft", "5"],
     "actions_taft_paper_examples": ["actions", "taft", "--paper-examples"],
     "coactions_nichols": ["coactions", "nichols"],
+    "coactions_taft": ["coactions", "taft"],
     "identities_n3_max3": ["identities", "--n", "3", "--max", "3",
                            "--jobs", "1"],
 }

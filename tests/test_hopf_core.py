@@ -150,6 +150,17 @@ def test_json_round_trip_exact():
         assert to_json_dict(H2) == d
 
 
+@pytest.mark.parametrize("build,orders", [
+    (taft, range(2, 7)), (nichols, range(2, 6)),
+    (group_algebra_cyclic, range(1, 13)),
+    (dual_group_algebra_cyclic, range(1, 13)),
+])
+def test_every_builtin_round_trips_within_the_import_limits(build, orders):
+    for n in orders:
+        d = to_json_dict(build(n))
+        assert to_json_dict(from_json_dict(d)) == d
+
+
 def test_json_missing_field():
     d = to_json_dict(taft(2))
     del d["counit"]
