@@ -302,17 +302,20 @@ def _build_q(qspec):
     return zeta_pow(qspec[1], 1)
 
 
-def _run_identity_item(item):
+def _identity_verdict(item):
     kind = item[0]
     if kind == "pascal":
         _, variant, i, s, qspec = item
-        v = check_pascal(variant, i, s, _build_q(qspec))
-    elif kind == "identity":
+        return check_pascal(variant, i, s, _build_q(qspec))
+    if kind == "identity":
         _, name, indices, qspec = item
-        v = check_identity(name, indices, _build_q(qspec))
-    else:
-        _, n, k, l = item
-        v = check_character_sum(n, k, l)
+        return check_identity(name, indices, _build_q(qspec))
+    _, n, k, l = item
+    return check_character_sum(n, k, l)
+
+
+def _run_identity_item(item):
+    v = _identity_verdict(item)
     return (v.name, v.ok, "" if v.ok else str(v))
 
 
@@ -404,6 +407,10 @@ def cmd_identities(args) -> int:
     jobs = _job_count(args)
     max_index = args.max if args.max is not None else 6
     root_cap = args.n if args.n is not None else 8
+    if root_cap < 1:
+        raise UsageError("--n must be at least 1, got %d" % root_cap)
+    if max_index < 0:
+        raise UsageError("--max must be at least 0, got %d" % max_index)
     counts, failures = run_identity_sweep(max_index, root_cap, jobs)
     results, lines = [], []
     for name in sorted(counts):

@@ -1,26 +1,25 @@
 """q-combinatorics over exact scalars.
 
-The same code path serves three kinds of q:
+A q is one of two scalar types, and the same code path serves both:
 
-  * a root of unity (CycNumber over Q(zeta_n)),
-  * an arbitrary rational (CycNumber of order 1),
-  * the generic q: an exact Laurent polynomial in one variable (QLaurent),
-    so identities checked "at generic q" are genuine polynomial identities.
+  * a CycNumber: a root of unity in Q(zeta_n), or an arbitrary rational
+    (order 1);
+  * the generic q: the variable q of a ParamPoly of order 1, so identities
+    checked "at generic q" are genuine polynomial identities over Q.
 
-q-binomials are computed by the q-Pascal recurrence from the single base
-case (0 choose 0) = 1, with value 0 outside 0 <= l <= m.  The recurrence is
-the definition; agreement with the factorial quotient (wherever the relevant
-q-factorial is nonzero) and the vanishing of (n choose k) at a primitive
-n-th root for 0 < k < n are verified properties, not assumptions.
+Only nonnegative powers of q are ever taken, so the generic q needs no
+inverse.  q-binomials are computed by the q-Pascal recurrence from the
+single base case (0 choose 0) = 1, with value 0 outside 0 <= l <= m.  The
+recurrence is the definition; agreement with the factorial quotient
+(wherever the relevant q-factorial is nonzero) and the vanishing of
+(n choose k) at a primitive n-th root for 0 < k < n are verified
+properties, not assumptions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_arith import CycNumber, Rational, _RAT_TYPES
-
-_R0 = Rational(0)
-_R1 = Rational(1)
+from .exact_arith import ParamPoly
 
 
 class ArityMismatch(ValueError):
@@ -31,147 +30,22 @@ class PreconditionViolated(ValueError):
     """Index tuple outside an identity's admissible range."""
 
 
-class QLaurent:
-    """Exact Laurent polynomial in the generic q over the rationals.
-
-    Stored sparsely as exponent -> nonzero rational; exponents may be
-    negative, so inverse powers of q need no separate bookkeeping.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {e: Rational(c) for e, c in coeffs.items() if c}
-
-    @staticmethod
-    def zero() -> "QLaurent":
-        return QLaurent({})
-
-    @staticmethod
-    def one() -> "QLaurent":
-        return QLaurent({0: _R1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, QLaurent):
-            return other
-        if isinstance(other, _RAT_TYPES):
-            return QLaurent({0: other})
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out.get(e, _R0) + c
-        return QLaurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, _R0) + c1 * c2
-        return QLaurent(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("use q_pow for negative powers")
-        result = QLaurent.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = QLaurent({0: other})
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def render(self, symbol: str = "q") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-                continue
-            mono = symbol if e == 1 else "%s^%d" % (symbol, e)
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % (c, mono))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return "QLaurent(%s)" % self.render()
-
-
-def generic_q() -> QLaurent:
-    """The generic q itself, as a Laurent polynomial."""
-    return QLaurent({1: _R1})
+def generic_q() -> ParamPoly:
+    """The generic q itself, as a polynomial over Q."""
+    return ParamPoly.var(1, "q")
 
 
 def zero_like(q):
-    return CycNumber.zero(q.order) if isinstance(q, CycNumber) else QLaurent.zero()
+    return type(q).zero(q.order)
 
 
 def one_like(q):
-    return CycNumber.one(q.order) if isinstance(q, CycNumber) else QLaurent.one()
-
-
-def q_pow(q, e: int):
-    """q**e for any integer e, staying exact for both scalar kinds."""
-    if e >= 0:
-        return q ** e
-    if isinstance(q, CycNumber):
-        return q ** e
-    if len(q.coeffs) == 1:
-        (k, c), = q.coeffs.items()
-        return QLaurent({k * e: c ** e})
-    raise ValueError("negative power of a non-monomial Laurent value")
+    return type(q).one(q.order)
 
 
 def q_label(q) -> str:
     """Short human-readable description of a q scalar for reports."""
-    if isinstance(q, QLaurent):
+    if isinstance(q, ParamPoly):
         return "generic"
     if q.is_rational():
         return "q=%s" % q.coords[0]
@@ -246,9 +120,8 @@ class Verdict:
 
 
 def _verdict(name, indices, q, lhs, rhs) -> Verdict:
-    sym = "q" if isinstance(lhs, QLaurent) else "z"
     return Verdict(name, tuple(indices), q_label(q), lhs == rhs,
-                   lhs.render(sym), rhs.render(sym))
+                   lhs.render(), rhs.render())
 
 
 PASCAL_VARIANTS = ("a", "b")
@@ -264,22 +137,20 @@ def check_pascal(variant: str, i: int, s: int, q) -> Verdict:
         raise PreconditionViolated("unknown Pascal variant %r" % variant)
     if i < 1:
         raise PreconditionViolated("Pascal check needs i >= 1")
+    # the binomial multiplied by the q-power is nonzero only inside its
+    # range, where that power is nonnegative
     lhs = q_binomial(i, s, q)
     if variant == "a":
         second = q_binomial(i - 1, s, q)
         rhs = q_binomial(i - 1, s - 1, q)
-        if not _is_zero(second):
-            rhs = rhs + q_pow(q, s) * second
+        if second:
+            rhs = rhs + q ** s * second
     else:
         first = q_binomial(i - 1, s - 1, q)
         rhs = q_binomial(i - 1, s, q)
-        if not _is_zero(first):
-            rhs = rhs + q_pow(q, i - s) * first
+        if first:
+            rhs = rhs + q ** (i - s) * first
     return _verdict("pascal_" + variant, (i, s), q, lhs, rhs)
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero()
 
 
 def _sign(k: int):
@@ -327,7 +198,7 @@ def check_identity(name: str, indices, q) -> Verdict:
         acc = zero_like(q)
         for s in range(i + 1):
             term = q_binomial(i, s, q) * q_binomial(i + t - s, i + k, q)
-            if _is_zero(term):
+            if not term:
                 continue
             acc = acc + _sign(s) * term * q ** (s * k + s * (s + 1) // 2)
         return _verdict(name, indices, q, acc, q_binomial(t, k, q))
@@ -348,7 +219,7 @@ def check_identity(name: str, indices, q) -> Verdict:
             term = (q_binomial(j, l, q)
                     * q_binomial(j + t - l, i + s - l, q)
                     * q_binomial(l, i, q))
-            if _is_zero(term):
+            if not term:
                 continue
             d = i - l
             acc = acc + _sign(d) * term * q ** (d * (d + 1) // 2)
@@ -366,7 +237,7 @@ def check_identity(name: str, indices, q) -> Verdict:
     acc = zero_like(q)
     for l in range(j + 1):
         term = q_binomial(j, l, q) * q_binomial(j + t - l, s - l, q)
-        if _is_zero(term):
+        if not term:
             continue
         acc = acc + _sign(l) * term * q ** (l * (l - 1) // 2)
     rhs = q ** (s * j) * q_binomial(t, s, q)

@@ -330,6 +330,24 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert code == 2 and out == "" and "--jobs" in err
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["--n", "0"], "--n"), (["--n", "-3"], "--n"),
+    (["--max", "-1"], "--max"), (["--max", "-7", "--n", "2"], "--max"),
+])
+def test_identities_bounds_are_usage_errors(capsys, args, flag):
+    code, out, err = run(capsys, "identities", *args, "--jobs", "1")
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_identities_smallest_bounds_run(capsys):
+    code, out, _ = run(capsys, "identities", "--n", "1", "--max", "0",
+                       "--jobs", "1", "--output", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"]
+    assert {r["suite"] for r in doc["results"]} >= {"pascal_a", "pascal_b"}
+
+
 def test_non_integer_jobs_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--jobs", "many"])

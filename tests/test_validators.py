@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_hopf import exact_arith
-from partial_hopf.algebras import nichols, taft
-from partial_hopf.exact_arith import CycNumber, euler_phi, zeta_pow
+from partial_hopf.algebras import dual_group_algebra_cyclic, nichols, taft
+from partial_hopf.duality import taft_dual
+from partial_hopf.exact_arith import CycNumber, ParamPoly, euler_phi, zeta_pow
 from partial_hopf.hopf_core import (
-    HopfData, Report, validate_all, validate_bialgebra,
+    HopfData, Report, validate_all, validate_bialgebra, validate_metadata,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -395,3 +396,53 @@ def test_validation_makes_the_same_scalar_products(monkeypatch, family, n):
     monkeypatch.setattr(exact_arith, "_mul", counted)
     assert validate_all(H).ok
     assert calls[0] == SCALAR_PRODUCTS[(family, n)]
+
+
+# -- declared group-like vectors --------------------------------------------
+
+def _with_characters(H, vectors):
+    return dataclasses.replace(H, grouplike_vectors=tuple(
+        tuple(vec) for vec in vectors))
+
+
+def test_faulted_character_fails_with_sorted_labels():
+    D = taft_dual(3)
+    trivial = list(D.grouplike_vectors[0])  # 1* + g* + g^2*
+    trivial[D.label_index("g*")] = CycNumber.zero(3)
+    rep = validate_metadata(_with_characters(D, [trivial]))
+    assert rep.checks_run == 2
+    assert [str(f) for f in rep.failures] == [
+        "grouplike_vector_comult at ('1', '0', '0', '0', '0', '0', '1', "
+        "'0', '0'): (1)*1*(x)1* + (1)*1*(x)g^2* + (1)*g*(x)g* "
+        "+ (1)*g*(x)g^2* + (1)*g^2*(x)1* + (1)*g^2*(x)g* "
+        "!= (1)*1*(x)1* + (1)*1*(x)g^2* + (1)*g^2*(x)1* + (1)*g^2*(x)g^2*"]
+
+
+def test_scaled_character_fails_both_checks():
+    D = taft_dual(3)
+    doubled = [c * 2 for c in D.grouplike_vectors[1]]
+    rep = validate_metadata(_with_characters(D, [doubled]))
+    assert rep.checks_run == 2
+    assert [f.check for f in rep.failures] == [
+        "grouplike_vector_comult", "grouplike_vector_counit"]
+    assert str(rep.failures[1]) == "grouplike_vector_counit at (): 2 != 1"
+
+
+@pytest.mark.parametrize("build,n", [(taft_dual, 3),
+                                     (dual_group_algebra_cyclic, 6)])
+def test_metadata_checks_characters_without_polynomials(monkeypatch, build,
+                                                       n):
+    H = build(n)
+    calls = [0]
+    mul = ParamPoly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ParamPoly, "__mul__", counted)
+    monkeypatch.setattr(ParamPoly, "__rmul__", counted)
+    rep = validate_metadata(H)
+    assert rep.ok and rep.checks_run == 2 * len(H.grouplike_vectors) + (
+        2 * len(H.grouplikes) + len(H.skew_primitives))
+    assert calls[0] == 0
