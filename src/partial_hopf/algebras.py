@@ -17,7 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_arith import CycNumber, zeta_pow
-from .hopf_core import HopfData, dual_hopf, tensor_mul, vec_mul
+from .hopf_core import (
+    MAX_DIM, MAX_ORDER, HopfData, dual_hopf, tensor_mul, vec_mul,
+)
 from .qcomb import q_binomial
 
 
@@ -25,11 +27,20 @@ class InvalidOrder(ValueError):
     """Algebra order outside the constructor's domain."""
 
 
+def _check_size(name: str, dim: int, order: int):
+    """Refuse, before anything is built, an algebra beyond the dim and order
+    limits that the JSON importer applies."""
+    if dim > MAX_DIM or order > MAX_ORDER:
+        raise InvalidOrder("%s is beyond the limits dim <= %d, order <= %d"
+                           % (name, MAX_DIM, MAX_ORDER))
+
+
 @lru_cache(maxsize=None)
 def taft(n: int) -> HopfData:
     """The n^2-dimensional algebra on basis g^i x^j at q = zeta_n."""
     if n < 2:
         raise InvalidOrder("taft order must be >= 2, got %d" % n)
+    _check_size("taft(%d)" % n, n * n, n)
     q = zeta_pow(n, 1)
     one = CycNumber.one(n)
     dim = n * n
@@ -110,6 +121,9 @@ def nichols(n: int) -> HopfData:
     """
     if n < 2:
         raise InvalidOrder("nichols order must be >= 2, got %d" % n)
+    # 2^n > MAX_DIM exactly when n reaches the bit length of MAX_DIM, so
+    # the exponent is capped there rather than computing 2^n for a huge n
+    _check_size("nichols(%d)" % n, 1 << min(n, MAX_DIM.bit_length()), 2)
     order = 2
     one = CycNumber.one(order)
     dim = 1 << n
@@ -184,6 +198,7 @@ def group_algebra_cyclic(n: int) -> HopfData:
     """kC_n: every basis element g^i is group-like; S(g^i) = g^{-i}."""
     if n < 1:
         raise InvalidOrder("cyclic group order must be >= 1, got %d" % n)
+    _check_size("kC_%d" % n, n, n)
     one = CycNumber.one(n)
     basis = tuple("1" if i == 0 else ("g" if i == 1 else "g^%d" % i)
                   for i in range(n))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
-from .hopf_core import Functional, HopfData, Report, sparse, vec_mul
+from .hopf_core import Functional, HopfData, sparse, vec_mul
 from .families import (
     instance_residual, verify_partial_action, verify_symmetric_action,
 )

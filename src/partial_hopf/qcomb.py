@@ -153,10 +153,6 @@ def check_pascal(variant: str, i: int, s: int, q) -> Verdict:
     return _verdict("pascal_" + variant, (i, s), q, lhs, rhs)
 
 
-def _sign(k: int):
-    return 1 if k % 2 == 0 else -1
-
-
 IDENTITY_ARITY = {
     "alternating_vandermonde": 3,
     "trinomial_revision": 3,
@@ -200,7 +196,8 @@ def check_identity(name: str, indices, q) -> Verdict:
             term = q_binomial(i, s, q) * q_binomial(i + t - s, i + k, q)
             if not term:
                 continue
-            acc = acc + _sign(s) * term * q ** (s * k + s * (s + 1) // 2)
+            term = term * q ** (s * k + s * (s + 1) // 2)
+            acc = acc - term if s % 2 else acc + term
         return _verdict(name, indices, q, acc, q_binomial(t, k, q))
 
     if name == "trinomial_revision":
@@ -222,7 +219,8 @@ def check_identity(name: str, indices, q) -> Verdict:
             if not term:
                 continue
             d = i - l
-            acc = acc + _sign(d) * term * q ** (d * (d + 1) // 2)
+            term = term * q ** (d * (d + 1) // 2)
+            acc = acc - term if d % 2 else acc + term
         rhs = q_binomial(j, i, q) * q_binomial(t, s, q)
         shift = s * (i - j)
         if shift >= 0:
@@ -239,6 +237,7 @@ def check_identity(name: str, indices, q) -> Verdict:
         term = q_binomial(j, l, q) * q_binomial(j + t - l, s - l, q)
         if not term:
             continue
-        acc = acc + _sign(l) * term * q ** (l * (l - 1) // 2)
+        term = term * q ** (l * (l - 1) // 2)
+        acc = acc - term if l % 2 else acc + term
     rhs = q ** (s * j) * q_binomial(t, s, q)
     return _verdict(name, indices, q, acc, rhs)

@@ -7,8 +7,8 @@ from partial_hopf.algebras import (
     taft,
 )
 from partial_hopf.hopf_core import (
-    TensorSquare, basis_element, comultiply, multiply, tensor_of,
-    unit_element, validate_all,
+    basis_element, multiply, tensor_mul, unit_element, validate_all,
+    vec_comult,
 )
 
 
@@ -61,20 +61,21 @@ def test_taft_relations(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_taft_comult_is_power_of_primitive_row(n):
     H = taft(n)
-    x = basis_element(H, "x")
-    dx = comultiply(x)
-    acc = comultiply(unit_element(H))
+    one = CycNumber.one(n)
+    dx = vec_comult(H.comult, [(H.label_index("x"), one)])
+    acc = vec_comult(H.comult, H.unit)
     for j in range(n):
-        xj = basis_element(H, j)  # index (0, j) = j
-        assert comultiply(xj) == acc
-        acc = acc * dx
+        assert vec_comult(H.comult, [(j, one)]) == acc  # index (0, j) = j
+        acc = tensor_mul(H.mult, acc, dx)
 
 
 def test_nichols_delta_of_x1x2():
     H = nichols(3)
-    t = lambda a, b: tensor_of(basis_element(H, a), basis_element(H, b))
-    want = t("x1x2", "1") - t("gx1", "x2") + t("gx2", "x1") + t("1", "x1x2")
-    assert comultiply(basis_element(H, "x1x2")) == want
+    one = CycNumber.one(2)
+    t = lambda a, b: (H.label_index(a), H.label_index(b))
+    want = {t("x1x2", "1"): one, t("gx1", "x2"): -one, t("gx2", "x1"): one,
+            t("1", "x1x2"): one}
+    assert vec_comult(H.comult, [(H.label_index("x1x2"), one)]) == want
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from partial_hopf import cli, reference_tables
-from partial_hopf.algebras import taft
+from partial_hopf.algebras import nichols, taft
 from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
 )
@@ -306,6 +306,27 @@ def test_coactions_reject_group_algebras():
 def test_below_minimum_order_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "taft", "1")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "nichols", "10"),
+    ("validate", "taft", "23"),
+    ("classify", "group", "513"),
+    ("export", "dualgroup", "513"),
+    ("validate", "nichols", "10" * 20),
+])
+def test_order_beyond_limits_is_refused_at_once(capsys, argv):
+    """A built-in algebra beyond the import limits (dim 512, order 1024) is
+    refused before it is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert "beyond the limits" in err and "Traceback" not in err
+
+
+def test_largest_nichols_order_builds():
+    assert nichols(9).dim == 512
 
 
 def test_max_below_minimum_is_usage_error(capsys):

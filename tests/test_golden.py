@@ -10,15 +10,28 @@ structure-constant loops were folded into one sparse kernel.
 ``identity_verdicts_n3_max3.txt`` holds ``str()`` of every verdict of
 ``identity_sweep_items(3, 3)``, one a line, captured while the generic q
 was a separate Laurent-polynomial class; a passing verdict prints both
-rendered sides, so it pins the rendering of every scalar kind of q.  Any
-change to a verdict, a check count, a family or a rendered scalar shows up
-here as a byte difference.
+rendered sides, so it pins the rendering of every scalar kind of q.
+``family_failures.json`` holds ``family_failure_reports()`` as JSON, captured
+while the coaction verifier still built its tensors with a separate tensor
+class.  Any change to a verdict, a check count, a family, a failure text or a
+rendered scalar shows up here as a byte difference.
 """
+import dataclasses
+import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from partial_hopf import families
 from partial_hopf.cli import _identity_verdict, identity_sweep_items, main
+from partial_hopf.families import (
+    action_consequence_checks, nichols_action_families,
+    nichols_coaction_families, special_value_checks, taft_action_families,
+    taft_coaction_families, taft_parametric_action, verify_partial_action,
+    verify_partial_coaction,
+)
+from partial_hopf.hopf_core import AlgElement, Functional
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,3 +61,62 @@ def test_identity_verdicts_match_golden():
     want = (GOLDEN / "identity_verdicts_n3_max3.txt").read_text().splitlines()
     assert len(got) == 2390
     assert got == want
+
+
+# -- faulted partial (co)action families --------------------------------------
+
+def _perturbed(coords, i):
+    """The fault of test_family_faults: a nonzero coordinate is doubled, a
+    zero one becomes 1."""
+    c = coords[i]
+    return coords[:i] + (c + c if c else c + 1,) + coords[i + 1:]
+
+
+def _report(rep) -> dict:
+    return {"checks": rep.checks_run,
+            "failures": [str(f) for f in rep.failures]}
+
+
+def family_failure_reports() -> dict:
+    """The reports of every single-coordinate fault of the action and
+    coaction families of taft(3) and nichols(3): the plain and the symmetric
+    check, and for an action its structural consequences.  The special
+    values of taft(3) are checked on the intact parametric action and on
+    each of its faults."""
+    kinds = (
+        ("action", (taft_action_families, nichols_action_families),
+         verify_partial_action, Functional),
+        ("coaction", (taft_coaction_families, nichols_coaction_families),
+         verify_partial_coaction, AlgElement),
+    )
+    out = {}
+    for kind, listings, verify, wrap in kinds:
+        for listing in listings:
+            for fam in listing(3):
+                H = fam.algebra
+                x = fam.functional if kind == "action" else fam.element
+                for i in range(H.dim):
+                    y = wrap(H, _perturbed(x.coords, i))
+                    entry = {"plain": _report(verify(H, y)),
+                             "symmetric": _report(verify(H, y, True))}
+                    if kind == "action":
+                        entry["consequences"] = _report(
+                            action_consequence_checks(
+                                dataclasses.replace(fam, functional=y)))
+                    out["%s %s %s[%d]" % (kind, H.name, fam.name, i)] = entry
+    out["special_values taft(3)"] = _report(special_value_checks(3))
+    fam = taft_parametric_action(3)
+    for i in range(fam.algebra.dim):
+        faulted = dataclasses.replace(fam, functional=Functional(
+            fam.algebra, _perturbed(fam.functional.coords, i)))
+        with mock.patch.object(families, "taft_parametric_action",
+                               lambda n: faulted):
+            rep = special_value_checks(3)
+        out["special_values taft(3) parametric[%d]" % i] = _report(rep)
+    return out
+
+
+def test_family_failure_reports_match_golden():
+    got = json.dumps(family_failure_reports(), indent=2, sort_keys=True)
+    want = (GOLDEN / "family_failures.json").read_bytes()
+    assert (got + "\n").encode() == want
