@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 from multiprocessing import Pool
 
 from .algebras import (
@@ -50,8 +51,8 @@ from .families import (
     verify_partial_action, verify_partial_coaction,
 )
 from .hopf_core import (
-    HopfFormatError, HopfValidationError, from_json_dict, to_json_dict,
-    validate_all,
+    MAX_DIM, MAX_ORDER, HopfFormatError, HopfValidationError, from_json_dict,
+    to_json_dict, validate_all,
 )
 from .qcomb import PASCAL_VARIANTS, check_identity, check_pascal, generic_q
 from .reference_tables import reference_checks
@@ -61,6 +62,14 @@ _BUILDERS = {
     "nichols": nichols,
     "group": group_algebra_cyclic,
     "dualgroup": dual_group_algebra_cyclic,
+}
+
+# The largest order each builder accepts: the builders refuse dim > MAX_DIM
+# and order > MAX_ORDER, and taft(n), nichols(n), kC_n and (kC_n)^* have dim
+# n^2, 2^n, n and n.
+_LARGEST_ORDER = {
+    "taft": isqrt(MAX_DIM), "nichols": MAX_DIM.bit_length() - 1,
+    "group": min(MAX_DIM, MAX_ORDER), "dualgroup": min(MAX_DIM, MAX_ORDER),
 }
 
 _VALIDATE_RANGE = {
@@ -99,6 +108,10 @@ def _orders(args, ranges) -> list:
     if hi < lo:
         raise InvalidOrder("--max %d is below the smallest order %d for %s"
                            % (hi, lo, args.algebra))
+    top = _LARGEST_ORDER[args.algebra]
+    if hi > top:
+        raise InvalidOrder("--max %d is above the largest order %d for %s"
+                           % (hi, top, args.algebra))
     return list(range(lo, hi + 1))
 
 

@@ -254,14 +254,9 @@ class CycNumber:
     def __pow__(self, e: int):
         if e < 0:
             return cyc_invert(self) ** (-e)
-        result = CycNumber.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return CycNumber.one(self.order)
+        return _power(self, e)
 
     def __eq__(self, other):
         if isinstance(other, CycNumber):
@@ -333,6 +328,24 @@ def _mul(a: CycNumber, b: CycNumber) -> CycNumber:
             for k, r in row:
                 acc[k] += c * r
     return _cyc(a.order, tuple(acc[:phi]), a.den * b.den)
+
+
+def _power(base, e: int):
+    """base ** e for e >= 1 by binary powering from the lowest set bit: no
+    product by one and no squaring past the top bit, so e = 1 costs no
+    product and e = 2^k + ... costs (bit length - 1) squarings plus one
+    product per further set bit."""
+    while not e & 1:
+        base = base * base
+        e >>= 1
+    result = base
+    e >>= 1
+    while e:
+        base = base * base
+        if e & 1:
+            result = result * base
+        e >>= 1
+    return result
 
 
 def zeta_pow(order: int, k: int) -> CycNumber:
@@ -418,6 +431,15 @@ def _mono_mul(m1, m2):
     return tuple(sorted(d.items()))
 
 
+def _poly(order: int, terms: dict) -> "ParamPoly":
+    """The ParamPoly with ``terms``, which must hold no zero coefficient:
+    the arithmetic below builds its results here, without a second pass."""
+    p = _new(ParamPoly)
+    p.order = order
+    p.terms = terms
+    return p
+
+
 class ParamPoly:
     """Sparse multivariate polynomial over Q(zeta_order).
 
@@ -426,6 +448,13 @@ class ParamPoly:
     to a nonzero CycNumber coefficient.  Zero coefficients are dropped on
     construction, so two polynomials are equal iff their canonical forms are
     structurally identical.
+
+    The arithmetic keeps that invariant without rebuilding: a sum copies one
+    term dict and deletes a monomial only when its coefficients cancel, a
+    product accumulates and drops the zero sums once, and a product by a
+    nonzero scalar (a CycNumber, a rational or a constant polynomial) scales
+    each coefficient and needs no test at all, because Q(zeta_n) is a field.
+    Every coefficient product is a ``CycNumber`` product.
     """
 
     __slots__ = ("order", "terms")
@@ -438,7 +467,7 @@ class ParamPoly:
 
     @staticmethod
     def zero(order: int) -> "ParamPoly":
-        return ParamPoly(order, {})
+        return _poly(order, {})
 
     @staticmethod
     def const(order: int, value) -> "ParamPoly":
@@ -448,7 +477,7 @@ class ParamPoly:
             c = value
         else:
             c = CycNumber.from_rational(order, value)
-        return ParamPoly(order, {(): c})
+        return _poly(order, {(): c} if c else {})
 
     @staticmethod
     def one(order: int) -> "ParamPoly":
@@ -460,7 +489,7 @@ class ParamPoly:
             raise ValueError("parameter powers must be nonnegative")
         if power == 0:
             return ParamPoly.one(order)
-        return ParamPoly(order, {((name, power),): CycNumber.one(order)})
+        return _poly(order, {((name, power),): CycNumber.one(order)})
 
     # -- predicates ------------------------------------------------------
 
@@ -504,43 +533,67 @@ class ParamPoly:
             return ParamPoly.const(self.order, other)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, negate: bool):
+        """self + other, or self - other when ``negate``: one copy of the
+        term dict, a monomial deleted only when it cancels."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         terms = dict(self.terms)
-        zero = CycNumber.zero(self.order)
         for m, c in o.terms.items():
-            terms[m] = terms.get(m, zero) + c
-        return ParamPoly(self.order, terms)
+            prev = terms.get(m)
+            if prev is None:
+                terms[m] = -c if negate else c
+                continue
+            s = prev - c if negate else prev + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return _poly(self.order, terms)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.order, {m: -c for m, c in self.terms.items()})
+        return _poly(self.order, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, CycNumber):
+            if other.order != self.order:
+                raise OrderMismatch(
+                    "orders %d and %d" % (self.order, other.order))
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(o.terms) == 1 and () in o.terms:
+            return self._scaled(o.terms[()])
+        if len(self.terms) == 1 and () in self.terms:
+            return o._scaled(self.terms[()])
         out: dict = {}
-        zero = CycNumber.zero(self.order)
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, zero) + c1 * c2
-        return ParamPoly(self.order, out)
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
+        return _poly(self.order, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: CycNumber) -> "ParamPoly":
+        # a product of nonzero coefficients in the field Q(zeta_n) is nonzero
+        if not k:
+            return _poly(self.order, {})
+        return _poly(self.order, {m: c * k for m, c in self.terms.items()})
 
     def __truediv__(self, other):
         # exact division by a nonzero scalar only
@@ -553,14 +606,9 @@ class ParamPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers of a polynomial")
-        result = ParamPoly.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return ParamPoly.one(self.order)
+        return _power(self, e)
 
     def __eq__(self, other):
         if isinstance(other, (CycNumber,) + _RAT_TYPES):
@@ -600,7 +648,8 @@ class ParamPoly:
         repl = self._coerce(value)
         if repl is None:
             raise TypeError("cannot substitute %r" % (value,))
-        out = ParamPoly.zero(self.order)
+        out: dict = {}
+        powers: dict = {}
         for m, c in self.terms.items():
             e = 0
             rest = []
@@ -609,11 +658,19 @@ class ParamPoly:
                     e = k
                 else:
                     rest.append((n2, k))
-            term = ParamPoly(self.order, {tuple(rest): c})
-            if e:
-                term = term * repl ** e
-            out = out + term
-        return out
+            rest = tuple(rest)
+            if not e:
+                prev = out.get(rest)
+                out[rest] = c if prev is None else prev + c
+                continue
+            pw = powers.get(e)
+            if pw is None:
+                pw = powers[e] = repl ** e
+            for m2, c2 in pw.terms.items():
+                mono = _mono_mul(rest, m2)
+                prev = out.get(mono)
+                out[mono] = c * c2 if prev is None else prev + c * c2
+        return _poly(self.order, {m: c for m, c in out.items() if c})
 
     def linear_split(self, name: str):
         """Write self as A*name + B with neither part containing ``name``.
@@ -631,7 +688,7 @@ class ParamPoly:
                 a_terms[rest] = c
             else:
                 raise ValueError("degree %d in %s" % (e, name))
-        return ParamPoly(self.order, a_terms), ParamPoly(self.order, b_terms)
+        return _poly(self.order, a_terms), _poly(self.order, b_terms)
 
     def divide_by_var(self, name: str) -> "ParamPoly":
         """Exact quotient self / name; every monomial must contain ``name``."""
@@ -644,7 +701,7 @@ class ParamPoly:
             if d[name] == 0:
                 del d[name]
             out[tuple(sorted(d.items()))] = c
-        return ParamPoly(self.order, out)
+        return _poly(self.order, out)
 
     # -- display ----------------------------------------------------------
 

@@ -6,7 +6,10 @@ import time
 import pytest
 
 from partial_hopf import cli, reference_tables
-from partial_hopf.algebras import nichols, taft
+from partial_hopf.algebras import (
+    InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
+    taft,
+)
 from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
 )
@@ -332,6 +335,35 @@ def test_largest_nichols_order_builds():
 def test_max_below_minimum_is_usage_error(capsys):
     code, _, err = run(capsys, "actions", "nichols", "--max", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "group", "--max", "1" + "0" * 30),
+    ("validate", "nichols", "--max", "30"),
+    ("validate", "nichols", "--max", "10"),
+    ("classify", "taft", "--max", "23"),
+    ("actions", "dualgroup", "--max", "513"),
+    ("duality", "nichols", "--max", "10"),
+])
+def test_max_beyond_largest_order_is_refused_before_any_work(capsys, argv):
+    """A sweep whose --max the builder would refuse exits 2 before its first
+    order is built: no OverflowError from range, no validated orders."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert "above the largest order" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,build,top", [
+    ("taft", taft, 22), ("nichols", nichols, 9),
+    ("group", group_algebra_cyclic, 512),
+    ("dualgroup", dual_group_algebra_cyclic, 512),
+])
+def test_largest_order_is_the_builders_limit(name, build, top):
+    assert cli._LARGEST_ORDER[name] == top
+    with pytest.raises(InvalidOrder, match="beyond the limits"):
+        build(top + 1)
 
 
 # -- worker counts ------------------------------------------------------------

@@ -7,6 +7,10 @@ was captured from the validator that checked one basis tuple at a time,
 before it walked the nonzero structure constants; ``duality_nichols.json``
 and ``coactions_taft.json`` (default sweeps) were captured before the
 structure-constant loops were folded into one sparse kernel.
+``classify_dualgroup.json`` and ``classify_group.json`` (default sweeps,
+orders 1-12) were captured while the group-like audit still summed
+instance residuals as polynomials and every polynomial operation rebuilt
+its term dict.
 ``identity_verdicts_n3_max3.txt`` holds ``str()`` of every verdict of
 ``identity_sweep_items(3, 3)``, one a line, captured while the generic q
 was a separate Laurent-polynomial class; a passing verdict prints both
@@ -41,6 +45,8 @@ CASES = {
     "duality_taft_3": ["duality", "taft", "3"],
     "duality_nichols": ["duality", "nichols"],
     "classify_taft_5": ["classify", "taft", "5"],
+    "classify_dualgroup": ["classify", "dualgroup"],
+    "classify_group": ["classify", "group"],
     "actions_taft_paper_examples": ["actions", "taft", "--paper-examples"],
     "coactions_nichols": ["coactions", "nichols"],
     "coactions_taft": ["coactions", "taft"],
