@@ -26,7 +26,6 @@ import json
 import os
 import sys
 from math import isqrt
-from multiprocessing import Pool
 
 from .algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
@@ -386,6 +385,9 @@ def run_identity_sweep(max_index: int, root_cap: int, jobs: int):
     items = identity_sweep_items(max_index, root_cap)
     workers = worker_count(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        # imported here so that a serial run does not pay for it
+        from multiprocessing import Pool
+
         with Pool(processes=workers) as pool:
             outcomes = pool.map(_run_identity_item, items,
                                 chunksize=max(1, len(items) // (8 * workers)))

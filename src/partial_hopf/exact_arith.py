@@ -196,7 +196,8 @@ class CycNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is CycNumber and other.order == self.order
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
@@ -232,6 +233,8 @@ class CycNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is CycNumber and other.order == self.order:
+            return _mul(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

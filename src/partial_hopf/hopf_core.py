@@ -11,8 +11,13 @@ The sweeps that grow with dim^3 (associativity) and dim^2 (Delta is an
 algebra map) walk only the nonzero structure constants, through indexes
 built once per call, and compare both sides for one first index at a
 time; every basis tuple still counts as one check, and failures are
-reported per tuple in sorted order.  The JSON importer bounds dim, order
-and coefficient expressions before any sweep runs.
+reported per tuple in sorted order.  In the Delta sweep a product row
+scaled by its coproduct coefficient is built once and shared by every
+coproduct term it meets, so with one-term rows a pair of terms costs two
+scalar products, not three.  The JSON importer bounds dim, order and
+coefficient expressions before any sweep runs, refuses a non-integer
+where it expects an integer, and parses each distinct coefficient string
+once.
 
 Every other product through the structure constants, in this module and
 in the others, runs on one small sparse kernel over {index: scalar} dicts;
@@ -409,8 +414,11 @@ def _compare(rep: Report, check: str, where: tuple, left: dict, right: dict,
     whole slice of checks.  Each tuple whose sides differ is reported, in
     sorted order, as a failure at ``where`` + tuple.  With ``width`` 0 the
     dicts are one check, and their keys may also be plain basis indices
-    (kernel vectors).  Zero entries are deleted from both dicts.
+    (kernel vectors).  Equal dicts pass at once; otherwise zero entries are
+    deleted from both before they are compared again.
     """
+    if left == right:
+        return
     for d in (left, right):
         for key in [key for key, v in d.items() if not v]:
             del d[key]
@@ -438,6 +446,14 @@ def validate_bialgebra(H: HopfData) -> Report:
     at a time: both sides for every (j, k), resp. every j, are built in one
     dict by walking only the nonzero products, and each tuple still counts
     as one check.
+
+    The right side of Delta(e_i e_j) = Delta(e_i) Delta(e_j) sums
+    c1 c2 (e_a1 e_a2) (x) (e_b1 e_b2) over the terms c1 e_a1 (x) e_b1 of
+    Delta(e_i) and c2 e_a2 (x) e_b2 of Delta(e_j).  The row of e_a1 e_a2
+    is scaled by c1 once per (term, a2), at the first term of a Delta(e_j)
+    whose right factors have a nonzero product; each such term then costs
+    one product c2 * cb per term of e_b1 e_b2 and one per output term.  No
+    table outlives one i.
     """
     rep = Report("bialgebra(%s)" % H.name)
     dim, mult, comult = H.dim, H.mult, H.comult
@@ -481,12 +497,16 @@ def validate_bialgebra(H: HopfData) -> Report:
             for m, c in row_ij:
                 for k, row_mk in by_left[m]:
                     for t, c2 in row_mk:
-                        _cdict_add(left, (j, k, t), c * c2)
+                        key = (j, k, t)
+                        prev = left.get(key)
+                        left[key] = c * c2 if prev is None else prev + c * c2
         right: dict = {}
         for m, row_im in by_left[i]:
             for j, k, c in containing[m]:
                 for t, c2 in row_im:
-                    _cdict_add(right, (j, k, t), c * c2)
+                    key = (j, k, t)
+                    prev = right.get(key)
+                    right[key] = c * c2 if prev is None else prev + c * c2
         rep.count(dim * dim)
         _compare(rep, "associativity", (i,), left, right, H, 2)
 
@@ -526,18 +546,26 @@ def validate_bialgebra(H: HopfData) -> Report:
         for j, row_ij in by_left[i]:
             for k, c in row_ij:
                 for c2, a, b in comult[k]:
-                    _cdict_add(lhs, (j, a, b), c * c2)
+                    key = (j, a, b)
+                    prev = lhs.get(key)
+                    lhs[key] = c * c2 if prev is None else prev + c * c2
         rhs: dict = {}
         for c1, a1, b1 in comult[i]:
             for a2, ra in by_left[a1]:
+                # the row of e_a1 e_a2 scaled by c1, built at the first hit
+                ra1 = None
                 for j, c2, b2 in by_first[a2]:
                     rb = mult.get((b1, b2))
                     if not rb:
                         continue
-                    c12 = c1 * c2
-                    for a, ca in ra:
-                        for b, cb in rb:
-                            _cdict_add(rhs, (j, a, b), c12 * (ca * cb))
+                    if ra1 is None:
+                        ra1 = [(a, c1 * ca) for a, ca in ra]
+                    for b, cb in rb:
+                        s = c2 * cb
+                        for a, c in ra1:
+                            key = (j, a, b)
+                            prev = rhs.get(key)
+                            rhs[key] = c * s if prev is None else prev + c * s
         rep.count(dim)
         _compare(rep, "comult_multiplicative", (i,), lhs, rhs, H, 1)
 
@@ -761,6 +789,14 @@ def to_json_dict(H: HopfData) -> dict:
     return out
 
 
+def _json_int(v, what: str) -> int:
+    """A JSON integer field; a float, bool or string is refused rather than
+    converted."""
+    if type(v) is not int:
+        raise HopfFormatError("%s must be an integer, not %r" % (what, v))
+    return v
+
+
 def from_json_dict(data: dict, validate: bool = True) -> HopfData:
     """Parse and (by default) fully validate an algebra description.
 
@@ -770,8 +806,8 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
     the axioms fail on well-formed data.
     """
     try:
-        dim = int(data["dim"])
-        order = int(data["order"])
+        dim = _json_int(data["dim"], "dim")
+        order = _json_int(data["order"], "order")
         if dim > MAX_DIM or order > MAX_ORDER:
             raise HopfFormatError(
                 "dim %d / order %d beyond the import limits %d / %d"
@@ -782,11 +818,19 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
         if len(set(basis)) != dim:
             raise HopfFormatError("duplicate basis labels")
 
+        # one parse per distinct coefficient string: a refused string
+        # raises at its first occurrence
+        parsed: dict = {}
+
         def scal(s):
-            return parse_scalar(str(s), order)
+            s = str(s)
+            c = parsed.get(s)
+            if c is None:
+                c = parsed[s] = parse_scalar(s, order)
+            return c
 
         def index(v, what):
-            i = int(v)
+            i = _json_int(v, what + " index")
             if not 0 <= i < dim:
                 raise HopfFormatError("%s index %d out of range" % (what, i))
             return i
@@ -829,7 +873,8 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
         for vec in gvecs:
             if len(vec) != dim:
                 raise HopfFormatError("grouplike vector length mismatch")
-        degrees = tuple(int(d) for d in data.get("basis_degrees", ()))
+        degrees = tuple(_json_int(d, "basis degree")
+                        for d in data.get("basis_degrees", ()))
         if degrees and len(degrees) != dim:
             raise HopfFormatError("basis_degrees length mismatch")
         name = str(data.get("name", "imported"))

@@ -1,7 +1,12 @@
 """Exit codes, output schemas and round trips of the command-line tool."""
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +285,49 @@ def test_import_beyond_limits_is_format_error(tmp_path, capsys, field,
     assert "error" in err and "Traceback" not in err
 
 
+def _set_mult_index(doc, value):
+    doc["mult"][0][0] = value  # the row [0, 0, 0, "1"]
+
+
+def _set_dim(doc, value):
+    doc["dim"] = value
+
+
+def _set_order(doc, value):
+    doc["order"] = value
+
+
+def _set_grouplike(doc, value):
+    doc["grouplikes"][1] = value
+
+
+def _set_degree(doc, value):
+    doc["basis_degrees"][1] = value
+
+
+@pytest.mark.parametrize("edit,value", [
+    (_set_mult_index, 0.7),
+    (_set_mult_index, False),
+    (_set_dim, 4.9),
+    (_set_dim, "4"),
+    (_set_order, True),
+    (_set_order, 2.0),
+    (_set_grouplike, "2"),
+    (_set_degree, 1.5),
+])
+def test_import_refuses_non_integer_numbers(tmp_path, capsys, edit, value):
+    """A float, bool or string where the format has an integer is a format
+    error, not silently converted (0.7 used to read as index 0, 4.9 as
+    dim 4)."""
+    doc = to_json_dict(taft(2))
+    edit(doc, value)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert code == 2 and out == ""
+    assert "must be an integer" in err and "Traceback" not in err
+
+
 def test_costly_power_at_a_large_order_is_refused_at_once(tmp_path,
                                                          capsys):
     doc = to_json_dict(taft(2))
@@ -437,8 +485,19 @@ def test_sweep_pool_is_clamped_to_cores(monkeypatch):
         def map(self, fn, items, chunksize):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     counts, failures = run_identity_sweep(1, 2, 10 ** 6)
     assert sizes == [3]
     assert (counts, failures) == run_identity_sweep(1, 2, 1)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # a fresh interpreter: only a sweep with two or more workers needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, partial_hopf.cli; "
+         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
+    assert probe.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 """Exact scalar tower: cyclotomic coordinates and parameter polynomials."""
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -108,6 +109,16 @@ def test_invert_zero_raises():
 def test_order_mismatch_raises():
     with pytest.raises(OrderMismatch):
         zeta_pow(3, 1) + zeta_pow(4, 1)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("orders", [(3, 4), (4, 3), (1, 2), (2, 1)])
+def test_order_mismatch_raises_on_every_operation(op, orders):
+    # equal phi on both sides, so only the order check can refuse the pair
+    a, b = (zeta_pow(n, 1) for n in orders)
+    with pytest.raises(OrderMismatch):
+        op(a, b)
 
 
 rationals = st.tuples(st.integers(-9, 9), st.integers(1, 7)).map(

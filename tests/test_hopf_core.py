@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from partial_hopf import hopf_core
 from partial_hopf.exact_arith import CycNumber, ParamPoly, Rational
 from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
@@ -159,6 +160,23 @@ def test_every_builtin_round_trips_within_the_import_limits(build, orders):
     for n in orders:
         d = to_json_dict(build(n))
         assert to_json_dict(from_json_dict(d)) == d
+
+
+def test_import_parses_each_distinct_coefficient_once(monkeypatch):
+    d = to_json_dict(nichols(4))
+    strings = ([row[3] for row in d["mult"] + d["comult"]] + d["unit"]
+               + d["counit"] + [s for row in d["antipode"] for s in row])
+    parsed = []
+    parse = hopf_core.parse_scalar
+
+    def counted(s, order):
+        parsed.append(s)
+        return parse(s, order)
+
+    monkeypatch.setattr(hopf_core, "parse_scalar", counted)
+    assert to_json_dict(from_json_dict(d)) == d
+    assert len(strings) > 10 * len(set(strings))
+    assert sorted(parsed) == sorted(set(strings))
 
 
 def test_json_missing_field():
