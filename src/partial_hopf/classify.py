@@ -23,11 +23,12 @@ v(gamma)^2 = v(gamma) (given lam(1) = 1) and
 v(gamma) v(delta) = v(gamma) v(gamma delta), as identities of quadratic
 forms in the unknowns computed on the sparse kernel (the residuals are
 linear in their basis pair, so the combination needs neither a residual
-nor a polynomial; ``_check_grouplike_consequences`` derives it), and it
-enumerates every subset of G(H) containing 1 exhaustively, confirming
-that the multiplicatively closed ones are exactly the cyclic subgroups it
-branches over.  Fields have no idempotents besides 0 and 1, so supports of
-solutions are closed subsets and the branch list covers all of them.
+nor a polynomial; ``_check_grouplike_consequences`` derives it).  Fields
+have no idempotents besides 0 and 1, so the support of a solution is a
+subset of G(H) that contains 1 and is closed under product.
+``_analyze_grouplikes`` checks that G(H) multiplies as Z/m; a closed
+subset of Z/m that contains 0 is a subgroup, and the subgroups of Z/m are
+the dZ/m for d | m, so one branch per divisor of m covers every support.
 
 Every family the solver emits is re-verified with the same exact checkers
 used for the hand-built families before it is returned.
@@ -60,6 +61,10 @@ class BranchLimitExceeded(SolverUnsupported):
     """Search exceeded the branch budget."""
 
 
+# branches one classification may explore before it is SolverUnsupported
+BRANCH_LIMIT = 64
+
+
 def family_count(m: int) -> int:
     """Number of classified action families when G(H) is cyclic of order m:
     one per subgroup, i.e. one per divisor."""
@@ -82,15 +87,27 @@ def _grouplike_vectors(H: HopfData) -> list:
 
 @dataclass(frozen=True)
 class GrouplikeStructure:
-    vectors: tuple          # sparse coordinate dicts, one per group element
-    table: tuple            # table[a][b] = index of product
-    identity: int
-    generator: int
-    subgroup_masks: tuple   # bitmask per divisor d of |G|: members of <gen^d>
-    subgroup_divisors: tuple
+    vectors: tuple      # sparse coordinate dicts, one per group element
+    table: tuple        # table[a][b] = index of product
+    subgroups: tuple    # (d, mask) per divisor d of |G|: bits of gen^k, d | k
 
 
 def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
+    """Product table, cyclic structure and subgroups of G(H).
+
+    The table is read off the kernel; a generator gen is an element whose
+    powers reach all m elements.  The check that gen^0, ..., gen^(m-1) are
+    distinct and table[gen^i][gen^j] == gen^((i + j) mod m) for all i, j
+    proves that k -> gen^k is an isomorphism from Z/m onto the table.  The
+    supports the solver branches over are the subsets S of G(H) that
+    contain 1 and are closed under product, and two lemmas name them all:
+
+      1. A closed subset S containing 0 of a finite group Z/m is a
+         subgroup: s in S has finite order, so -s = (ord s - 1) s is in S.
+      2. The subgroups of Z/m are exactly the dZ/m for d | m.
+
+    So the closed supports are the sets {gen^k : d | k}, one per divisor
+    d of m, and ``subgroups`` lists them as (d, bitmask) pairs."""
     G = _grouplike_vectors(H)
     m = len(G)
     if m == 0:
@@ -126,31 +143,17 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
         raise NonCyclicGrouplikes(
             "group-like group of %s is not cyclic" % H.name)
 
-    if m > 16:
-        raise SolverUnsupported(
-            "exhaustive subgroup audit capped at |G| = 16, got %d" % m)
-    closed = []
-    for mask in range(1 << m):
-        if not (mask >> ident) & 1:
-            continue
-        members = [a for a in range(m) if (mask >> a) & 1]
-        if all((mask >> table[a][b]) & 1 for a in members for b in members):
-            closed.append(mask)
-
-    subs, divs = [], []
-    for d in divisors(m):
-        cur, mask = ident, 1 << ident
-        for _ in range(m // d):
-            for _ in range(d):
-                cur = table[cur][gen]
-            mask |= 1 << cur
-        subs.append(mask)
-        divs.append(d)
-    if sorted(closed) != sorted(set(subs)):
+    power = [ident]
+    for _ in range(m - 1):
+        power.append(table[power[-1]][gen])
+    if len(set(power)) < m or any(
+            table[power[i]][power[j]] != power[(i + j) % m]
+            for i in range(m) for j in range(m)):
         raise ClassificationError(
-            "closed support audit mismatch on %s" % H.name)
-    return GrouplikeStructure(tuple(G), table, ident, gen,
-                              tuple(subs), tuple(divs))
+            "group-likes of %s do not multiply as Z/%d" % (H.name, m))
+    subgroups = tuple((d, sum(1 << power[k] for k in range(0, m, d)))
+                      for d in divisors(m))
+    return GrouplikeStructure(tuple(G), table, subgroups)
 
 
 def _quadratic_form(pairs) -> dict:
@@ -305,7 +308,7 @@ def _propagate(H: HopfData, st: _State):
             else:
                 break
 
-        still = []
+        still, residuals = [], []
         for (h, y) in st.pending:
             r = instance_residual(H, st.values, h, y)
             if r.is_zero():
@@ -317,22 +320,17 @@ def _propagate(H: HopfData, st: _State):
             if _try_linear(st, r, "instance (%s, %s)"
                            % (H.basis[h], H.basis[y])):
                 progressed = True
-                still.append((h, y))
-            else:
-                still.append((h, y))
+            still.append((h, y))
+            residuals.append(r)
         st.pending = still
 
         if progressed:
             continue
         if not st.pending and not st.extra:
             return ("solved",)
-        for c in st.extra:
+        # no substitution since the pass above, so its residuals are current
+        for c in st.extra + residuals:
             hit = _find_split(c)
-            if hit:
-                return ("split", hit[0], hit[1])
-        for (h, y) in st.pending:
-            r = instance_residual(H, st.values, h, y)
-            hit = _find_split(r)
             if hit:
                 return ("split", hit[0], hit[1])
         leftovers = [c.render("q") for c in st.extra]
@@ -380,9 +378,7 @@ def _promote(H: HopfData, st: _State, name: str) -> SolvedAction:
     return SolvedAction(name, H, tuple(params), f, tuple(st.trace))
 
 
-def classify_base_field_actions(H: HopfData, branch_limit: int = 64,
-                                subgroup_branching: bool = True
-                                ) -> ClassifiedActions:
+def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
     """Classify all partial actions of H on its base field.
 
     Exhaustive over the branch tree described in the module docstring;
@@ -406,31 +402,28 @@ def classify_base_field_actions(H: HopfData, branch_limit: int = 64,
         return st
 
     stack = []
-    if subgroup_branching:
-        gs = _analyze_grouplikes(H)
-        _check_grouplike_consequences(H, gs)
-        for mask, d in zip(gs.subgroup_masks, gs.subgroup_divisors):
-            st = fresh()
-            st.label = "support=<gen^%d>" % d
-            st.trace.append("group-like support branch <gen^%d>" % d)
-            for a, vec in enumerate(gs.vectors):
-                form = ParamPoly.zero(H.order)
-                for i, c in vec.items():
-                    form = form + st.values[i] * c
-                if (mask >> a) & 1:
-                    form = form - ParamPoly.one(H.order)
-                st.extra.append(form)
-            stack.append(st)
-    else:
-        stack.append(fresh())
+    gs = _analyze_grouplikes(H)
+    _check_grouplike_consequences(H, gs)
+    for d, mask in gs.subgroups:
+        st = fresh()
+        st.label = "support=<gen^%d>" % d
+        st.trace.append("group-like support branch <gen^%d>" % d)
+        for a, vec in enumerate(gs.vectors):
+            form = ParamPoly.zero(H.order)
+            for i, c in vec.items():
+                form = form + st.values[i] * c
+            if (mask >> a) & 1:
+                form = form - ParamPoly.one(H.order)
+            st.extra.append(form)
+        stack.append(st)
 
     solutions = []
     seen = set()
     explored = 0
     while stack:
         explored += 1
-        if explored > branch_limit:
-            raise BranchLimitExceeded("more than %d branches" % branch_limit)
+        if explored > BRANCH_LIMIT:
+            raise BranchLimitExceeded("more than %d branches" % BRANCH_LIMIT)
         st = stack.pop()
         out = _propagate(H, st)
         if out[0] == "contradiction":

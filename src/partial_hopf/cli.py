@@ -14,7 +14,7 @@ Subcommands:
 
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, 2 for usage or input errors, and 3 when the classifier does not
-support the input (e.g. a group-like group above its audit cap).
+support the input (e.g. a search beyond its branch limit).
 `--output json` emits one stable JSON document on stdout instead of the
 text report; for exit 3 it is {"command", "ok": false, "unsupported"},
 with "results" for the orders classified before the unsupported one.
@@ -456,11 +456,16 @@ def cmd_export(args) -> int:
 
 
 def cmd_import(args) -> int:
-    if args.path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.path) as fh:
-            data = json.load(fh)
+    try:
+        if args.path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.path, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise HopfFormatError("input is not UTF-8: %s" % exc) from None
+    except RecursionError:
+        raise HopfFormatError("JSON input nests too deeply") from None
     H = from_json_dict(data)
     doc = {"command": "import", "ok": True,
            "results": [{"name": H.name, "dim": H.dim, "order": H.order}]}

@@ -516,14 +516,6 @@ class ParamPoly:
                 names.add(name)
         return tuple(sorted(names))
 
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for m in self.terms:
-            for n2, e in m:
-                if n2 == name and e > deg:
-                    deg = e
-        return deg
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):

@@ -67,11 +67,17 @@ def test_dual_group_algebra_classification(n):
     assert families_match(res, dual_group_action_families(n))
 
 
+def _trivial_grouplikes(H):
+    """H with only 1 declared group-like: the support branch is the single
+    branch lam(1) = 1, so the solver runs without prebranching."""
+    return dataclasses.replace(H, grouplikes=(0,))
+
+
 def test_split_rule_without_prebranching():
     # with group-like branching disabled the solver must fall back to the
     # factor split u(u - 1) and still find both families
-    res = classify_base_field_actions(group_algebra_cyclic(2),
-                                      subgroup_branching=False)
+    res = classify_base_field_actions(
+        _trivial_grouplikes(group_algebra_cyclic(2)))
     assert res.count() == 2
     assert res.branches_explored >= 3
     assert families_match(res, group_action_families(2))
@@ -93,10 +99,11 @@ def test_traces_record_derivation():
     assert "free parameter" in text
 
 
-def test_branch_limit():
+def test_branch_limit(monkeypatch):
+    monkeypatch.setattr(classify, "BRANCH_LIMIT", 2)
     with pytest.raises(BranchLimitExceeded):
-        classify_base_field_actions(group_algebra_cyclic(6),
-                                    subgroup_branching=False, branch_limit=2)
+        classify_base_field_actions(
+            _trivial_grouplikes(group_algebra_cyclic(6)))
 
 
 def test_unclosed_grouplike_metadata_rejected():
@@ -107,12 +114,39 @@ def test_unclosed_grouplike_metadata_rejected():
     assert not isinstance(exc.value, SolverUnsupported)
 
 
-def test_solver_limits_are_unsupported_not_failures():
+def test_grouplike_table_that_is_not_z_mod_m_is_a_failure():
+    """kC_3 with g g = 1: the table is closed and g^2 reaches every
+    element, but it is not Z/3, so a check fails (not a solver limit)."""
+    H = group_algebra_cyclic(3)
+    mult = dict(H.mult)
+    mult[(1, 1)] = ((0, CycNumber.one(H.order)),)
+    with pytest.raises(ClassificationError, match="do not multiply as Z/3") \
+            as exc:
+        classify_base_field_actions(dataclasses.replace(H, mult=mult))
+    assert not isinstance(exc.value, SolverUnsupported)
+
+
+@pytest.mark.parametrize("build,n,families", [
+    (group_algebra_cyclic, 17, group_action_families),
+    (group_algebra_cyclic, 24, group_action_families),
+    (group_algebra_cyclic, 32, group_action_families),
+    (group_algebra_cyclic, 48, group_action_families),
+    (dual_group_algebra_cyclic, 17, dual_group_action_families),
+], ids=["group17", "group24", "group32", "group48", "dualgroup17"])
+def test_large_cyclic_groups_are_classified(build, n, families):
+    """No cap on |G|: the branch list comes from the divisors of m."""
+    res = classify_base_field_actions(build(n))
+    assert res.count() == family_count(n)
+    assert families_match(res, families(n))
+
+
+def test_solver_limits_are_unsupported_not_failures(monkeypatch):
     assert issubclass(BranchLimitExceeded, SolverUnsupported)
     assert issubclass(NonCyclicGrouplikes, SolverUnsupported)
     assert issubclass(SolverUnsupported, ClassificationError)
-    with pytest.raises(SolverUnsupported, match="capped at"):
-        classify_base_field_actions(group_algebra_cyclic(17))
+    monkeypatch.setattr(classify, "BRANCH_LIMIT", 5)
+    with pytest.raises(SolverUnsupported, match="more than 5 branches"):
+        classify_base_field_actions(group_algebra_cyclic(12))
 
 
 def test_stuck_solver_is_unsupported(monkeypatch):

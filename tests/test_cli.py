@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from partial_hopf import cli, reference_tables
+from partial_hopf import classify, cli, reference_tables
 from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
@@ -123,34 +123,49 @@ def test_classify_group_sweep(capsys):
     assert counts == {1: 1, 2: 2, 3: 2, 4: 3, 5: 2, 6: 4}
 
 
-def test_classify_beyond_audit_cap_exits_3(capsys):
-    code, out, err = run(capsys, "classify", "group", "17")
+def test_classify_beyond_branch_limit_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "BRANCH_LIMIT", 5)
+    code, out, err = run(capsys, "classify", "group", "12")
     assert code == 3 and out == ""
     assert "unsupported" in err and "Traceback" not in err
-    code, out, _ = run(capsys, "classify", "group", "17", "--output", "json")
+    code, out, _ = run(capsys, "classify", "group", "12", "--output", "json")
     assert code == 3
     assert json.loads(out) == {
         "command": "classify", "ok": False,
-        "unsupported": "exhaustive subgroup audit capped at |G| = 16, "
-                       "got 17"}
+        "unsupported": "more than 5 branches"}
 
 
-def test_classify_sweep_keeps_orders_done_before_the_cap(capsys):
-    code, out, _ = run(capsys, "classify", "group", "--max", "17",
+def test_classify_sweep_keeps_orders_done_before_the_cap(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(classify, "BRANCH_LIMIT", 5)
+    code, out, _ = run(capsys, "classify", "group", "--max", "12",
                        "--output", "json")
     assert code == 3
     doc = json.loads(out)
     assert doc["ok"] is False
-    assert doc["unsupported"] == ("exhaustive subgroup audit capped at "
-                                  "|G| = 16, got 17")
-    assert [r["n"] for r in doc["results"]] == list(range(1, 17))
+    assert doc["unsupported"] == "more than 5 branches"
+    assert [r["n"] for r in doc["results"]] == list(range(1, 12))
     assert [len(r["families"]) for r in doc["results"]] == [
-        len(divisors(n)) for n in range(1, 17)]
-    code, out, err = run(capsys, "classify", "group", "--max", "17")
+        len(divisors(n)) for n in range(1, 12)]
+    code, out, err = run(capsys, "classify", "group", "--max", "12")
     assert code == 3
-    assert out.startswith("group(1): 1 families") and "group(16):" in out
-    assert "group(17)" not in out
+    assert out.startswith("group(1): 1 families") and "group(11):" in out
+    assert "group(12)" not in out
     assert err.startswith("error: solver unsupported:")
+
+
+def test_classify_group_17_is_supported(capsys):
+    """|G| = 17 is past the old 16-element audit cap."""
+    code, out, _ = run(capsys, "classify", "group", "17", "--output", "json")
+    assert code == 0
+    assert len(json.loads(out)["results"][0]["families"]) == 2
+    code, out, _ = run(capsys, "classify", "group", "--max", "17",
+                       "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["n"] for r in doc["results"]] == list(range(1, 18))
+    assert [len(r["families"]) for r in doc["results"]] == [
+        len(divisors(n)) for n in range(1, 18)]
 
 
 @pytest.mark.parametrize("exc,want", [
@@ -243,6 +258,28 @@ def test_import_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "import", str(path))
     assert code == 2 and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("data,want", [
+    (b"[" * 200000, "nests too deeply"),
+    (b"\xff\xfe{}", "not UTF-8"),
+], ids=["deeply_nested", "not_utf8"])
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_import_refuses_unparsable_input(tmp_path, monkeypatch, capsys,
+                                         data, want, source):
+    """Input json cannot decode without a RecursionError or a
+    UnicodeDecodeError is a format error with one line, no traceback."""
+    if source == "path":
+        arg = str(tmp_path / "odd.json")
+        Path(arg).write_bytes(data)
+    else:
+        arg = "-"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, "import", arg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert want in err
 
 
 def test_import_wrong_schema(tmp_path, capsys):

@@ -10,7 +10,9 @@ structure-constant loops were folded into one sparse kernel.
 ``classify_dualgroup.json`` and ``classify_group.json`` (default sweeps,
 orders 1-12) were captured while the group-like audit still summed
 instance residuals as polynomials and every polynomial operation rebuilt
-its term dict.
+its term dict; ``classify_taft.json`` (orders 2-8) and
+``classify_nichols.json`` (orders 2-5) were captured while the group-like
+support branch still enumerated every subset of G(H).
 ``identity_verdicts_n3_max3.txt`` holds ``str()`` of every verdict of
 ``identity_sweep_items(3, 3)``, one a line, captured while the generic q
 was a separate Laurent-polynomial class; a passing verdict prints both
@@ -45,6 +47,8 @@ CASES = {
     "duality_taft_3": ["duality", "taft", "3"],
     "duality_nichols": ["duality", "nichols"],
     "classify_taft_5": ["classify", "taft", "5"],
+    "classify_taft": ["classify", "taft"],
+    "classify_nichols": ["classify", "nichols"],
     "classify_dualgroup": ["classify", "dualgroup"],
     "classify_group": ["classify", "group"],
     "actions_taft_paper_examples": ["actions", "taft", "--paper-examples"],

@@ -7,6 +7,11 @@ compares the sum with lam(v_a) lam(v_b) - lam(v_a) lam(v_ab).  The audit of
 tests below check the identity between the two, coefficient by coefficient,
 and that both audits fail on exactly the same faulted tables at the same
 pair (a, b).
+
+``closed_supports`` is the support audit as it was written before: it
+enumerates all 2^m subsets of G(H) and keeps those that contain 1 and are
+closed under product.  The classifier derives the same list from the Z/m
+check and the divisors of m; the tests below compare the two.
 """
 import dataclasses
 
@@ -20,7 +25,7 @@ from partial_hopf.classify import (
     ClassificationError, _analyze_grouplikes, _check_grouplike_consequences,
     _coproduct_form, _uname, classify_base_field_actions,
 )
-from partial_hopf.exact_arith import ParamPoly
+from partial_hopf.exact_arith import ParamPoly, divisors
 from partial_hopf.families import instance_residual
 from partial_hopf.hopf_core import vec_comult
 
@@ -97,6 +102,33 @@ def test_kernel_form_is_the_residual_combination(name, n):
             assert got == combo, (name, n, a, b)
 
 
+def closed_supports(H, gs):
+    """Bitmasks of the subsets of G(H) that contain 1 and are closed under
+    the product table, by enumerating all 2^m subsets."""
+    m = len(gs.vectors)
+    ident = gs.vectors.index({i: c for i, c in H.unit})
+    closed = []
+    for mask in range(1 << m):
+        if not (mask >> ident) & 1:
+            continue
+        members = [a for a in range(m) if (mask >> a) & 1]
+        if all((mask >> gs.table[a][b]) & 1 for a in members for b in members):
+            closed.append(mask)
+    return closed
+
+
+def _subgroup_masks(gs):
+    return sorted(mask for _, mask in gs.subgroups)
+
+
+@pytest.mark.parametrize("name,n", ALGEBRAS)
+def test_subgroups_are_the_closed_supports(name, n):
+    H = BUILD[name](n)
+    gs = _analyze_grouplikes(H)
+    assert [d for d, _ in gs.subgroups] == divisors(len(gs.vectors))
+    assert _subgroup_masks(gs) == closed_supports(H, gs)
+
+
 # -- faulted structure constants ---------------------------------------------
 
 def _bump(row, t, at):
@@ -150,6 +182,7 @@ def test_audit_fails_exactly_where_the_reference_fails(name, n):
         except ClassificationError:
             continue
         audited += 1
+        assert _subgroup_masks(gs) == closed_supports(bad, gs), where
         got = _outcome(_check_grouplike_consequences, bad, gs)
         assert got == _outcome(reference_audit, bad, gs), where
         refused += got != "pass"

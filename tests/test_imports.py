@@ -1,16 +1,21 @@
-"""Every name a package module imports from a sibling module is used.
+"""Every name a package module imports from a sibling module is used, and
+every function the package defines is named somewhere.
 
 ``from .x import name`` in a module of ``partial_hopf`` must be followed by
 a use of ``name`` in that module; an import nothing uses keeps a deleted
 helper's callers looking alive.  ``__init__.py`` is exempt, because it
-imports to re-export.  Checked with ``ast``, so no linter is needed.
+imports to re-export.  A function or method defined under ``src/`` (other
+than a dunder) must be named by some ``Name`` or ``Attribute`` node under
+``src/``, ``tests/`` or ``bench/``; one that nothing names is dead code.
+Checked with ``ast``, so no linter is needed.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "partial_hopf"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "partial_hopf"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -34,3 +39,39 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_sibling_imports(path):
     assert unused_sibling_imports(path.read_text()) == []
+
+
+def unreferenced_functions(defining: list, naming: list) -> list:
+    """The non-dunder functions and methods defined in the ``defining``
+    sources that no ``Name`` or ``Attribute`` node of the ``naming``
+    sources names."""
+    defined = sorted({node.name for source in defining
+                      for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and not (node.name.startswith("__")
+                               and node.name.endswith("__"))})
+    named = set()
+    for source in naming:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [name for name in defined if name not in named]
+
+
+def test_detects_an_unreferenced_function():
+    src = "def f():\n    g()\ndef g():\n    pass\ndef h():\n    pass\n" \
+          "class C:\n    def __init__(self):\n        pass\n" \
+          "    def m(self):\n        pass\n"
+    assert unreferenced_functions([src], [src, "C().m()\n"]) == ["f", "h"]
+
+
+def test_every_defined_function_is_named():
+    sources = {path: path.read_text()
+               for tree in ("src", "tests", "bench")
+               for path in sorted((ROOT / tree).rglob("*.py"))}
+    defining = [text for path, text in sources.items()
+                if path.is_relative_to(ROOT / "src")]
+    assert unreferenced_functions(defining, list(sources.values())) == []
