@@ -38,10 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
-from .hopf_core import Functional, HopfData, sparse, vec_comult, vec_mul
-from .families import (
-    instance_residual, verify_partial_action, verify_symmetric_action,
-)
+from .hopf_core import HopfData, sparse, vec_comult, vec_mul
+from .families import instance_residual, verify_partial_action
 
 
 class ClassificationError(RuntimeError):
@@ -95,10 +93,12 @@ class GrouplikeStructure:
 def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
     """Product table, cyclic structure and subgroups of G(H).
 
-    The table is read off the kernel; a generator gen is an element whose
-    powers reach all m elements.  The check that gen^0, ..., gen^(m-1) are
-    distinct and table[gen^i][gen^j] == gen^((i + j) mod m) for all i, j
-    proves that k -> gen^k is an isomorphism from Z/m onto the table.  The
+    The table is read off the kernel, each product found in a dict keyed
+    by its sorted items (the first of equal declarations wins); a
+    generator gen is an element whose powers reach all m elements.  The
+    check that gen^0, ..., gen^(m-1) are distinct and
+    table[gen^i][gen^j] == gen^((i + j) mod m) for all i, j proves that
+    k -> gen^k is an isomorphism from Z/m onto the table.  The
     supports the solver branches over are the subsets S of G(H) that
     contain 1 and are closed under product, and two lemmas name them all:
 
@@ -117,12 +117,15 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
     if ident is None:
         raise ClassificationError("unit is not among the group-likes")
 
+    index: dict = {}
+    for k, v in enumerate(G):
+        index.setdefault(tuple(sorted(v.items())), k)
     table = []
     for a in range(m):
         row = []
         for b in range(m):
             prod = vec_mul(H.mult, G[a], G[b])
-            c = next((k for k, v in enumerate(G) if v == prod), None)
+            c = index.get(tuple(sorted(prod.items())))
             if c is None:
                 raise ClassificationError(
                     "group-likes of %s are not closed under product" % H.name)
@@ -239,7 +242,7 @@ class SolvedAction:
     name: str
     algebra: HopfData
     params: tuple
-    functional: Functional
+    values: tuple       # lam(e_i) per basis index
     trace: tuple
 
 
@@ -374,8 +377,8 @@ def _promote(H: HopfData, st: _State, name: str) -> SolvedAction:
         params.append(new)
         values = [w.subs(old, ParamPoly.var(H.order, new)) for w in values]
         st.trace.append("free parameter %s renamed %s" % (old, new))
-    f = Functional(H, tuple(values))
-    return SolvedAction(name, H, tuple(params), f, tuple(st.trace))
+    return SolvedAction(name, H, tuple(params), tuple(values),
+                        tuple(st.trace))
 
 
 def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
@@ -446,23 +449,23 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
             stack.append(other)
             continue
         sol = _promote(H, st, "family%d" % (len(solutions) + 1))
-        key = tuple(v.render() for v in sol.functional.coords)
+        key = tuple(v.render() for v in sol.values)
         if key in seen:
             continue
         seen.add(key)
         solutions.append(sol)
 
     for sol in solutions:
-        rep = verify_partial_action(H, sol.functional)
-        rep.merge(verify_symmetric_action(H, sol.functional))
+        rep = verify_partial_action(H, sol.values)
+        rep.merge(verify_partial_action(H, sol.values, symmetric=True))
         if not rep.ok:
             raise ClassificationError(
                 "solver emitted an invalid family on %s: %s"
                 % (H.name, rep.summary()))
 
     solutions.sort(key=lambda s: (len(s.params),
-                                  tuple(v.render() for v in s.functional.coords)))
+                                  tuple(v.render() for v in s.values)))
     renamed = [SolvedAction("family%d" % (i + 1), s.algebra, s.params,
-                            s.functional, s.trace)
+                            s.values, s.trace)
                for i, s in enumerate(solutions)]
     return ClassifiedActions(H, tuple(renamed), explored)

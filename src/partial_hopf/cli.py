@@ -159,9 +159,9 @@ def _reference_section(results, lines) -> bool:
     return ok
 
 
-def _family_sweep(args, kind, listings, verify, data) -> int:
+def _family_sweep(args, kind, listings, verify) -> int:
     """Verify every ``kind`` family of the swept orders, plain and
-    symmetric; ``data(fam)`` is what ``verify`` checks."""
+    symmetric."""
     listing = listings[args.algebra]
     results, lines, ok = [], [], True
     for n in _orders(args, _FAMILY_RANGE):
@@ -169,12 +169,12 @@ def _family_sweep(args, kind, listings, verify, data) -> int:
         lines.append("%s(%d): %d %s families" % (args.algebra, n, len(fams),
                                                  kind))
         for fam in fams:
-            H, x = fam.algebra, data(fam)
-            rep = verify(H, x)
-            srep = verify(H, x, symmetric=True)
+            H = fam.algebra
+            rep = verify(H, fam.values)
+            srep = verify(H, fam.values, symmetric=True)
             good = rep.ok and srep.ok
             ok = ok and good
-            vals = _values(x.coords, H.basis)
+            vals = _values(fam.values, H.basis)
             results.append({
                 "algebra": args.algebra, "n": n, "family": fam.name,
                 "params": list(fam.params), "values": vals, "verified": good,
@@ -196,13 +196,12 @@ def _family_sweep(args, kind, listings, verify, data) -> int:
 
 
 def cmd_actions(args) -> int:
-    return _family_sweep(args, "action", _ACTION_LISTS, verify_partial_action,
-                         lambda fam: fam.functional)
+    return _family_sweep(args, "action", _ACTION_LISTS, verify_partial_action)
 
 
 def cmd_coactions(args) -> int:
     return _family_sweep(args, "coaction", _COACTION_LISTS,
-                         verify_partial_coaction, lambda fam: fam.element)
+                         verify_partial_coaction)
 
 
 def cmd_classify(args) -> int:
@@ -223,7 +222,7 @@ def cmd_classify(args) -> int:
                         out.branches_explored))
         fams = []
         for fam in out.families:
-            vals = _values(fam.functional.coords, H.basis)
+            vals = _values(fam.values, H.basis)
             fams.append({"family": fam.name, "params": list(fam.params),
                          "values": vals, "trace": list(fam.trace)})
             lines.append("  %s [params: %s]" % (
@@ -290,9 +289,9 @@ def cmd_duality(args) -> int:
                      % ("ok" if round_trip else "FAILED"))
         for act, expected in pairs:
             z = transport(act, inv)
-            match = z.element.coords == expected.element.coords
+            match = z.values == expected.values
             ok = ok and match
-            vals = _values(z.element.coords, z.algebra.basis)
+            vals = _values(z.values, z.algebra.basis)
             checks.append({"check": "transport %s -> %s"
                            % (act.name, expected.name), "ok": match,
                            "values": vals})
@@ -403,30 +402,16 @@ def run_identity_sweep(max_index: int, root_cap: int, jobs: int):
     return counts, failures
 
 
-def _job_count(args) -> int:
-    """The requested worker count: --jobs, else PARTIAL_HOPF_JOBS, else 1."""
-    source, jobs = "--jobs", args.jobs
-    if jobs is None:
-        source, text = "PARTIAL_HOPF_JOBS", os.environ.get(
-            "PARTIAL_HOPF_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise UsageError("%s must be an integer, got %r" % (source, text))
-    if jobs < 1:
-        raise UsageError("%s must be at least 1, got %d" % (source, jobs))
-    return jobs
-
-
 def cmd_identities(args) -> int:
-    jobs = _job_count(args)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     max_index = args.max if args.max is not None else 6
     root_cap = args.n if args.n is not None else 8
     if root_cap < 1:
         raise UsageError("--n must be at least 1, got %d" % root_cap)
     if max_index < 0:
         raise UsageError("--max must be at least 0, got %d" % max_index)
-    counts, failures = run_identity_sweep(max_index, root_cap, jobs)
+    counts, failures = run_identity_sweep(max_index, root_cap, args.jobs)
     results, lines = [], []
     for name in sorted(counts):
         total, bad = counts[name]
@@ -466,6 +451,9 @@ def cmd_import(args) -> int:
         raise HopfFormatError("input is not UTF-8: %s" % exc) from None
     except RecursionError:
         raise HopfFormatError("JSON input nests too deeply") from None
+    except ValueError as exc:
+        # JSONDecodeError, or an integer beyond int's string-digit limit
+        raise HopfFormatError("invalid JSON input: %s" % exc) from None
     H = from_json_dict(data)
     doc = {"command": "import", "ok": True,
            "results": [{"name": H.name, "dim": H.dim, "order": H.order}]}
@@ -524,8 +512,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="largest root-of-unity order to test (default 8)")
     q.add_argument("--max", type=int, default=None,
                    help="index bound for the sweeps (default 6)")
-    q.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: PARTIAL_HOPF_JOBS or 1)")
+    q.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     q.add_argument("--output", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_identities)
 
@@ -549,9 +537,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidOrder, NotADivisor, HopfFormatError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print("error: invalid JSON input: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -15,11 +15,11 @@ from functools import cached_property, lru_cache
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    AlgElement, HopfData, Report, _compare, convolve, dense, dual_hopf,
+    HopfData, Report, _compare, convolve, dense, dual_hopf,
     sparse, tensor_map, vec_comult, vec_map, vec_mul,
 )
 from .algebras import nichols, taft
-from .families import ActionFamily, CoactionFamily
+from .families import Family
 from .qcomb import Verdict, q_factorial
 
 
@@ -37,24 +37,21 @@ class HopfMorphism:
         """The images as sparse rows: rows[i] = ((j, c), ...), c nonzero."""
         return tuple(tuple(sparse(row).items()) for row in self.images)
 
-    def apply(self, elt: AlgElement) -> AlgElement:
-        if elt.algebra is not self.source:
-            raise ValueError("element not in the morphism source")
-        T = self.target
-        out = vec_map(self.rows, enumerate(elt.coords))
-        return AlgElement(T, dense(out, T.dim, ParamPoly.zero(T.order)))
-
-    def apply_values(self, values) -> tuple:
-        """Map a plain coordinate vector (CycNumber entries)."""
-        T = self.target
+    def apply(self, values, zero) -> tuple:
+        """The image of the source coordinates ``values``, as target
+        coordinates with ``zero`` where the image has none."""
+        if len(values) != self.source.dim:
+            raise ValueError("%d coordinates for a source of dimension %d"
+                             % (len(values), self.source.dim))
         out = vec_map(self.rows, enumerate(values))
-        return dense(out, T.dim, CycNumber.zero(T.order))
+        return dense(out, self.target.dim, zero)
 
 
 def compose(outer: HopfMorphism, inner: HopfMorphism) -> HopfMorphism:
     if inner.target is not outer.source:
         raise ValueError("morphisms do not compose")
-    images = tuple(outer.apply_values(row) for row in inner.images)
+    zero = CycNumber.zero(outer.target.order)
+    images = tuple(outer.apply(row, zero) for row in inner.images)
     return HopfMorphism(inner.source, outer.target, images)
 
 
@@ -77,7 +74,7 @@ def invert_morphism(phi: HopfMorphism) -> HopfMorphism:
     order = phi.target.order
     zero, one = CycNumber.zero(order), CycNumber.one(order)
     # rows of the augmented system: images as a matrix M with M[i][j],
-    # solving X M = I  (row-vector convention matches apply_values)
+    # solving X M = I  (row-vector convention matches apply)
     m = [list(row) + [one if k == i else zero for k in range(n)]
          for i, row in enumerate(phi.images)]
     col = 0
@@ -239,7 +236,7 @@ def nichols_from_dual(n: int) -> HopfMorphism:
 # transport
 # ---------------------------------------------------------------------------
 
-def transport(fam: ActionFamily, iso: HopfMorphism) -> CoactionFamily:
+def transport(fam: Family, iso: HopfMorphism) -> Family:
     """Partial action on H to partial coaction on H through iso: H -> H*
     (or its inverse H* -> H)."""
     H = fam.algebra
@@ -249,9 +246,8 @@ def transport(fam: ActionFamily, iso: HopfMorphism) -> CoactionFamily:
         back = iso
     else:
         raise ValueError("isomorphism does not involve the family's algebra")
-    lam = AlgElement(back.source, fam.functional.coords)
-    z = back.apply(lam)
-    return CoactionFamily(fam.name, H, fam.params, z)
+    z = back.apply(fam.values, ParamPoly.zero(H.order))
+    return Family(fam.name, H, fam.params, z)
 
 
 def check_character_sum(n: int, k: int, l: int) -> Verdict:

@@ -18,9 +18,12 @@ is a proof for all parameter values, not a sampled check.  The coaction
 sides are built on the sparse kernel of hopf_core, and every check is
 reported through ``Report.expect`` or ``_compare``.
 
-The constructors below build every family of such actions and coactions on
-the built-in algebras; the classification solver re-derives them
-independently (see classify module).
+lam and z are each given by their dim coordinates in the basis of H, and a
+``Family`` is that coordinate tuple with a name and its parameters; the
+verifiers take the tuple itself.  The constructors below build every
+family of such actions and coactions on the built-in algebras; the
+classification solver re-derives the actions independently (see classify
+module).
 """
 from __future__ import annotations
 
@@ -28,9 +31,8 @@ from dataclasses import dataclass
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    AlgElement, Functional, HopfData, Report, _cdict_add, _compare,
-    apply_functional, convolution, counit_functional, sparse, tensor_mul,
-    unit_element, vec_comult, vec_mul,
+    HopfData, Report, _cdict_add, _compare, convolve, sparse, tensor_mul,
+    vec_comult, vec_mul,
 )
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
@@ -86,40 +88,47 @@ def instance_residual(H: HopfData, lam, h: int, y: int,
     return lhs - rhs
 
 
-def verify_partial_action(H: HopfData, f: Functional,
+def _pairing(H: HopfData, values, terms) -> ParamPoly:
+    """sum values[i] c over the (i, c) in ``terms``, zero terms skipped:
+    lam(1) for the terms of H.unit, eps(z) for those of the counit."""
+    if len(values) != H.dim:
+        raise ValueError("%d coordinates for %s of dimension %d"
+                         % (len(values), H.name, H.dim))
+    out = ParamPoly.zero(H.order)
+    for i, c in terms:
+        v = values[i]
+        if v and c:
+            out = out + v * c
+    return out
+
+
+def verify_partial_action(H: HopfData, values,
                           symmetric: bool = False) -> Report:
-    """Exact verification of (A) (or (B)) over every ordered basis pair."""
+    """Exact verification of (A) (or (B)) over every ordered basis pair;
+    ``values`` are the dim coordinates lam(e_i)."""
     which = "symmetric_action" if symmetric else "partial_action"
     rep = Report("%s(%s)" % (which, H.name))
-    if f.algebra is not H:
-        raise ValueError("functional lives on %r, not %r" % (f.algebra, H))
-    rep.expect("unital", ("1",), apply_functional(f, unit_element(H)),
+    rep.expect("unital", ("1",), _pairing(H, values, H.unit),
                ParamPoly.one(H.order))
-    lam = f.coords
     zero = ParamPoly.zero(H.order)
     for h in range(H.dim):
         for y in range(H.dim):
             rep.expect(which, (H.basis[h], H.basis[y]),
-                       instance_residual(H, lam, h, y, symmetric), zero)
+                       instance_residual(H, values, h, y, symmetric), zero)
     return rep
 
 
-def verify_symmetric_action(H: HopfData, f: Functional) -> Report:
-    return verify_partial_action(H, f, symmetric=True)
-
-
-def verify_partial_coaction(H: HopfData, z: AlgElement,
+def verify_partial_coaction(H: HopfData, values,
                             symmetric: bool = False) -> Report:
-    """Exact verification of (C) (or (D)); also reports z^2 = z, which the
-    coaction law forces.  Both sides are built on the sparse kernel."""
+    """Exact verification of (C) (or (D)) for the element z with the dim
+    coordinates ``values``; also reports z^2 = z, which the coaction law
+    forces.  Both sides are built on the sparse kernel."""
     which = "symmetric_coaction" if symmetric else "partial_coaction"
     rep = Report("%s(%s)" % (which, H.name))
-    if z.algebra is not H:
-        raise ValueError("element lives on %r, not %r" % (z.algebra, H))
     rep.expect("counit_normalization", ("eps(z)",),
-               apply_functional(counit_functional(H), z),
+               _pairing(H, values, enumerate(H.counit)),
                ParamPoly.one(H.order))
-    u = sparse(z.coords)
+    u = sparse(values)
     dz = vec_comult(H.comult, u.items())
     z1 = {(i, j): a * b for i, a in u.items() for j, b in H.unit}
     diff = {(i, j): a * b for i, a in u.items() for j, b in u.items()}
@@ -137,38 +146,24 @@ def verify_partial_coaction(H: HopfData, z: AlgElement,
     return rep
 
 
-def verify_symmetric_coaction(H: HopfData, z: AlgElement) -> Report:
-    return verify_partial_coaction(H, z, symmetric=True)
-
-
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ActionFamily:
-    """A (possibly parametric) family of partial actions on the base field."""
+class Family:
+    """A (possibly parametric) family of partial actions or coactions on the
+    base field: ``values`` holds the dim coordinates, ParamPoly in
+    ``params``, of the functional lam (an action) or of the element z (a
+    coaction) in the basis of ``algebra``."""
 
     name: str
     algebra: HopfData
     params: tuple
-    functional: Functional
-
-    def at(self, **values) -> Functional:
-        return self.functional.subs_params(values)
+    values: tuple
 
 
-@dataclass(frozen=True)
-class CoactionFamily:
-    """A (possibly parametric) family of partial coactions."""
-
-    name: str
-    algebra: HopfData
-    params: tuple
-    element: AlgElement
-
-
-def taft_parametric_action(n: int, param: str = "a") -> ActionFamily:
+def taft_parametric_action(n: int, param: str = "a") -> Family:
     """The one-parameter action family on taft(n).
 
     Nonzero values: lam(g^{n-i mod n} x^j) = q^(i(i+1)/2) (j i)_q (-1)^i a^j.
@@ -186,11 +181,10 @@ def taft_parametric_action(n: int, param: str = "a") -> ActionFamily:
             if i % 2:
                 c = -c
             coords[g_exp * n + j] = ParamPoly.var(n, param, j) * c
-    return ActionFamily("parametric", H, (param,),
-                        Functional(H, tuple(coords)))
+    return Family("parametric", H, (param,), tuple(coords))
 
 
-def taft_subgroup_action(n: int, k: int) -> ActionFamily:
+def taft_subgroup_action(n: int, k: int) -> Family:
     """The indicator action of the subgroup generated by g^k (k | n):
     1 on that subgroup, 0 on all other basis elements."""
     H = taft(n)
@@ -200,10 +194,10 @@ def taft_subgroup_action(n: int, k: int) -> ActionFamily:
     for i in range(0, n, k):
         coords[i * n] = one
     name = "counit" if k == 1 else "subgroup<g^%d>" % k
-    return ActionFamily(name, H, (), Functional(H, tuple(coords)))
+    return Family(name, H, (), tuple(coords))
 
 
-def taft_parametric_coaction(n: int, param: str = "a") -> CoactionFamily:
+def taft_parametric_coaction(n: int, param: str = "a") -> Family:
     """The one-parameter coaction family on taft(n), from the closed-form
     double sum with inverse q-factorial coefficients."""
     H = taft(n)
@@ -224,11 +218,10 @@ def taft_parametric_coaction(n: int, param: str = "a") -> CoactionFamily:
             if c.is_zero():
                 continue
             coords[k * n + j] = ParamPoly.var(n, param, j) * c
-    return CoactionFamily("parametric", H, (param,),
-                          AlgElement(H, tuple(coords)))
+    return Family("parametric", H, (param,), tuple(coords))
 
 
-def taft_subgroup_coaction(n: int, k: int) -> CoactionFamily:
+def taft_subgroup_coaction(n: int, k: int) -> Family:
     """z = (1/|N|) sum of the subgroup N generated by g^k (k | n)."""
     H = taft(n)
     _require_divisor(n, k)
@@ -238,10 +231,10 @@ def taft_subgroup_coaction(n: int, k: int) -> CoactionFamily:
     for i in range(0, n, k):
         coords[i * n] = val
     name = "global" if k == n else "subgroup<g^%d>" % k
-    return CoactionFamily(name, H, (), AlgElement(H, tuple(coords)))
+    return Family(name, H, (), tuple(coords))
 
 
-def nichols_parametric_action(n: int) -> ActionFamily:
+def nichols_parametric_action(n: int) -> Family:
     """lam(1) = 1, lam(x_i) = lam(g x_i) = a_i, zero elsewhere."""
     H = nichols(n)
     coords = [ParamPoly.zero(H.order)] * H.dim
@@ -251,15 +244,16 @@ def nichols_parametric_action(n: int) -> ActionFamily:
         p = ParamPoly.var(H.order, "a%d" % i)
         coords[1 << i] = p
         coords[(1 << i) | 1] = p
-    return ActionFamily("parametric", H, params, Functional(H, tuple(coords)))
+    return Family("parametric", H, params, tuple(coords))
 
 
-def nichols_counit_action(n: int) -> ActionFamily:
+def nichols_counit_action(n: int) -> Family:
     H = nichols(n)
-    return ActionFamily("counit", H, (), counit_functional(H))
+    return Family("counit", H, (), tuple(
+        ParamPoly.const(H.order, c) for c in H.counit))
 
 
-def nichols_parametric_coaction(n: int) -> CoactionFamily:
+def nichols_parametric_coaction(n: int) -> Family:
     """z = (1+g)/2 - sum a_i g x_i."""
     H = nichols(n)
     half = ParamPoly.const(H.order, Rational(1) / 2)
@@ -269,16 +263,19 @@ def nichols_parametric_coaction(n: int) -> CoactionFamily:
     params = tuple("a%d" % i for i in range(1, n))
     for i in range(1, n):
         coords[(1 << i) | 1] = -ParamPoly.var(H.order, "a%d" % i)
-    return CoactionFamily("parametric", H, params, AlgElement(H, tuple(coords)))
+    return Family("parametric", H, params, tuple(coords))
 
 
-def nichols_global_coaction(n: int) -> CoactionFamily:
+def nichols_global_coaction(n: int) -> Family:
     """z = 1, the coaction that is already global."""
     H = nichols(n)
-    return CoactionFamily("global", H, (), unit_element(H))
+    coords = [ParamPoly.zero(H.order)] * H.dim
+    for i, c in H.unit:
+        coords[i] = ParamPoly.const(H.order, c)
+    return Family("global", H, (), tuple(coords))
 
 
-def group_subgroup_action(n: int, d: int) -> ActionFamily:
+def group_subgroup_action(n: int, d: int) -> Family:
     """On kC_n: the indicator of the subgroup generated by g^d (d | n)."""
     H = group_algebra_cyclic(n)
     _require_divisor(n, d)
@@ -287,10 +284,10 @@ def group_subgroup_action(n: int, d: int) -> ActionFamily:
     for i in range(0, n, d):
         coords[i] = one
     name = "counit" if d == 1 else "subgroup<g^%d>" % d
-    return ActionFamily(name, H, (), Functional(H, tuple(coords)))
+    return Family(name, H, (), tuple(coords))
 
 
-def dual_group_subgroup_action(n: int, d: int) -> ActionFamily:
+def dual_group_subgroup_action(n: int, d: int) -> Family:
     """On (kC_n)^*: value 1/|N| on dual-basis elements indexed by the
     subgroup N generated by g^d, zero elsewhere."""
     H = dual_group_algebra_cyclic(n)
@@ -301,7 +298,7 @@ def dual_group_subgroup_action(n: int, d: int) -> ActionFamily:
     for i in range(0, n, d):
         coords[i] = val
     name = "uniform" if d == 1 else "subgroup<g^%d>*" % d
-    return ActionFamily(name, H, (), Functional(H, tuple(coords)))
+    return Family(name, H, (), tuple(coords))
 
 
 # canonical listings -------------------------------------------------------
@@ -351,30 +348,30 @@ def special_value_checks(n: int) -> Report:
     symbolically: power row, antidiagonal, last group row, top x-degree."""
     rep = Report("special_values(taft(%d))" % n)
     fam = taft_parametric_action(n)
-    H, f = fam.algebra, fam.functional
+    f = fam.values
     q = zeta_pow(n, 1)
     a = ParamPoly.var(n, fam.params[0])
 
     for j in range(n):
-        rep.expect("power_row", ("x^%d" % j,), f.value_on(j), a ** j)
+        rep.expect("power_row", ("x^%d" % j,), f[j], a ** j)
 
     for i in range(1, n):
         c = q ** (i * (i + 1) // 2)
-        rep.expect("antidiagonal", (i,), f.value_on(((n - i) % n) * n + i),
+        rep.expect("antidiagonal", (i,), f[((n - i) % n) * n + i],
                    a ** i * (-c if i % 2 else c))
 
     from .qcomb import q_number
     for j in range(n):
-        rep.expect("last_group_row", (j,), f.value_on((n - 1) * n + j),
+        rep.expect("last_group_row", (j,), f[(n - 1) * n + j],
                    a ** j * (-(q * q_number(j, q))))
 
     for i in range(n):
-        rep.expect("top_x_degree", (i,), f.value_on(i * n + (n - 1)),
+        rep.expect("top_x_degree", (i,), f[i * n + (n - 1)],
                    a ** (n - 1))
     return rep
 
 
-def action_consequence_checks(fam: ActionFamily) -> Report:
+def action_consequence_checks(fam: Family) -> Report:
     """Structural consequences every partial action obeys, checked on a
     family's exact values:
 
@@ -382,7 +379,7 @@ def action_consequence_checks(fam: ActionFamily) -> Report:
       (ii)  a (g,h)-skew-primitive x with lam(g) = lam(h) has lam(x) = 0;
       (iii) lam(x) = 0 and lam(h) = 1 force lam(x u) = 0 for all u.
     """
-    H, f = fam.algebra, fam.functional
+    H, f = fam.algebra, fam.values
     rep = Report("consequences(%s/%s)" % (H.name, fam.name))
     one = ParamPoly.one(H.order)
     zero = ParamPoly.zero(H.order)
@@ -391,25 +388,26 @@ def action_consequence_checks(fam: ActionFamily) -> Report:
         """lam(e_a e_b)."""
         acc = ParamPoly.zero(H.order)
         for k, c in H.mult.get((a, b), ()):
-            acc = acc + f.coords[k] * c
+            acc = acc + f[k] * c
         return acc
 
     for g in H.grouplikes:
-        if f.coords[g] != one:
+        if f[g] != one:
             continue
         for u in range(H.dim):
             rep.expect("translation_invariance", (H.basis[g], H.basis[u]),
-                       on_product(g, u), f.coords[u])
+                       on_product(g, u), f[u])
     for (x, g, h) in H.skew_primitives:
-        if f.coords[g] == f.coords[h]:
-            rep.expect("skew_vanishing", (H.basis[x],), f.coords[x], zero)
-        if f.coords[x].is_zero() and f.coords[h] == one:
+        if f[g] == f[h]:
+            rep.expect("skew_vanishing", (H.basis[x],), f[x], zero)
+        if f[x].is_zero() and f[h] == one:
             for u in range(H.dim):
                 rep.expect("skew_annihilation", (H.basis[x], H.basis[u]),
                            on_product(x, u), zero)
     return rep
 
 
-def convolution_idempotent(fam: ActionFamily) -> bool:
+def convolution_idempotent(fam: Family) -> bool:
     """lam * lam = lam in the convolution algebra, exactly in parameters."""
-    return convolution(fam.functional, fam.functional) == fam.functional
+    u = sparse(fam.values)
+    return convolve(fam.algebra.comult, u, u) == u

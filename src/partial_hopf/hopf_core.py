@@ -26,19 +26,17 @@ its own.  Every check in the package is reported one of two ways: a scalar
 by ``Report.expect``, a pair of coefficient dicts by ``_compare`` (a side
 that must vanish is ``{}``).
 
-Elements and functionals carry ParamPoly coordinates so that families with
-free parameters flow through the same arithmetic as concrete elements.
+An element of H and a functional on H are both plain tuples of ``dim``
+coordinates in the declared basis (ParamPoly for the families, so that free
+parameters flow through the same arithmetic as concrete values); ``sparse``
+turns such a tuple into a kernel vector and ``dense`` turns one back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_arith import CycNumber, ParamPoly
+from .exact_arith import CycNumber
 from .expr import parse_scalar
-
-
-class AlgebraMismatch(ValueError):
-    """Mixing elements or functionals of two different algebras."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,136 +87,6 @@ class HopfData:
 
     def __repr__(self):
         return "<HopfData %s dim=%d order=%d>" % (self.name, self.dim, self.order)
-
-
-def _same(a, b):
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("%r vs %r" % (a.algebra, b.algebra))
-
-
-def _as_poly(H: HopfData, v) -> ParamPoly:
-    if isinstance(v, ParamPoly):
-        if v.order != H.order:
-            raise AlgebraMismatch("scalar order %d for %r" % (v.order, H))
-        return v
-    return ParamPoly.const(H.order, v)
-
-
-@dataclass(frozen=True, eq=False)
-class _Coords:
-    """ParamPoly coordinates in the basis of one algebra: the shared
-    arithmetic of elements and functionals."""
-
-    algebra: HopfData
-    coords: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.coords))
-
-    def __add__(self, other):
-        _same(self, other)
-        return type(self)(self.algebra, tuple(
-            a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        _same(self, other)
-        return type(self)(self.algebra, tuple(
-            a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, s):
-        p = _as_poly(self.algebra, s)
-        return type(self)(self.algebra, tuple(a * p for a in self.coords))
-
-
-class AlgElement(_Coords):
-    """Element of H with ParamPoly coordinates in the declared basis."""
-
-    def __neg__(self):
-        return AlgElement(self.algebra, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def render(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            cs = c.render()
-            parts.append("(%s)*%s" % (cs, self.algebra.basis[i]))
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return "AlgElement(%s: %s)" % (self.algebra.name, self.render())
-
-
-class Functional(_Coords):
-    """Linear functional on H; coords[i] is the value on basis element i."""
-
-    def value_on(self, key) -> ParamPoly:
-        i = key if isinstance(key, int) else self.algebra.label_index(key)
-        return self.coords[i]
-
-    def subs_params(self, assignment: dict) -> "Functional":
-        out = []
-        for c in self.coords:
-            for name, v in assignment.items():
-                c = c.subs(name, v)
-            out.append(c)
-        return Functional(self.algebra, tuple(out))
-
-
-def basis_element(H: HopfData, key) -> AlgElement:
-    i = key if isinstance(key, int) else H.label_index(key)
-    coords = [ParamPoly.zero(H.order)] * H.dim
-    coords[i] = ParamPoly.one(H.order)
-    return AlgElement(H, tuple(coords))
-
-
-def unit_element(H: HopfData) -> AlgElement:
-    coords = [ParamPoly.zero(H.order)] * H.dim
-    for i, c in H.unit:
-        coords[i] = ParamPoly.const(H.order, c)
-    return AlgElement(H, tuple(coords))
-
-
-def counit_functional(H: HopfData) -> Functional:
-    return Functional(H, tuple(
-        ParamPoly.const(H.order, c) for c in H.counit))
-
-
-def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
-    _same(a, b)
-    H = a.algebra
-    u = vec_mul(H.mult, sparse(a.coords), sparse(b.coords))
-    return AlgElement(H, dense(u, H.dim, ParamPoly.zero(H.order)))
-
-
-def apply_functional(f: Functional, a: AlgElement) -> ParamPoly:
-    _same(f, a)
-    out = ParamPoly.zero(f.algebra.order)
-    for fa, ca in zip(f.coords, a.coords):
-        if not fa.is_zero() and not ca.is_zero():
-            out = out + fa * ca
-    return out
-
-
-def convolution(f: Functional, g: Functional) -> Functional:
-    """(f * g)(h) = sum f(h_1) g(h_2) via the comultiplication tensor."""
-    _same(f, g)
-    H = f.algebra
-    u = convolve(H.comult, sparse(f.coords), sparse(g.coords))
-    return Functional(H, dense(u, H.dim, ParamPoly.zero(H.order)))
 
 
 # ---------------------------------------------------------------------------

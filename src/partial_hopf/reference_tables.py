@@ -1,11 +1,11 @@
 """Expected values for the smallest parametric families, tabulated
-independently, with diff helpers used by the command-line reference check.
+independently, with the diff used by the command-line reference check.
 
 Each table maps a basis label to an expression string in the primitive
 root ``q`` and the family parameters; labels that do not appear are
-expected to be zero.  The diff helpers parse the expressions back into
-exact polynomials and compare coefficient by coefficient, so an empty diff
-is an exact symbolic match, not a numerical one.
+expected to be zero.  The diff parses the expressions back into exact
+polynomials and compares coefficient by coefficient, so an empty diff is an
+exact symbolic match, not a numerical one.
 """
 from __future__ import annotations
 
@@ -47,28 +47,21 @@ NICHOLS_COACTIONS = {
 }
 
 
-def _diff(coords, algebra, params, table) -> list:
+def diff_table(fam, table) -> list:
+    """The mismatches between the values of ``fam`` and ``table``."""
     out = []
-    allowed = set(params)
-    for i, label in enumerate(algebra.basis):
-        want = parse_poly(table.get(label, "0"), algebra.order,
+    H = fam.algebra
+    allowed = set(fam.params)
+    for label, got in zip(H.basis, fam.values):
+        want = parse_poly(table.get(label, "0"), H.order,
                           root_symbol="q", params=allowed)
-        got = coords[i]
         if got != want:
             out.append("%s: computed %s, expected %s"
                        % (label, got.render("q"), want.render("q")))
-    stray = set(table) - set(algebra.basis)
+    stray = set(table) - set(H.basis)
     for label in sorted(stray):
         out.append("%s: table entry does not name a basis element" % label)
     return out
-
-
-def diff_action_table(fam, table) -> list:
-    return _diff(fam.functional.coords, fam.algebra, fam.params, table)
-
-
-def diff_coaction_table(fam, table) -> list:
-    return _diff(fam.element.coords, fam.algebra, fam.params, table)
 
 
 def reference_checks() -> list:
@@ -78,17 +71,15 @@ def reference_checks() -> list:
     construction reproduces the tabulated values exactly.
     """
     out = []
-    for n, table in sorted(TAFT_ACTIONS.items()):
-        out.append(("taft(%d) parametric action" % n,
-                    diff_action_table(taft_parametric_action(n), table)))
-    for n, table in sorted(TAFT_COACTIONS.items()):
-        out.append(("taft(%d) parametric coaction" % n,
-                    diff_coaction_table(taft_parametric_coaction(n), table)))
-    for n, table in sorted(NICHOLS_ACTIONS.items()):
-        out.append(("nichols(%d) parametric action" % n,
-                    diff_action_table(nichols_parametric_action(n), table)))
-    for n, table in sorted(NICHOLS_COACTIONS.items()):
-        out.append(("nichols(%d) parametric coaction" % n,
-                    diff_coaction_table(nichols_parametric_coaction(n),
-                                        table)))
+    for what, tables, build in (
+            ("taft(%d) parametric action", TAFT_ACTIONS,
+             taft_parametric_action),
+            ("taft(%d) parametric coaction", TAFT_COACTIONS,
+             taft_parametric_coaction),
+            ("nichols(%d) parametric action", NICHOLS_ACTIONS,
+             nichols_parametric_action),
+            ("nichols(%d) parametric coaction", NICHOLS_COACTIONS,
+             nichols_parametric_coaction)):
+        for n, table in sorted(tables.items()):
+            out.append((what % n, diff_table(build(n), table)))
     return out

@@ -24,7 +24,6 @@ from partial_hopf.families import (
     special_value_checks, taft_action_families, taft_coaction_families,
     taft_parametric_action, taft_parametric_coaction, taft_subgroup_action,
     taft_subgroup_coaction, verify_partial_action, verify_partial_coaction,
-    verify_symmetric_action, verify_symmetric_coaction,
 )
 from partial_hopf.hopf_core import validate_all
 from partial_hopf.reference_tables import reference_checks
@@ -63,15 +62,17 @@ def test_criterion_2_action_families_verify_in_parameters():
     count = 0
     for n in range(2, 7):
         for fam in taft_action_families(n):
-            rep = verify_partial_action(fam.algebra, fam.functional)
-            srep = verify_symmetric_action(fam.algebra, fam.functional)
+            rep = verify_partial_action(fam.algebra, fam.values)
+            srep = verify_partial_action(fam.algebra, fam.values,
+                                         symmetric=True)
             assert rep.ok, rep.summary()
             assert srep.ok, srep.summary()
             count += 1
     for n in range(2, 6):
         for fam in nichols_action_families(n):
-            rep = verify_partial_action(fam.algebra, fam.functional)
-            srep = verify_symmetric_action(fam.algebra, fam.functional)
+            rep = verify_partial_action(fam.algebra, fam.values)
+            srep = verify_partial_action(fam.algebra, fam.values,
+                                         symmetric=True)
             assert rep.ok, rep.summary()
             assert srep.ok, srep.summary()
             count += 1
@@ -83,15 +84,17 @@ def test_criterion_3_coaction_families_verify_in_parameters():
     count = 0
     for n in range(2, 7):
         for fam in taft_coaction_families(n):
-            rep = verify_partial_coaction(fam.algebra, fam.element)
-            srep = verify_symmetric_coaction(fam.algebra, fam.element)
+            rep = verify_partial_coaction(fam.algebra, fam.values)
+            srep = verify_partial_coaction(fam.algebra, fam.values,
+                                           symmetric=True)
             assert rep.ok, rep.summary()
             assert srep.ok, srep.summary()
             count += 1
     for n in range(2, 6):
         for fam in nichols_coaction_families(n):
-            rep = verify_partial_coaction(fam.algebra, fam.element)
-            srep = verify_symmetric_coaction(fam.algebra, fam.element)
+            rep = verify_partial_coaction(fam.algebra, fam.values)
+            srep = verify_partial_coaction(fam.algebra, fam.values,
+                                           symmetric=True)
             assert rep.ok, rep.summary()
             assert srep.ok, srep.summary()
             count += 1
@@ -111,9 +114,9 @@ def test_criterion_4_self_duality_and_transport():
             if k < n:
                 z = transport(taft_subgroup_action(n, k), inv)
                 want = taft_subgroup_coaction(n, n // k)
-                assert z.element.coords == want.element.coords
+                assert z.values == want.values
         z = transport(taft_parametric_action(n), inv)
-        assert z.element.coords == taft_parametric_coaction(n).element.coords
+        assert z.values == taft_parametric_coaction(n).values
         suites += 1
     for n in range(2, 6):
         iso, inv = nichols_to_dual(n), nichols_from_dual(n)
@@ -122,10 +125,10 @@ def test_criterion_4_self_duality_and_transport():
         assert is_identity(compose(inv, iso))
         assert is_identity(compose(iso, inv))
         z = transport(nichols_counit_action(n), inv)
-        assert z.element.coords == nichols_global_coaction(n).element.coords
+        assert z.values == nichols_global_coaction(n).values
         z = transport(nichols_parametric_action(n), inv)
         want = nichols_parametric_coaction(n)
-        assert z.element.coords == want.element.coords
+        assert z.values == want.values
         suites += 1
     _report(4, "self-duality, %d isomorphism suites" % suites, t0)
 
@@ -138,9 +141,9 @@ def _canon(params, coords, order):
 
 
 def _families_match(result, constructors):
-    got = {_canon(s.params, s.functional.coords, s.algebra.order)
+    got = {_canon(s.params, s.values, s.algebra.order)
            for s in result.families}
-    want = {_canon(f.params, f.functional.coords, f.algebra.order)
+    want = {_canon(f.params, f.values, f.algebra.order)
             for f in constructors}
     return got == want
 

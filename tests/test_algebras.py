@@ -7,8 +7,7 @@ from partial_hopf.algebras import (
     taft,
 )
 from partial_hopf.hopf_core import (
-    basis_element, multiply, tensor_mul, unit_element, validate_all,
-    vec_comult,
+    tensor_mul, validate_all, vec_comult, vec_mul,
 )
 
 
@@ -38,24 +37,32 @@ def test_bad_orders():
         group_algebra_cyclic(0)
 
 
+def _basis_vector(H, label):
+    return {H.label_index(label): CycNumber.one(H.order)}
+
+
+def _scaled(u, c):
+    return {i: a * c for i, a in u.items()}
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_taft_relations(n):
     H = taft(n)
-    g = basis_element(H, "g")
-    x = basis_element(H, "x")
+    g = _basis_vector(H, "g")
+    x = _basis_vector(H, "x")
     q = zeta_pow(n, 1)
     # g^n = 1
     acc = g
     for _ in range(n - 1):
-        acc = multiply(acc, g)
-    assert acc == unit_element(H)
+        acc = vec_mul(H.mult, acc, g)
+    assert acc == dict(H.unit)
     # x^n = 0
     acc = x
     for _ in range(n - 1):
-        acc = multiply(acc, x)
-    assert all(c.is_zero() for c in acc.coords)
+        acc = vec_mul(H.mult, acc, x)
+    assert acc == {}
     # x g = q g x
-    assert multiply(x, g) == multiply(g, x) * q
+    assert vec_mul(H.mult, x, g) == _scaled(vec_mul(H.mult, g, x), q)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -81,14 +88,17 @@ def test_nichols_delta_of_x1x2():
 @pytest.mark.parametrize("n", [3, 4])
 def test_nichols_relations(n):
     H = nichols(n)
-    g = basis_element(H, "g")
-    xs = [basis_element(H, 1 << i) for i in range(1, n)]
-    assert multiply(g, g) == unit_element(H)
+    minus = -CycNumber.one(2)
+    g = _basis_vector(H, "g")
+    xs = [_basis_vector(H, "x%d" % i) for i in range(1, n)]
+    assert vec_mul(H.mult, g, g) == dict(H.unit)
     for i, xi in enumerate(xs):
-        assert all(c.is_zero() for c in multiply(xi, xi).coords)
-        assert multiply(xi, g) == -multiply(g, xi)
+        assert vec_mul(H.mult, xi, xi) == {}
+        assert vec_mul(H.mult, xi, g) == _scaled(vec_mul(H.mult, g, xi),
+                                                 minus)
         for xj in xs[i + 1:]:
-            assert multiply(xi, xj) == -multiply(xj, xi)
+            assert vec_mul(H.mult, xi, xj) == _scaled(
+                vec_mul(H.mult, xj, xi), minus)
 
 
 def test_taft2_equals_nichols2_up_to_relabeling():

@@ -27,9 +27,9 @@ def canon(params, coords, order):
 
 
 def families_match(result, constructors):
-    got = {canon(s.params, s.functional.coords, s.algebra.order)
+    got = {canon(s.params, s.values, s.algebra.order)
            for s in result.families}
-    want = {canon(f.params, f.functional.coords, f.algebra.order)
+    want = {canon(f.params, f.values, f.algebra.order)
             for f in constructors}
     return got == want
 
@@ -86,7 +86,7 @@ def test_split_rule_without_prebranching():
 def test_solutions_are_reverified():
     res = classify_base_field_actions(taft(4))
     for s in res.families:
-        assert verify_partial_action(s.algebra, s.functional).ok
+        assert verify_partial_action(s.algebra, s.values).ok
 
 
 def test_traces_record_derivation():
@@ -112,6 +112,18 @@ def test_unclosed_grouplike_metadata_rejected():
     with pytest.raises(ClassificationError) as exc:
         classify_base_field_actions(bad)
     assert not isinstance(exc.value, SolverUnsupported)
+
+
+@pytest.mark.parametrize("H", [taft(3), group_algebra_cyclic(4)],
+                         ids=lambda H: H.name)
+@pytest.mark.parametrize("twice", ["unit", "last"])
+def test_duplicated_grouplike_declaration_is_unsupported(H, twice):
+    """Each product is looked up as one index, so a group-like declared
+    twice is never reached by both: G(H) reads as not cyclic."""
+    g = H.grouplikes
+    g = (0,) + g if twice == "unit" else g + g[-1:]
+    with pytest.raises(NonCyclicGrouplikes, match="not cyclic"):
+        classify_base_field_actions(dataclasses.replace(H, grouplikes=g))
 
 
 def test_grouplike_table_that_is_not_z_mod_m_is_a_failure():
@@ -184,6 +196,7 @@ def test_parametric_family_parameter_sits_on_lowest_degree_entry():
     res = classify_base_field_actions(taft(5))
     parametric = next(s for s in res.families if s.params)
     # lam(x) is exactly the parameter, and lam(g^(n-1)x) = -q lam(x)
-    assert parametric.functional.value_on("x").render() == "t1"
+    H, lam = parametric.algebra, parametric.values
+    assert lam[H.label_index("x")].render() == "t1"
     want = ParamPoly.var(5, "t1") * (-zeta_pow(5, 1))
-    assert parametric.functional.value_on("g^4x") == want
+    assert lam[H.label_index("g^4x")] == want

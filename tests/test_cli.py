@@ -263,12 +263,15 @@ def test_import_malformed_json(tmp_path, capsys):
 @pytest.mark.parametrize("data,want", [
     (b"[" * 200000, "nests too deeply"),
     (b"\xff\xfe{}", "not UTF-8"),
-], ids=["deeply_nested", "not_utf8"])
+    (b"[" + b"1" * (sys.get_int_max_str_digits() + 1) + b"]",
+     "invalid JSON input"),
+], ids=["deeply_nested", "not_utf8", "int_too_long"])
 @pytest.mark.parametrize("source", ["path", "stdin"])
 def test_import_refuses_unparsable_input(tmp_path, monkeypatch, capsys,
                                          data, want, source):
-    """Input json cannot decode without a RecursionError or a
-    UnicodeDecodeError is a format error with one line, no traceback."""
+    """Input json cannot decode without a RecursionError, a
+    UnicodeDecodeError or a ValueError (an integer beyond the string-digit
+    limit) is a format error with one line, no traceback."""
     if source == "path":
         arg = str(tmp_path / "odd.json")
         Path(arg).write_bytes(data)
@@ -452,14 +455,6 @@ def test_largest_order_is_the_builders_limit(name, build, top):
 
 
 # -- worker counts ------------------------------------------------------------
-
-@pytest.mark.parametrize("env", ["abc", "", "1.5", "0", "-2"])
-def test_bad_jobs_environment_is_usage_error(monkeypatch, capsys, env):
-    monkeypatch.setenv("PARTIAL_HOPF_JOBS", env)
-    code, out, err = run(capsys, "identities", "--max", "1", "--n", "2")
-    assert code == 2 and out == ""
-    assert "PARTIAL_HOPF_JOBS" in err and "Traceback" not in err
-
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):

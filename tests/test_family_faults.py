@@ -16,7 +16,6 @@ from partial_hopf.families import (
     nichols_coaction_families, taft_action_families, taft_coaction_families,
     verify_partial_action, verify_partial_coaction,
 )
-from partial_hopf.hopf_core import AlgElement, Functional
 
 ACTIONS = [(taft_action_families, n) for n in (2, 3, 4)]
 ACTIONS += [(nichols_action_families, n) for n in (2, 3)]
@@ -40,10 +39,9 @@ def _faults(kind):
     for listing, n in ACTIONS if kind == "action" else COACTIONS:
         for fam in listing(n):
             H = fam.algebra
-            x = fam.functional if kind == "action" else fam.element
             for i in range(H.dim):
                 label = "%s %s %s[%d]" % (kind, H.name, fam.name, i)
-                out.append((label, H, _perturbed(x.coords, i)))
+                out.append((label, H, _perturbed(fam.values, i)))
     return out
 
 
@@ -56,15 +54,15 @@ def _coaction_member(listing, n, param):
     """The parametric coaction family of ``listing(n)`` at param -> 2 param."""
     fam = listing(n)[-1]
     assert fam.name == "parametric"
-    return _doubled(fam.element.coords, fam.algebra.order, param)
+    return _doubled(fam.values, fam.algebra.order, param)
 
 
 # perturbations that give another member of a classified family
 VALID = {
     "action kC_4 subgroup<g^4>[2]": lambda: group_subgroup_action(
-        4, 2).functional.coords,
+        4, 2).values,
     "action kC_6 subgroup<g^6>[3]": lambda: group_subgroup_action(
-        6, 3).functional.coords,
+        6, 3).values,
     "coaction taft(2) parametric[3]": lambda: _coaction_member(
         taft_coaction_families, 2, "a"),
     "coaction nichols(2) parametric[3]": lambda: _coaction_member(
@@ -85,11 +83,9 @@ def test_fault_suite_size():
 def test_every_coordinate_fault_is_caught(kind):
     verify = verify_partial_action if kind == "action" \
         else verify_partial_coaction
-    wrap = Functional if kind == "action" else AlgElement
     accepted = []
     for label, H, coords in _faults(kind):
-        x = wrap(H, coords)
-        if verify(H, x).ok and verify(H, x, symmetric=True).ok:
+        if verify(H, coords).ok and verify(H, coords, symmetric=True).ok:
             accepted.append(label)
             assert label in VALID, "%s accepted" % label
             assert coords == VALID[label](), label

@@ -37,7 +37,6 @@ from partial_hopf.families import (
     taft_coaction_families, taft_parametric_action, verify_partial_action,
     verify_partial_coaction,
 )
-from partial_hopf.hopf_core import AlgElement, Functional
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,30 +94,28 @@ def family_failure_reports() -> dict:
     each of its faults."""
     kinds = (
         ("action", (taft_action_families, nichols_action_families),
-         verify_partial_action, Functional),
+         verify_partial_action),
         ("coaction", (taft_coaction_families, nichols_coaction_families),
-         verify_partial_coaction, AlgElement),
+         verify_partial_coaction),
     )
     out = {}
-    for kind, listings, verify, wrap in kinds:
+    for kind, listings, verify in kinds:
         for listing in listings:
             for fam in listing(3):
                 H = fam.algebra
-                x = fam.functional if kind == "action" else fam.element
                 for i in range(H.dim):
-                    y = wrap(H, _perturbed(x.coords, i))
+                    y = _perturbed(fam.values, i)
                     entry = {"plain": _report(verify(H, y)),
                              "symmetric": _report(verify(H, y, True))}
                     if kind == "action":
                         entry["consequences"] = _report(
                             action_consequence_checks(
-                                dataclasses.replace(fam, functional=y)))
+                                dataclasses.replace(fam, values=y)))
                     out["%s %s %s[%d]" % (kind, H.name, fam.name, i)] = entry
     out["special_values taft(3)"] = _report(special_value_checks(3))
     fam = taft_parametric_action(3)
     for i in range(fam.algebra.dim):
-        faulted = dataclasses.replace(fam, functional=Functional(
-            fam.algebra, _perturbed(fam.functional.coords, i)))
+        faulted = dataclasses.replace(fam, values=_perturbed(fam.values, i))
         with mock.patch.object(families, "taft_parametric_action",
                                lambda n: faulted):
             rep = special_value_checks(3)

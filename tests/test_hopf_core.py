@@ -5,16 +5,20 @@ import random
 import pytest
 
 from partial_hopf import hopf_core
-from partial_hopf.exact_arith import CycNumber, ParamPoly, Rational
+from partial_hopf.exact_arith import (
+    CycNumber, OrderMismatch, ParamPoly, Rational,
+)
 from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
+from partial_hopf.duality import taft_to_dual
+from partial_hopf.families import (
+    taft_parametric_action, verify_partial_action, verify_partial_coaction,
+)
 from partial_hopf.hopf_core import (
-    AlgebraMismatch, AlgElement, Functional, HopfFormatError,
-    HopfValidationError, apply_functional, basis_element, convolution,
-    counit_functional, dual_hopf, from_json_dict, multiply, sparse,
-    tensor_mul, to_json_dict, validate_all, validate_antipode,
-    validate_bialgebra, vec_map,
+    HopfFormatError, HopfValidationError, convolve, dual_hopf, from_json_dict,
+    sparse, tensor_mul, to_json_dict, validate_all, validate_antipode,
+    validate_bialgebra, vec_map, vec_mul,
 )
 
 
@@ -59,21 +63,23 @@ def test_broken_comult_fails_counit_law():
 
 def _random_functional(H, seed):
     rng = random.Random(seed)
-    coords = tuple(
-        ParamPoly.const(H.order, Rational(rng.randint(-4, 4)))
-        for _ in range(H.dim))
-    return Functional(H, coords)
+    return sparse([ParamPoly.const(H.order, Rational(rng.randint(-4, 4)))
+                   for _ in range(H.dim)])
 
 
 def test_convolution_unit_and_associativity():
     H = taft(3)
-    eps = counit_functional(H)
+
+    def conv(u, v):
+        return convolve(H.comult, u, v)
+
+    eps = sparse(H.counit)
     f = _random_functional(H, 1)
     g = _random_functional(H, 2)
     h = _random_functional(H, 3)
-    assert convolution(f, eps) == f
-    assert convolution(eps, f) == f
-    assert convolution(convolution(f, g), h) == convolution(f, convolution(g, h))
+    assert conv(f, eps) == f
+    assert conv(eps, f) == f
+    assert conv(conv(f, g), h) == conv(f, conv(g, h))
 
 
 def test_dual_group_algebra_is_pointwise():
@@ -123,25 +129,30 @@ def test_tensor_square_product():
 
 def test_antipode_apply_matches_table():
     H = taft(3)
-    x = basis_element(H, "x")
-    sx = vec_map(H.antipode, enumerate(x.coords))
-    want = -multiply(basis_element(H, "g^2"), x)
-    assert sx == sparse(want.coords)
-
-
-def test_functional_eval_on_element():
-    H = group_algebra_cyclic(4)
-    v = AlgElement(H, tuple(ParamPoly.const(4, c)
-                            for c in (1, 0, Rational(1, 2), 0)))
-    f = Functional(H, tuple(ParamPoly.const(4, i) for i in range(4)))
-    assert apply_functional(f, v) == ParamPoly.const(4, Rational(1))
+    one = CycNumber.one(3)
+    x, g2 = H.label_index("x"), H.label_index("g^2")
+    sx = vec_map(H.antipode, [(x, one)])
+    assert sx == vec_mul(H.mult, {g2: -one}, {x: one})
 
 
 def test_algebra_mismatch():
-    a = basis_element(taft(2), 0)
-    b = basis_element(taft(3), 0)
-    with pytest.raises(AlgebraMismatch):
-        multiply(a, b)
+    """Coordinates of another algebra are refused: a wrong number of them
+    is a ValueError, scalars of another order an OrderMismatch."""
+    T2, T3 = taft(2), taft(3)
+    coords = taft_parametric_action(2).values
+    other_order = tuple(ParamPoly.one(3) for _ in range(T2.dim))
+    for verify in (verify_partial_action, verify_partial_coaction):
+        for symmetric in (False, True):
+            with pytest.raises(ValueError, match="4 coordinates"):
+                verify(T3, coords, symmetric)
+            with pytest.raises(OrderMismatch):
+                verify(T2, other_order, symmetric)
+    phi = taft_to_dual(3)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        phi.apply(coords, ParamPoly.zero(3))
+    with pytest.raises(OrderMismatch):
+        phi.apply(tuple(ParamPoly.one(2) for _ in range(T3.dim)),
+                  ParamPoly.zero(3))
 
 
 def test_json_round_trip_exact():

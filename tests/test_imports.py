@@ -7,12 +7,16 @@ helper's callers looking alive.  ``__init__.py`` is exempt, because it
 imports to re-export.  A function or method defined under ``src/`` (other
 than a dunder) must be named by some ``Name`` or ``Attribute`` node under
 ``src/``, ``tests/`` or ``bench/``; one that nothing names is dead code.
-Checked with ``ast``, so no linter is needed.
+``partial_hopf.__all__`` lists exactly the names ``__init__.py`` imports,
+so a re-export of a deleted name cannot linger there.  Checked with
+``ast``, so no linter is needed.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import partial_hopf
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "partial_hopf"
@@ -75,3 +79,12 @@ def test_every_defined_function_is_named():
     defining = [text for path, text in sources.items()
                 if path.is_relative_to(ROOT / "src")]
     assert unreferenced_functions(defining, list(sources.values())) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert sorted(partial_hopf.__all__) == sorted(imported)

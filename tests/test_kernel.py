@@ -18,7 +18,7 @@ from partial_hopf import exact_arith
 from partial_hopf.duality import taft_to_dual, verify_hopf_morphism
 from partial_hopf.exact_arith import CycNumber, ParamPoly, euler_phi
 from partial_hopf.families import (
-    taft_coaction_families, verify_partial_coaction, verify_symmetric_coaction,
+    taft_coaction_families, verify_partial_coaction,
 )
 from partial_hopf.hopf_core import (
     convolve, dense, sparse, tensor_map, tensor_mul, vec_comult, vec_map,
@@ -390,9 +390,10 @@ def test_verifier_products_are_unchanged(monkeypatch):
     assert n[0] == 3428
     n[0] = 0
     for fam in fams:
-        assert verify_partial_coaction(fam.algebra, fam.element).ok
+        assert verify_partial_coaction(fam.algebra, fam.values).ok
     assert n[0] == 880
     n[0] = 0
     for fam in fams:
-        assert verify_symmetric_coaction(fam.algebra, fam.element).ok
+        assert verify_partial_coaction(fam.algebra, fam.values,
+                                       symmetric=True).ok
     assert n[0] == 880
