@@ -18,14 +18,21 @@ unknowns are free parameters of the family.
 
 Before the sweep, the solver branches on the support of the functional on
 the group-like group G(H).  That step is justified by machine checks, not
-by assumption: it verifies that the residual instances force
-v(gamma)^2 = v(gamma) (given lam(1) = 1) and
-v(gamma) v(delta) = v(gamma) v(gamma delta), as identities of quadratic
-forms in the unknowns computed on the sparse kernel (the residuals are
-linear in their basis pair, so the combination needs neither a residual
-nor a polynomial; ``_check_grouplike_consequences`` derives it).  Fields
-have no idempotents besides 0 and 1, so the support of a solution is a
-subset of G(H) that contains 1 and is closed under product.
+by assumption.  For group-likes v_a, v_b with v_a v_b = v_ab, the
+combination sum_ij v_a[i] v_b[j] R(i, j) of the instance residuals
+R(i, j) = lam(e_i) lam(e_j) - sum c lam(e_p) lam(e_r e_j), over the terms
+c e_p (x) e_r of Delta(e_i), is linear in both basis vectors, so it equals
+
+    lam(v_a) lam(v_b) - sum d lam(e_p) lam(e_r v_b)
+
+over the terms d e_p (x) e_r of Delta(v_a).  If Delta(v_a) = v_a (x) v_a,
+bilinearity turns the sum into lam(v_a) lam(v_a v_b) = lam(v_a) lam(v_ab),
+so every solution has lam(v_a) lam(v_b) = lam(v_a) lam(v_ab), and with
+v_b = 1 and lam(1) = 1, lam(v_a) = lam(v_a)^2.  ``_analyze_grouplikes``
+checks v_a v_b = v_ab on the kernel and ``validate_grouplikes`` checks
+Delta(v) = v (x) v for each of the m group-likes, which covers all m^2
+pairs.  Fields have no idempotents besides 0 and 1, so the support of a
+solution is a subset of G(H) that contains 1 and is closed under product.
 ``_analyze_grouplikes`` checks that G(H) multiplies as Z/m; a closed
 subset of Z/m that contains 0 is a subgroup, and the subgroups of Z/m are
 the dZ/m for d | m, so one branch per divisor of m covers every support.
@@ -38,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
-from .hopf_core import HopfData, sparse, vec_comult, vec_mul
+from .hopf_core import HopfData, sparse, validate_grouplikes, vec_mul
 from .families import instance_residual, verify_partial_action
 
 
@@ -111,7 +118,7 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
     G = _grouplike_vectors(H)
     m = len(G)
     if m == 0:
-        raise ClassificationError("no group-like metadata on %s" % H.name)
+        raise SolverUnsupported("no declared group-likes on %s" % H.name)
     unit = {i: c for i, c in H.unit}
     ident = next((a for a, v in enumerate(G) if v == unit), None)
     if ident is None:
@@ -157,69 +164,6 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
     subgroups = tuple((d, sum(1 << power[k] for k in range(0, m, d)))
                       for d in divisors(m))
     return GrouplikeStructure(tuple(G), table, subgroups)
-
-
-def _quadratic_form(pairs) -> dict:
-    """The quadratic form sum c u_i u_k over the ((i, k), c) in ``pairs``,
-    as a {(i, k): c} dict with i <= k and no zero coefficient."""
-    out: dict = {}
-    for (i, k), c in pairs:
-        key = (i, k) if i <= k else (k, i)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    return {key: c for key, c in out.items() if c}
-
-
-def _coproduct_form(H: HopfData, delta: dict, vb: dict, rows: dict) -> dict:
-    """The quadratic form sum d u_p lam(e_r v_b) over the terms d e_p (x) e_r
-    of ``delta`` = Delta(v_a): the part of the (v_a, v_b) combination of
-    instance residuals that is not lam(v_a) lam(v_b) (see the audit below).
-    ``rows`` caches the vectors e_r v_b by r."""
-    one = CycNumber.one(H.order)
-    pairs = []
-    for (p, r), d in delta.items():
-        vec = rows.get(r)
-        if vec is None:
-            vec = rows[r] = vec_mul(H.mult, {r: one}, vb)
-        pairs.extend(((p, k), d * c) for k, c in vec.items())
-    return _quadratic_form(pairs)
-
-
-def _check_grouplike_consequences(H: HopfData, gs: GrouplikeStructure):
-    """Machine-check, as identities of quadratic forms in fresh unknowns
-    u_i = lam(e_i), that the instance residuals force the support
-    constraints used for branching.
-
-    For group-likes v_a, v_b with v_a v_b = v_ab the constraint is
-    lam(v_a) lam(v_b) = lam(v_a) lam(v_ab); with b = a and lam(1) = 1 it
-    gives lam(v_a)^2 = lam(v_a).  The combination of residuals that proves
-    it is sum_ij v_a[i] v_b[j] R(i, j), where R(i, j) =
-    ``instance_residual(i, j)`` = lam(e_i) lam(e_j) - sum c u_p lam(e_r e_j)
-    over the terms c e_p (x) e_r of Delta(e_i).  R is linear in the
-    coefficients of e_i and of e_j, so the combination is
-
-        lam(v_a) lam(v_b) - sum d u_p lam(e_r v_b)
-
-    over the terms d e_p (x) e_r of Delta(v_a).  It equals
-    lam(v_a) lam(v_b) - lam(v_a) lam(v_ab) exactly when the sum, a
-    quadratic form in the u, equals the form lam(v_a) lam(v_ab).  The audit
-    compares these two forms coefficient by coefficient, on the kernel:
-    Delta(v_a) by ``vec_comult`` and e_r v_b by ``vec_mul``, the rows cached
-    per call.  The derivation uses no axiom of H, so a faulted table fails
-    here exactly where the residual combination fails."""
-    m = len(gs.vectors)
-    rows = [{} for _ in range(m)]
-    for a in range(m):
-        va = gs.vectors[a]
-        delta = vec_comult(H.comult, va.items())
-        for b in range(m):
-            got = _coproduct_form(H, delta, gs.vectors[b], rows[b])
-            vab = gs.vectors[gs.table[a][b]]
-            want = _quadratic_form(((i, k), x * y) for i, x in va.items()
-                                   for k, y in vab.items())
-            if got != want:
-                raise ClassificationError(
-                    "group-like consequence audit failed at (%d, %d)" % (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +350,10 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
 
     stack = []
     gs = _analyze_grouplikes(H)
-    _check_grouplike_consequences(H, gs)
+    bad = validate_grouplikes(H).failures
+    if bad:
+        raise ClassificationError("%s failed at %s on %s"
+                                  % (bad[0].check, bad[0].where, H.name))
     for d, mask in gs.subgroups:
         st = fresh()
         st.label = "support=<gen^%d>" % d

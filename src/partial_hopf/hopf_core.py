@@ -491,9 +491,11 @@ def validate_antipode(H: HopfData) -> Report:
     return rep
 
 
-def validate_metadata(H: HopfData) -> Report:
-    """Declared group-likes and skew-primitives must satisfy their defining
-    comultiplication shapes."""
+def validate_grouplikes(H: HopfData) -> Report:
+    """Every declared group-like g satisfies Delta(g) = g (x) g and
+    eps(g) = 1: a basis index through its comultiplication row, a declared
+    vector u on the kernel with constant scalars.  A failure lists both
+    sides by basis labels, in sorted order."""
     rep = Report("metadata(%s)" % H.name)
     one = H.one_scalar()
     for b in H.grouplikes:
@@ -514,8 +516,17 @@ def validate_metadata(H: HopfData) -> Report:
                  H)
         eps = sum((a * H.counit[i] for i, a in u.items()), H.zero_scalar())
         rep.expect("grouplike_vector_counit", (), eps, one)
+    return rep
+
+
+def validate_metadata(H: HopfData) -> Report:
+    """The declared metadata: the group-like checks of
+    ``validate_grouplikes`` (two per group-like), then
+    Delta(x) = x (x) g + h (x) x for each skew-primitive (x, g, h)."""
+    rep = validate_grouplikes(H)
+    one = H.one_scalar()
     for (x, g, h) in H.skew_primitives:
-        row = {}
+        row: dict = {}
         for c, j, k in H.comult[x]:
             _cdict_add(row, (j, k), c)
         _cdict_add(row, (x, g), -one)

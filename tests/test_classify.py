@@ -7,7 +7,7 @@ from partial_hopf.exact_arith import CycNumber, ParamPoly, divisors
 from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
-from partial_hopf.hopf_core import HopfData, validate_all
+from partial_hopf.hopf_core import HopfData, dual_hopf, validate_all
 from partial_hopf import classify
 from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
@@ -124,6 +124,14 @@ def test_duplicated_grouplike_declaration_is_unsupported(H, twice):
     g = (0,) + g if twice == "unit" else g + g[-1:]
     with pytest.raises(NonCyclicGrouplikes, match="not cyclic"):
         classify_base_field_actions(dataclasses.replace(H, grouplikes=g))
+
+
+def test_undeclared_grouplikes_are_unsupported():
+    """A dual with no declared characters is a limit of the solver (exit
+    3), not a failed check."""
+    with pytest.raises(SolverUnsupported,
+                       match=r"no declared group-likes on taft\(2\)\^\*"):
+        classify_base_field_actions(dual_hopf(taft(2)))
 
 
 def test_grouplike_table_that_is_not_z_mod_m_is_a_failure():

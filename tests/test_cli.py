@@ -171,8 +171,7 @@ def test_classify_group_17_is_supported(capsys):
 @pytest.mark.parametrize("exc,want", [
     (BranchLimitExceeded("more than 64 branches"), 3),
     (NonCyclicGrouplikes("group-like group is not cyclic"), 3),
-    (ClassificationError("group-like consequence audit failed at (0, 1)"),
-     1),
+    (ClassificationError("grouplike_comult failed at (1,) on taft(2)"), 1),
 ])
 def test_classify_exit_code_separates_limits_from_failures(
         monkeypatch, capsys, exc, want):
