@@ -42,11 +42,11 @@ used for the hand-built families before it is returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
 from .hopf_core import HopfData, sparse, validate_grouplikes, vec_mul
-from .families import instance_residual, verify_partial_action
+from .families import Family, instance_residual, verify_partial_action
 
 
 class ClassificationError(RuntimeError):
@@ -180,17 +180,6 @@ class _State:
 
 
 @dataclass(frozen=True)
-class SolvedAction:
-    """One family found by the solver, re-verified and parameter-renamed."""
-
-    name: str
-    algebra: HopfData
-    params: tuple
-    values: tuple       # lam(e_i) per basis index
-    trace: tuple
-
-
-@dataclass(frozen=True)
 class ClassifiedActions:
     algebra: HopfData
     families: tuple
@@ -286,18 +275,18 @@ def _propagate(H: HopfData, st: _State):
         return ("stuck", leftovers)
 
 
-def _promote(H: HopfData, st: _State, name: str) -> SolvedAction:
-    """Surviving unknowns become free parameters t1, t2, ...
+def _promote(H: HopfData, st: _State) -> Family:
+    """Surviving unknowns become free parameters t1, t2, ...; the family
+    is named once the solutions are sorted.
 
     Canonical scaling: walking the basis in degree order, the first value
     that is a constant multiple of a lone unrenamed unknown defines that
     parameter outright (the value becomes exactly t_k), which pins the
     normalization instead of leaving it to substitution order."""
-    deg = H.basis_degrees or (0,) * H.dim
     values = list(st.values)
     params = []
     done = set()
-    for i in sorted(range(H.dim), key=lambda i: (deg[i], i)):
+    for i in sorted(range(H.dim), key=lambda i: (H.degree(i), i)):
         v = values[i]
         if v.is_constant() or len(v.terms) != 1:
             continue
@@ -321,8 +310,7 @@ def _promote(H: HopfData, st: _State, name: str) -> SolvedAction:
         params.append(new)
         values = [w.subs(old, ParamPoly.var(H.order, new)) for w in values]
         st.trace.append("free parameter %s renamed %s" % (old, new))
-    return SolvedAction(name, H, tuple(params), tuple(values),
-                        tuple(st.trace))
+    return Family("", H, tuple(params), tuple(values), tuple(st.trace))
 
 
 def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
@@ -333,9 +321,8 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
     SolverUnsupported when the cause is a limit of the solver rather than a
     failed check.
     """
-    deg = H.basis_degrees or (0,) * H.dim
     pairs = sorted(((h, y) for h in range(H.dim) for y in range(H.dim)),
-                   key=lambda p: (deg[p[0]] + deg[p[1]], p))
+                   key=lambda p: (H.degree(p[0]) + H.degree(p[1]), p))
     unit = {i: c for i, c in H.unit}
 
     def fresh() -> _State:
@@ -395,7 +382,7 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
             stack.append(zero_side)
             stack.append(other)
             continue
-        sol = _promote(H, st, "family%d" % (len(solutions) + 1))
+        sol = _promote(H, st)
         key = tuple(v.render() for v in sol.values)
         if key in seen:
             continue
@@ -412,7 +399,6 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
 
     solutions.sort(key=lambda s: (len(s.params),
                                   tuple(v.render() for v in s.values)))
-    renamed = [SolvedAction("family%d" % (i + 1), s.algebra, s.params,
-                            s.values, s.trace)
-               for i, s in enumerate(solutions)]
-    return ClassifiedActions(H, tuple(renamed), explored)
+    families = tuple(replace(s, name="family%d" % (i + 1))
+                     for i, s in enumerate(solutions))
+    return ClassifiedActions(H, families, explored)

@@ -101,6 +101,8 @@ class UsageError(ValueError):
 def _orders(args, ranges) -> list:
     lo, hi = ranges[args.algebra]
     if args.n is not None:
+        if args.max is not None:
+            raise UsageError("give an order n or --max, not both")
         return [args.n]
     if args.max is not None:
         hi = args.max

@@ -2,16 +2,18 @@
 
 A functional lam on H is literally an element of the dual Hopf algebra H*,
 and the partial-action equations for lam on H are the partial-coaction
-equations for that element of H*.  When H carries an isomorphism H -> H*,
-every partial action on the base field therefore transports to a partial
-coaction on H itself; this module builds those isomorphisms in closed form
-for the Taft and Nichols families, verifies all morphism axioms exactly,
-and performs the transport.
+equations for that element of H*.  When H carries an isomorphism
+phi: H* -> H, every partial action on the base field therefore transports
+to a partial coaction phi(lam) on H itself.  This module builds those
+isomorphisms (and the maps H -> H* they invert) in closed form for the Taft
+and Nichols families, verifies all morphism axioms exactly, and performs
+the transport.  A morphism is stored in the one form the sparse kernel of
+hopf_core consumes: its rows of nonzero image coordinates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
@@ -25,17 +27,12 @@ from .qcomb import Verdict, q_factorial
 
 @dataclass(frozen=True)
 class HopfMorphism:
-    """Linear map given by images of source basis vectors (dense CycNumber
-    rows in target coordinates)."""
+    """Linear map e_i -> sum c e_j over the (j, c) in rows[i]: the sorted
+    nonzero coordinates of each source basis vector's image."""
 
     source: HopfData
     target: HopfData
-    images: tuple
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The images as sparse rows: rows[i] = ((j, c), ...), c nonzero."""
-        return tuple(tuple(sparse(row).items()) for row in self.images)
+    rows: tuple
 
     def apply(self, values, zero) -> tuple:
         """The image of the source coordinates ``values``, as target
@@ -50,20 +47,16 @@ class HopfMorphism:
 def compose(outer: HopfMorphism, inner: HopfMorphism) -> HopfMorphism:
     if inner.target is not outer.source:
         raise ValueError("morphisms do not compose")
-    zero = CycNumber.zero(outer.target.order)
-    images = tuple(outer.apply(row, zero) for row in inner.images)
-    return HopfMorphism(inner.source, outer.target, images)
+    rows = tuple(tuple(sorted(vec_map(outer.rows, row).items()))
+                 for row in inner.rows)
+    return HopfMorphism(inner.source, outer.target, rows)
 
 
 def is_identity(phi: HopfMorphism) -> bool:
     if phi.source.dim != phi.target.dim:
         return False
     one = CycNumber.one(phi.target.order)
-    for i, row in enumerate(phi.images):
-        for j, c in enumerate(row):
-            if c != (one if i == j else CycNumber.zero(phi.target.order)):
-                return False
-    return True
+    return all(row == ((i, one),) for i, row in enumerate(phi.rows))
 
 
 def invert_morphism(phi: HopfMorphism) -> HopfMorphism:
@@ -75,8 +68,9 @@ def invert_morphism(phi: HopfMorphism) -> HopfMorphism:
     zero, one = CycNumber.zero(order), CycNumber.one(order)
     # rows of the augmented system: images as a matrix M with M[i][j],
     # solving X M = I  (row-vector convention matches apply)
-    m = [list(row) + [one if k == i else zero for k in range(n)]
-         for i, row in enumerate(phi.images)]
+    m = [list(dense(dict(row), n, zero))
+         + [one if k == i else zero for k in range(n)]
+         for i, row in enumerate(phi.rows)]
     col = 0
     for row in range(n):
         piv = next((r for r in range(row, n) if not m[r][col].is_zero()), None)
@@ -91,11 +85,11 @@ def invert_morphism(phi: HopfMorphism) -> HopfMorphism:
                 m[r] = [a - f * b for a, b in zip(m[r], m[row])]
         col += 1
     # back out: solution rows give the inverse images in source coordinates
-    inv_images = [None] * n
+    inv_rows = [None] * n
     for r in range(n):
         j = next(c for c in range(n) if not m[r][c].is_zero())
-        inv_images[j] = tuple(m[r][n:])
-    return HopfMorphism(phi.target, phi.source, tuple(inv_images))
+        inv_rows[j] = tuple(sparse(m[r][n:]).items())
+    return HopfMorphism(phi.target, phi.source, tuple(inv_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +168,16 @@ def taft_to_dual(n: int) -> HopfMorphism:
     """g^i x^j  |->  sum_k (j)!_q q^(-i(k+j) - jk - j(j-1)/2) (g^k x^j)*."""
     H, D = taft(n), taft_dual(n)
     q = zeta_pow(n, 1)
-    zero = CycNumber.zero(n)
-    images = []
+    rows = []
     for i in range(n):
         for j in range(n):
             fact = q_factorial(j, q)
-            row = [zero] * H.dim
+            row = []
             for k in range(n):
                 e = -i * (k + j) - j * k - j * (j - 1) // 2
-                row[k * n + j] = fact * q ** e
-            images.append(tuple(row))
-    return HopfMorphism(H, D, tuple(images))
+                row.append((k * n + j, fact * q ** e))
+            rows.append(tuple(row))
+    return HopfMorphism(H, D, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -194,17 +187,14 @@ def taft_from_dual(n: int) -> HopfMorphism:
     H, D = taft(n), taft_dual(n)
     q = zeta_pow(n, 1)
     inv_n = CycNumber.from_rational(n, Rational(1) / n)
-    zero = CycNumber.zero(n)
-    images = []
+    rows = []
     for i in range(n):
         for j in range(n):
             c = inv_n * cyc_invert(q_factorial(j, q)) \
                 * q ** (i * j + j * (j - 1) // 2)
-            row = [zero] * H.dim
-            for k in range(n):
-                row[k * n + j] = c * q ** (k * (i + j))
-            images.append(tuple(row))
-    return HopfMorphism(D, H, tuple(images))
+            rows.append(tuple((k * n + j, c * q ** (k * (i + j)))
+                              for k in range(n)))
+    return HopfMorphism(D, H, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +205,7 @@ def nichols_to_dual(n: int) -> HopfMorphism:
     one = CycNumber.one(2)
     g_img = {0: one, 1: -one}
     x_img = [{1 << i: one, (1 << i) | 1: -one} for i in range(1, n)]
-    images = []
+    rows = []
     for m in range(H.dim):
         acc = sparse(H.counit)
         if m & 1:
@@ -223,8 +213,8 @@ def nichols_to_dual(n: int) -> HopfMorphism:
         for i in range(1, n):
             if m & (1 << i):
                 acc = convolve(H.comult, acc, x_img[i - 1])
-        images.append(dense(acc, H.dim, CycNumber.zero(2)))
-    return HopfMorphism(H, D, tuple(images))
+        rows.append(tuple(sorted(acc.items())))
+    return HopfMorphism(H, D, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -236,17 +226,14 @@ def nichols_from_dual(n: int) -> HopfMorphism:
 # transport
 # ---------------------------------------------------------------------------
 
-def transport(fam: Family, iso: HopfMorphism) -> Family:
-    """Partial action on H to partial coaction on H through iso: H -> H*
-    (or its inverse H* -> H)."""
+def transport(fam: Family, phi: HopfMorphism) -> Family:
+    """Partial action lam on H to the partial coaction phi(lam) on H,
+    through an isomorphism phi: H* -> H."""
     H = fam.algebra
-    if iso.source is H:
-        back = invert_morphism(iso)
-    elif iso.target is H:
-        back = iso
-    else:
-        raise ValueError("isomorphism does not involve the family's algebra")
-    z = back.apply(fam.values, ParamPoly.zero(H.order))
+    if phi.target is not H:
+        raise ValueError("transport needs a map onto %s, got one onto %s"
+                         % (H.name, phi.target.name))
+    z = phi.apply(fam.values, ParamPoly.zero(H.order))
     return Family(fam.name, H, fam.params, z)
 
 

@@ -23,7 +23,7 @@ lam and z are each given by their dim coordinates in the basis of H, and a
 verifiers take the tuple itself.  The constructors below build every
 family of such actions and coactions on the built-in algebras; the
 classification solver re-derives the actions independently (see classify
-module).
+module) and returns the same records, its derivation in ``trace``.
 """
 from __future__ import annotations
 
@@ -161,9 +161,19 @@ class Family:
     algebra: HopfData
     params: tuple
     values: tuple
+    trace: tuple = ()   # the classifier's derivation; empty when hand-built
 
 
-def taft_parametric_action(n: int, param: str = "a") -> Family:
+def _on_basis(H: HopfData, name: str, indices, value) -> Family:
+    """The parameter-free family with ``value`` at each basis index in
+    ``indices`` and zero elsewhere."""
+    coords = [ParamPoly.zero(H.order)] * H.dim
+    for i in indices:
+        coords[i] = value
+    return Family(name, H, (), tuple(coords))
+
+
+def taft_parametric_action(n: int) -> Family:
     """The one-parameter action family on taft(n).
 
     Nonzero values: lam(g^{n-i mod n} x^j) = q^(i(i+1)/2) (j i)_q (-1)^i a^j.
@@ -180,24 +190,19 @@ def taft_parametric_action(n: int, param: str = "a") -> Family:
             c = c * q ** (i * (i + 1) // 2)
             if i % 2:
                 c = -c
-            coords[g_exp * n + j] = ParamPoly.var(n, param, j) * c
-    return Family("parametric", H, (param,), tuple(coords))
+            coords[g_exp * n + j] = ParamPoly.var(n, "a", j) * c
+    return Family("parametric", H, ("a",), tuple(coords))
 
 
 def taft_subgroup_action(n: int, k: int) -> Family:
     """The indicator action of the subgroup generated by g^k (k | n):
     1 on that subgroup, 0 on all other basis elements."""
-    H = taft(n)
     _require_divisor(n, k)
-    one = ParamPoly.one(n)
-    coords = [ParamPoly.zero(n)] * H.dim
-    for i in range(0, n, k):
-        coords[i * n] = one
-    name = "counit" if k == 1 else "subgroup<g^%d>" % k
-    return Family(name, H, (), tuple(coords))
+    return _on_basis(taft(n), "counit" if k == 1 else "subgroup<g^%d>" % k,
+                     range(0, n * n, k * n), ParamPoly.one(n))
 
 
-def taft_parametric_coaction(n: int, param: str = "a") -> Family:
+def taft_parametric_coaction(n: int) -> Family:
     """The one-parameter coaction family on taft(n), from the closed-form
     double sum with inverse q-factorial coefficients."""
     H = taft(n)
@@ -217,21 +222,16 @@ def taft_parametric_coaction(n: int, param: str = "a") -> Family:
             c = inv_n * q ** (j * (j - 1) // 2 + k * j) * inner
             if c.is_zero():
                 continue
-            coords[k * n + j] = ParamPoly.var(n, param, j) * c
-    return Family("parametric", H, (param,), tuple(coords))
+            coords[k * n + j] = ParamPoly.var(n, "a", j) * c
+    return Family("parametric", H, ("a",), tuple(coords))
 
 
 def taft_subgroup_coaction(n: int, k: int) -> Family:
     """z = (1/|N|) sum of the subgroup N generated by g^k (k | n)."""
-    H = taft(n)
     _require_divisor(n, k)
-    size = n // k
-    val = ParamPoly.const(n, Rational(1) / size)
-    coords = [ParamPoly.zero(n)] * H.dim
-    for i in range(0, n, k):
-        coords[i * n] = val
-    name = "global" if k == n else "subgroup<g^%d>" % k
-    return Family(name, H, (), tuple(coords))
+    return _on_basis(taft(n), "global" if k == n else "subgroup<g^%d>" % k,
+                     range(0, n * n, k * n),
+                     ParamPoly.const(n, Rational(k, n)))
 
 
 def nichols_parametric_action(n: int) -> Family:
@@ -248,9 +248,9 @@ def nichols_parametric_action(n: int) -> Family:
 
 
 def nichols_counit_action(n: int) -> Family:
+    """lam = eps: 1 on the group-likes 1 and g, zero elsewhere."""
     H = nichols(n)
-    return Family("counit", H, (), tuple(
-        ParamPoly.const(H.order, c) for c in H.counit))
+    return _on_basis(H, "counit", (0, 1), ParamPoly.one(H.order))
 
 
 def nichols_parametric_coaction(n: int) -> Family:
@@ -269,22 +269,15 @@ def nichols_parametric_coaction(n: int) -> Family:
 def nichols_global_coaction(n: int) -> Family:
     """z = 1, the coaction that is already global."""
     H = nichols(n)
-    coords = [ParamPoly.zero(H.order)] * H.dim
-    for i, c in H.unit:
-        coords[i] = ParamPoly.const(H.order, c)
-    return Family("global", H, (), tuple(coords))
+    return _on_basis(H, "global", (0,), ParamPoly.one(H.order))
 
 
 def group_subgroup_action(n: int, d: int) -> Family:
     """On kC_n: the indicator of the subgroup generated by g^d (d | n)."""
     H = group_algebra_cyclic(n)
     _require_divisor(n, d)
-    one = ParamPoly.one(H.order)
-    coords = [ParamPoly.zero(H.order)] * H.dim
-    for i in range(0, n, d):
-        coords[i] = one
-    name = "counit" if d == 1 else "subgroup<g^%d>" % d
-    return Family(name, H, (), tuple(coords))
+    return _on_basis(H, "counit" if d == 1 else "subgroup<g^%d>" % d,
+                     range(0, n, d), ParamPoly.one(H.order))
 
 
 def dual_group_subgroup_action(n: int, d: int) -> Family:
@@ -292,13 +285,8 @@ def dual_group_subgroup_action(n: int, d: int) -> Family:
     subgroup N generated by g^d, zero elsewhere."""
     H = dual_group_algebra_cyclic(n)
     _require_divisor(n, d)
-    size = n // d
-    val = ParamPoly.const(H.order, Rational(1) / size)
-    coords = [ParamPoly.zero(H.order)] * H.dim
-    for i in range(0, n, d):
-        coords[i] = val
-    name = "uniform" if d == 1 else "subgroup<g^%d>*" % d
-    return Family(name, H, (), tuple(coords))
+    return _on_basis(H, "uniform" if d == 1 else "subgroup<g^%d>*" % d,
+                     range(0, n, d), ParamPoly.const(H.order, Rational(d, n)))
 
 
 # canonical listings -------------------------------------------------------

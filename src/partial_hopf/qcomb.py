@@ -18,6 +18,7 @@ properties, not assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_arith import ParamPoly
 
@@ -52,37 +53,26 @@ def q_label(q) -> str:
     return "q=zeta_%d" % q.order
 
 
-_NUMBER_MEMO: dict = {}
-_FACTORIAL_MEMO: dict = {}
-_BINOM_MEMO: dict = {}
-
-
+@lru_cache(maxsize=None)
 def q_number(m: int, q):
     """(m)_q = 1 + q + ... + q^(m-1); (0)_q = 0."""
     if m < 0:
         raise PreconditionViolated("q-number of negative index %d" % m)
-    key = (m, q)
-    hit = _NUMBER_MEMO.get(key)
-    if hit is None:
-        acc = zero_like(q)
-        for k in range(m):
-            acc = acc + q ** k
-        hit = _NUMBER_MEMO[key] = acc
-    return hit
+    acc = zero_like(q)
+    for k in range(m):
+        acc = acc + q ** k
+    return acc
 
 
+@lru_cache(maxsize=None)
 def q_factorial(m: int, q):
     """(m)_q! = (m)_q (m-1)_q ... (1)_q; (0)_q! = 1."""
     if m < 0:
         raise PreconditionViolated("q-factorial of negative index %d" % m)
-    key = (m, q)
-    hit = _FACTORIAL_MEMO.get(key)
-    if hit is None:
-        hit = one_like(q) if m == 0 else q_factorial(m - 1, q) * q_number(m, q)
-        _FACTORIAL_MEMO[key] = hit
-    return hit
+    return one_like(q) if m == 0 else q_factorial(m - 1, q) * q_number(m, q)
 
 
+@lru_cache(maxsize=None)
 def q_binomial(m: int, l: int, q):
     """Gaussian binomial (m choose l)_q by the q-Pascal recurrence.
 
@@ -94,12 +84,7 @@ def q_binomial(m: int, l: int, q):
         return zero_like(q)
     if l == 0 or l == m:
         return one_like(q)
-    key = (m, l, q)
-    hit = _BINOM_MEMO.get(key)
-    if hit is None:
-        hit = q_binomial(m - 1, l - 1, q) + (q ** l) * q_binomial(m - 1, l, q)
-        _BINOM_MEMO[key] = hit
-    return hit
+    return q_binomial(m - 1, l - 1, q) + (q ** l) * q_binomial(m - 1, l, q)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from partial_hopf.classify import (
     SolverUnsupported, classify_base_field_actions, family_count,
 )
 from partial_hopf.families import (
-    dual_group_action_families, group_action_families,
+    Family, dual_group_action_families, group_action_families,
     nichols_action_families, taft_action_families, verify_partial_action,
 )
 
@@ -97,6 +97,22 @@ def test_traces_record_derivation():
     assert "support" in text
     assert "instance" in text
     assert "free parameter" in text
+
+
+@pytest.mark.parametrize("H,hand_built", [
+    (taft(3), taft_action_families(3)),
+    (nichols(2), nichols_action_families(2)),
+    (dual_group_algebra_cyclic(4), dual_group_action_families(4)),
+])
+def test_classified_and_hand_built_families_share_one_record(H, hand_built):
+    """The classifier returns the same Family record as the constructors;
+    only its derivation trace is filled in."""
+    res = classify_base_field_actions(H)
+    assert [type(f) for f in res.families] == [Family] * res.count()
+    assert [f.name for f in res.families] == [
+        "family%d" % i for i in range(1, res.count() + 1)]
+    assert all(f.trace for f in res.families)
+    assert all(f.trace == () for f in hand_built)
 
 
 def test_branch_limit(monkeypatch):

@@ -425,6 +425,20 @@ def test_max_below_minimum_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("validate", "taft", "3", "--max", "5"),
+    ("actions", "taft", "3", "--max", "5"),
+    ("coactions", "nichols", "3", "--max", "2"),
+    ("classify", "group", "4", "--max", "1"),
+    ("duality", "taft", "2", "--max", "2"),
+])
+def test_order_and_max_together_is_usage_error(capsys, argv):
+    """An order n and --max name two different sweeps; neither is run."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: give an order n or --max, not both\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("validate", "group", "--max", "1" + "0" * 30),
     ("validate", "nichols", "--max", "30"),
     ("validate", "nichols", "--max", "10"),

@@ -6,7 +6,7 @@ import pytest
 
 from partial_hopf.exact_arith import CycNumber, divisors
 from partial_hopf.algebras import nichols, taft
-from partial_hopf.hopf_core import Report, validate_all
+from partial_hopf.hopf_core import Report, dense, sparse, validate_all
 from partial_hopf.families import (
     nichols_counit_action, nichols_global_coaction, nichols_parametric_action,
     nichols_parametric_coaction, taft_parametric_action,
@@ -43,7 +43,7 @@ def test_taft_iso_round_trip(n):
     psi, phi = taft_to_dual(n), taft_from_dual(n)
     assert is_identity(compose(phi, psi))
     assert is_identity(compose(psi, phi))
-    assert invert_morphism(psi).images == phi.images
+    assert invert_morphism(psi).rows == phi.rows
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -53,18 +53,25 @@ def test_nichols_iso(n):
     assert is_identity(compose(nichols_from_dual(n), psi))
 
 
+def image(phi, i):
+    """phi(e_i) as dense target coordinates."""
+    return dense(dict(phi.rows[i]), phi.target.dim,
+                 CycNumber.zero(phi.target.order))
+
+
 def test_taft2_iso_values():
     # psi(g) = 1* - g*, psi(x) = x* - (gx)*, psi(gx) = -x* - (gx)*
     psi = taft_to_dual(2)
-    one = CycNumber.one(2)
-    assert psi.images[2] == (one, CycNumber.zero(2), -one, CycNumber.zero(2))
-    assert psi.images[1] == (CycNumber.zero(2), one, CycNumber.zero(2), -one)
-    assert psi.images[3] == (CycNumber.zero(2), -one, CycNumber.zero(2), -one)
+    one, zero = CycNumber.one(2), CycNumber.zero(2)
+    assert image(psi, 2) == (one, zero, -one, zero)
+    assert image(psi, 1) == (zero, one, zero, -one)
+    assert image(psi, 3) == (zero, -one, zero, -one)
+    assert psi.rows[2] == ((0, one), (2, -one))
 
 
 def test_morphism_negative_control():
     psi = taft_to_dual(3)
-    rows = list(psi.images)
+    rows = list(psi.rows)
     rows[1] = rows[2]  # send x and g to the same place: not multiplicative
     bad = HopfMorphism(psi.source, psi.target, tuple(rows))
     assert not verify_hopf_morphism(bad).ok
@@ -74,7 +81,7 @@ def test_morphism_negative_control():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_transport_parametric_action_is_parametric_coaction(n):
-    got = transport(taft_parametric_action(n), taft_to_dual(n))
+    got = transport(taft_parametric_action(n), taft_from_dual(n))
     want = taft_parametric_coaction(n)
     assert got.values == want.values
     assert got.params == want.params
@@ -90,15 +97,25 @@ def test_transport_subgroups_swap_index(n):
 
 @pytest.mark.parametrize("n", range(2, 5))
 def test_transport_nichols(n):
-    got = transport(nichols_parametric_action(n), nichols_to_dual(n))
+    got = transport(nichols_parametric_action(n), nichols_from_dual(n))
     assert got.values == nichols_parametric_coaction(n).values
-    got = transport(nichols_counit_action(n), nichols_to_dual(n))
+    got = transport(nichols_counit_action(n), nichols_from_dual(n))
     assert got.values == nichols_global_coaction(n).values
+
+
+@pytest.mark.parametrize("build,n", [(taft_to_dual, 3), (taft_from_dual, 2),
+                                     (nichols_to_dual, 2),
+                                     (nichols_from_dual, 3)])
+def test_transport_refuses_a_map_onto_another_algebra(build, n):
+    """transport takes the map H* -> H onto the family's algebra H; the
+    map H -> H* or a map for another algebra is a ValueError."""
+    with pytest.raises(ValueError, match="needs a map onto taft\\(3\\)"):
+        transport(taft_parametric_action(3), build(n))
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_transported_elements_verify_as_coactions(n):
-    fam = transport(taft_parametric_action(n), taft_to_dual(n))
+    fam = transport(taft_parametric_action(n), taft_from_dual(n))
     assert verify_partial_coaction(fam.algebra, fam.values).ok
 
 
@@ -118,7 +135,7 @@ def test_taft2_and_nichols2_isos_agree():
     t, m = taft_to_dual(2), nichols_to_dual(2)
     for i in range(4):
         for j in range(4):
-            assert t.images[i][j] == m.images[perm[i]][perm[j]]
+            assert image(t, i)[j] == image(m, perm[i])[perm[j]]
 
 
 def test_apply_requires_source_element():
@@ -135,8 +152,7 @@ def reference_verify_hopf_morphism(phi):
     sparse kernel, with the dict-repr failure texts it had then."""
     S, T = phi.source, phi.target
     rep = Report("morphism(%s->%s)" % (S.name, T.name))
-    imgs = [{j: c for j, c in enumerate(row) if not c.is_zero()}
-            for row in phi.images]
+    imgs = [dict(row) for row in phi.rows]
     zero = CycNumber.zero(T.order)
 
     def add(acc, key, c):
@@ -191,14 +207,16 @@ def reference_verify_hopf_morphism(phi):
 
 
 def image_faults(phi):
-    """Every single-coefficient fault of phi's images: a nonzero
+    """Every single-coefficient fault of phi's dense images: a nonzero
     coefficient doubled, a zero one plus 1."""
-    for i, row in enumerate(phi.images):
-        for j, c in enumerate(row):
-            bad = row[:j] + (c + c if c else c + 1,) + row[j + 1:]
-            images = phi.images[:i] + (bad,) + phi.images[i + 1:]
+    for i in range(phi.source.dim):
+        img = image(phi, i)
+        for j, c in enumerate(img):
+            bad = img[:j] + (c + c if c else c + 1,) + img[j + 1:]
+            rows = (phi.rows[:i] + (tuple(sorted(sparse(bad).items())),)
+                    + phi.rows[i + 1:])
             yield "%d,%d" % (i, j), HopfMorphism(phi.source, phi.target,
-                                                 images)
+                                                 rows)
 
 
 @pytest.mark.parametrize("build,n", [(taft_from_dual, 3), (nichols_to_dual, 3)])
