@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
@@ -127,6 +128,47 @@ def verify_hopf_morphism(phi: HopfMorphism) -> Report:
                  tensor_map(rows, (((a, b), c) for c, a, b in S.comult[i])),
                  vec_comult(T.comult, rows[i]), T)
     return rep
+
+
+class PairReport(NamedTuple):
+    """The verdicts on an inverse pair phi: S -> T, psi: T -> S.  When
+    ``derived`` is true, psi's report was derived from phi's and the round
+    trips, with no sweep of its own (see ``verify_inverse_pair``)."""
+
+    phi: Report
+    psi: Report
+    round_trip: bool
+    derived: bool
+
+
+def verify_inverse_pair(phi: HopfMorphism, psi: HopfMorphism) -> PairReport:
+    """Verify phi as a Hopf morphism, check both round trips psi phi = id_S
+    and phi psi = id_T, and verify psi.
+
+    When phi passes and both round trips hold, psi is a Hopf morphism too,
+    so its report is derived, with no sweep.  Using only that phi is
+    unital, counital, multiplicative and comultiplicative and that
+    phi psi = id and psi phi = id (no associativity, so it holds for any
+    table):
+
+      psi(xy)      = psi phi(psi x . psi y)    = psi x . psi y
+      psi(1)       = psi phi(1)                = 1
+      eps psi      = eps phi psi               = eps
+      Delta psi    = (psi (x) psi)(phi (x) phi) Delta psi
+                   = (psi (x) psi) Delta phi psi
+                   = (psi (x) psi) Delta
+
+    Otherwise psi gets the full sweep of ``verify_hopf_morphism``, so its
+    failures are the ones that sweep reports.
+    """
+    rep = verify_hopf_morphism(phi)
+    round_trip = (is_identity(compose(psi, phi))
+                  and is_identity(compose(phi, psi)))
+    if rep.ok and round_trip:
+        psi_rep = Report("morphism(%s->%s)" % (psi.source.name,
+                                               psi.target.name))
+        return PairReport(rep, psi_rep, True, True)
+    return PairReport(rep, verify_hopf_morphism(psi), round_trip, False)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ is a proof for all parameter values, not a sampled check.  The coaction
 sides are built on the sparse kernel of hopf_core, and every check is
 reported through ``Report.expect`` or ``_compare``.
 
+The action verifier builds the table of lam on products once per call:
+``on[b][y] = lam(e_b e_y)``, its nonzero entries only.  It scales
+c lam(h_1) (c lam(h_2) when symmetric) once per h, over the terms
+c h_1 (x) h_2 of Delta(h), so each residual of (A) or (B) costs one
+product lam(h) lam(y) and one product per coproduct term.  The classifier
+keeps ``instance_residual``, which evaluates one (h, y) pair on its own,
+since its unknowns change between evaluations.
+
 lam and z are each given by their dim coordinates in the basis of H, and a
 ``Family`` is that coordinate tuple with a name and its parameters; the
 verifiers take the tuple itself.  The constructors below build every
@@ -111,10 +119,34 @@ def verify_partial_action(H: HopfData, values,
     rep.expect("unital", ("1",), _pairing(H, values, H.unit),
                ParamPoly.one(H.order))
     zero = ParamPoly.zero(H.order)
+    # on[b][y] = lam(e_b e_y), its nonzero entries only
+    on = [{} for _ in range(H.dim)]
+    for (b, y), row in H.mult.items():
+        acc = zero
+        for k, ck in row:
+            if values[k]:
+                acc = acc + values[k] * ck
+        if acc:
+            on[b][y] = acc
     for h in range(H.dim):
+        lh = values[h]
+        # (c lam(h_1), on[h_2]) over the terms c h_1 (x) h_2 of Delta(h),
+        # h_1 and h_2 swapped when symmetric; zero lam(h_1) dropped
+        scaled = []
+        for c, a, b in H.comult[h]:
+            if symmetric:
+                a, b = b, a
+            if values[a]:
+                scaled.append((values[a] * c, on[b]))
         for y in range(H.dim):
-            rep.expect(which, (H.basis[h], H.basis[y]),
-                       instance_residual(H, values, h, y, symmetric), zero)
+            ly = values[y]
+            rhs = zero
+            for s, row in scaled:
+                p = row.get(y)
+                if p is not None:
+                    rhs = rhs + s * p
+            lhs = lh * ly if lh and ly else zero
+            rep.expect(which, (H.basis[h], H.basis[y]), lhs - rhs, zero)
     return rep
 
 

@@ -72,18 +72,23 @@ def q_factorial(m: int, q):
     return one_like(q) if m == 0 else q_factorial(m - 1, q) * q_number(m, q)
 
 
-@lru_cache(maxsize=None)
 def q_binomial(m: int, l: int, q):
     """Gaussian binomial (m choose l)_q by the q-Pascal recurrence.
 
     Zero outside 0 <= l <= m.  At any q this equals the specialization of
     the generic Gaussian binomial polynomial, which is what every identity
-    in this package is stated for.
+    in this package is stated for.  The trivial cases return before the
+    memo, so only 0 < l < m pays for hashing q.
     """
     if l < 0 or l > m:
         return zero_like(q)
     if l == 0 or l == m:
         return one_like(q)
+    return _q_binomial(m, l, q)
+
+
+@lru_cache(maxsize=None)
+def _q_binomial(m: int, l: int, q):
     return q_binomial(m - 1, l - 1, q) + (q ** l) * q_binomial(m - 1, l, q)
 
 

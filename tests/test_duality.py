@@ -13,10 +13,12 @@ from partial_hopf.families import (
     taft_parametric_coaction, taft_subgroup_action, taft_subgroup_coaction,
     verify_partial_coaction,
 )
+from partial_hopf import duality
 from partial_hopf.duality import (
     HopfMorphism, check_character_sum, compose, invert_morphism, is_identity,
     nichols_dual, nichols_from_dual, nichols_to_dual, taft_dual,
     taft_from_dual, taft_to_dual, transport, verify_hopf_morphism,
+    verify_inverse_pair,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -254,3 +256,48 @@ def test_faulted_morphism_reports_match_golden():
     no zero terms."""
     want = json.loads((GOLDEN / "morphism_failures.json").read_text())
     assert _golden_morphism_reports() == want
+
+
+# -- the inverse pair: psi's verdict derived from phi's ---------------------
+
+PAIRS = {"taft": (taft_to_dual, taft_from_dual),
+         "nichols": (nichols_to_dual, nichols_from_dual)}
+
+
+def _verdict(rep):
+    return rep.ok, [str(f) for f in rep.failures]
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@pytest.mark.parametrize("faulted", ["phi", "psi"])
+def test_inverse_pair_sweeps_psi_when_the_derivation_fails(name, faulted):
+    """With a faulted phi or a faulted psi the derivation does not apply,
+    and psi's report is the full sweep's: same verdict, same failures."""
+    to, back = PAIRS[name]
+    phi, psi = to(3), back(3)
+    for label, bad in image_faults(phi if faulted == "phi" else psi):
+        pair = (verify_inverse_pair(bad, psi) if faulted == "phi"
+                else verify_inverse_pair(phi, bad))
+        want = verify_hopf_morphism(psi if faulted == "phi" else bad)
+        assert not pair.derived and not pair.round_trip, label
+        assert _verdict(pair.psi) == _verdict(want), label
+        assert pair.psi.checks_run == want.checks_run, label
+        if faulted == "phi":
+            assert not pair.phi.ok, label
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inverse_pair_derives_psi_with_one_sweep(monkeypatch, name, n):
+    """An unfaulted pair makes one verify_hopf_morphism call, for phi;
+    psi's report is derived, and it is what its own sweep reports."""
+    calls = []
+    sweep = duality.verify_hopf_morphism
+    monkeypatch.setattr(duality, "verify_hopf_morphism",
+                        lambda phi: calls.append(phi) or sweep(phi))
+    to, back = PAIRS[name]
+    pair = verify_inverse_pair(to(n), back(n))
+    assert calls == [to(n)]
+    assert pair.derived and pair.round_trip and pair.phi.ok
+    assert pair.psi.checks_run == 0
+    assert _verdict(pair.psi) == _verdict(sweep(back(n))) == (True, [])

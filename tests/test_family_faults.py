@@ -12,10 +12,11 @@ import pytest
 from partial_hopf.exact_arith import ParamPoly
 from partial_hopf.families import (
     dual_group_action_families, group_action_families,
-    group_subgroup_action, nichols_action_families,
+    group_subgroup_action, instance_residual, nichols_action_families,
     nichols_coaction_families, taft_action_families, taft_coaction_families,
     verify_partial_action, verify_partial_coaction,
 )
+from partial_hopf.hopf_core import Report
 
 ACTIONS = [(taft_action_families, n) for n in (2, 3, 4)]
 ACTIONS += [(nichols_action_families, n) for n in (2, 3)]
@@ -91,3 +92,39 @@ def test_every_coordinate_fault_is_caught(kind):
             assert coords == VALID[label](), label
     assert sorted(accepted) == sorted(k for k in VALID
                                       if k.startswith(kind + " "))
+
+
+def reference_verify_partial_action(H, values, symmetric=False):
+    """The action verifier as it ran before it built lam on products once
+    per call: one ``instance_residual`` per ordered basis pair."""
+    which = "symmetric_action" if symmetric else "partial_action"
+    rep = Report("%s(%s)" % (which, H.name))
+    unit = ParamPoly.zero(H.order)
+    for i, c in H.unit:
+        unit = unit + values[i] * c
+    rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
+    zero = ParamPoly.zero(H.order)
+    for h in range(H.dim):
+        for y in range(H.dim):
+            rep.expect(which, (H.basis[h], H.basis[y]),
+                       instance_residual(H, values, h, y, symmetric), zero)
+    return rep
+
+
+def _failures(rep):
+    return [(f.check, f.where, f.lhs, f.rhs) for f in rep.failures]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_action_verifier_matches_per_pair_reference(symmetric):
+    """On every action fault, the verifier reports what the per-pair
+    residual loop reports: the same check count and the same failures, in
+    the same order, with the same rendered sides."""
+    failing = 0
+    for label, H, coords in _faults("action"):
+        rep = verify_partial_action(H, coords, symmetric)
+        ref = reference_verify_partial_action(H, coords, symmetric)
+        assert rep.checks_run == ref.checks_run, label
+        assert _failures(rep) == _failures(ref), label
+        failing += not ref.ok
+    assert failing == 170   # all 172 but the two VALID members

@@ -194,13 +194,26 @@ def test_audit_uses_no_residual_and_no_polynomial(monkeypatch, name, n):
 
 
 def test_classify_dualgroup_7_residual_count(monkeypatch):
-    """Counted as the benchmark's tracer counts them, the solver and the
-    re-verification of the families: 7^4 = 2,401 fewer than with the
-    polynomial audit."""
+    """Counted as the benchmark's tracer counts them: the solver's share
+    only.  The polynomial audit made 7^4 = 2,401 more, and the final
+    re-verification of the families, which built lam on products once per
+    residual, another 196."""
     H = dual_group_algebra_cyclic(7)
     calls = _count_calls(monkeypatch)
     assert classify_base_field_actions(H).count() == 2
-    assert calls["residual"] == 294
+    assert calls["residual"] == 98
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_taft_7_action_verification_products(monkeypatch, symmetric):
+    """verify_partial_action builds lam on products once per call and
+    scales c lam(h_1) once per h, so the families of taft(7) cost 4,174
+    polynomial products where the per-pair residual loop made 7,310."""
+    calls = _count_calls(monkeypatch)
+    for fam in families.taft_action_families(7):
+        assert families.verify_partial_action(fam.algebra, fam.values,
+                                              symmetric).ok
+    assert calls == {"residual": 0, "poly_mul": 4174}
 
 
 def test_classify_dualgroup_24_grouplike_check_products(monkeypatch):
