@@ -45,7 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
-from .hopf_core import HopfData, sparse, validate_grouplikes, vec_mul
+from .hopf_core import (
+    HopfData, _pair, sparse, validate_grouplikes, vec_mul,
+)
 from .families import Family, instance_residual, verify_partial_action
 
 
@@ -323,15 +325,12 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
     """
     pairs = sorted(((h, y) for h in range(H.dim) for y in range(H.dim)),
                    key=lambda p: (H.degree(p[0]) + H.degree(p[1]), p))
-    unit = {i: c for i, c in H.unit}
+    zero, one = ParamPoly.zero(H.order), ParamPoly.one(H.order)
 
     def fresh() -> _State:
         values = [ParamPoly.var(H.order, _uname(i)) for i in range(H.dim)]
         st = _State(values, list(pairs), [], [], "")
-        norm = ParamPoly.const(H.order, -1)
-        for i, c in unit.items():
-            norm = norm + values[i] * c
-        st.extra.append(norm)
+        st.extra.append(_pair(values, H.unit, zero) - one)
         st.trace.append("normalization lam(1) = 1")
         return st
 
@@ -346,12 +345,8 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
         st.label = "support=<gen^%d>" % d
         st.trace.append("group-like support branch <gen^%d>" % d)
         for a, vec in enumerate(gs.vectors):
-            form = ParamPoly.zero(H.order)
-            for i, c in vec.items():
-                form = form + st.values[i] * c
-            if (mask >> a) & 1:
-                form = form - ParamPoly.one(H.order)
-            st.extra.append(form)
+            form = _pair(st.values, vec.items(), zero)
+            st.extra.append(form - one if (mask >> a) & 1 else form)
         stack.append(st)
 
     solutions = []
@@ -374,8 +369,7 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
             _, var, cof = out
             zero_side = _State(list(st.values), list(st.pending),
                                list(st.extra), list(st.trace), st.label)
-            _substitute(zero_side, var, ParamPoly.zero(H.order),
-                        "split, vanishing side")
+            _substitute(zero_side, var, zero, "split, vanishing side")
             other = _State(list(st.values), list(st.pending),
                            list(st.extra) + [cof], list(st.trace), st.label)
             other.trace.append("split, cofactor side: %s = 0" % cof.render("q"))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    HopfData, Report, _compare, convolve, dense, dual_hopf,
+    HopfData, Report, _compare, _pair, convolve, dense, dual_hopf,
     sparse, tensor_map, vec_comult, vec_map, vec_mul,
 )
 from .algebras import nichols, taft
@@ -109,11 +109,10 @@ def verify_hopf_morphism(phi: HopfMorphism) -> Report:
     rep.count()
     _compare(rep, "unit", (), vec_map(rows, S.unit), dict(T.unit), T)
 
+    zero = T.zero_scalar()
     for i in range(S.dim):
-        acc = CycNumber.zero(T.order)
-        for j, m in rows[i]:
-            acc = acc + m * T.counit[j]
-        rep.expect("counit", (S.basis[i],), acc, S.counit[i])
+        rep.expect("counit", (S.basis[i],), _pair(T.counit, rows[i], zero),
+                   S.counit[i])
 
     for i in range(S.dim):
         for j in range(S.dim):
@@ -217,7 +216,7 @@ def taft_to_dual(n: int) -> HopfMorphism:
             row = []
             for k in range(n):
                 e = -i * (k + j) - j * k - j * (j - 1) // 2
-                row.append((k * n + j, fact * q ** e))
+                row.append((k * n + j, fact * zeta_pow(n, e)))
             rows.append(tuple(row))
     return HopfMorphism(H, D, tuple(rows))
 
@@ -233,8 +232,8 @@ def taft_from_dual(n: int) -> HopfMorphism:
     for i in range(n):
         for j in range(n):
             c = inv_n * cyc_invert(q_factorial(j, q)) \
-                * q ** (i * j + j * (j - 1) // 2)
-            rows.append(tuple((k * n + j, c * q ** (k * (i + j)))
+                * zeta_pow(n, i * j + j * (j - 1) // 2)
+            rows.append(tuple((k * n + j, c * zeta_pow(n, k * (i + j)))
                               for k in range(n)))
     return HopfMorphism(D, H, tuple(rows))
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    HopfData, Report, _cdict_add, _compare, convolve, sparse, tensor_mul,
-    vec_comult, vec_mul,
+    HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, convolve,
+    sparse, tensor_mul, vec_comult, vec_mul,
 )
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
@@ -82,32 +82,29 @@ def instance_residual(H: HopfData, lam, h: int, y: int,
             prod_idx = b
         if outer.is_zero():
             continue
-        row = H.mult.get((prod_idx, y))
-        if not row:
-            continue
-        inner = zero
-        for k, ck in row:
-            lk = lam[k]
-            if not lk.is_zero():
-                inner = inner + lk * ck
+        inner = _pair(lam, H.mult.get((prod_idx, y), ()), zero)
         if inner.is_zero():
             continue
         rhs = rhs + (outer * inner) * c
     return lhs - rhs
 
 
-def _pairing(H: HopfData, values, terms) -> ParamPoly:
-    """sum values[i] c over the (i, c) in ``terms``, zero terms skipped:
-    lam(1) for the terms of H.unit, eps(z) for those of the counit."""
+def _require_dim(H: HopfData, values):
     if len(values) != H.dim:
         raise ValueError("%d coordinates for %s of dimension %d"
                          % (len(values), H.name, H.dim))
-    out = ParamPoly.zero(H.order)
-    for i, c in terms:
-        v = values[i]
-        if v and c:
-            out = out + v * c
-    return out
+
+
+def _on_products(H: HopfData, values) -> list:
+    """The table of lam on products: on[b][y] = lam(e_b e_y), its nonzero
+    entries only."""
+    zero = ParamPoly.zero(H.order)
+    on = [{} for _ in range(H.dim)]
+    for (b, y), row in H.mult.items():
+        acc = _pair(values, row, zero)
+        if acc:
+            on[b][y] = acc
+    return on
 
 
 def verify_partial_action(H: HopfData, values,
@@ -116,18 +113,11 @@ def verify_partial_action(H: HopfData, values,
     ``values`` are the dim coordinates lam(e_i)."""
     which = "symmetric_action" if symmetric else "partial_action"
     rep = Report("%s(%s)" % (which, H.name))
-    rep.expect("unital", ("1",), _pairing(H, values, H.unit),
-               ParamPoly.one(H.order))
+    _require_dim(H, values)
     zero = ParamPoly.zero(H.order)
-    # on[b][y] = lam(e_b e_y), its nonzero entries only
-    on = [{} for _ in range(H.dim)]
-    for (b, y), row in H.mult.items():
-        acc = zero
-        for k, ck in row:
-            if values[k]:
-                acc = acc + values[k] * ck
-        if acc:
-            on[b][y] = acc
+    rep.expect("unital", ("1",), _pair(values, H.unit, zero),
+               ParamPoly.one(H.order))
+    on = _on_products(H, values)
     for h in range(H.dim):
         lh = values[h]
         # (c lam(h_1), on[h_2]) over the terms c h_1 (x) h_2 of Delta(h),
@@ -157,8 +147,9 @@ def verify_partial_coaction(H: HopfData, values,
     forces.  Both sides are built on the sparse kernel."""
     which = "symmetric_coaction" if symmetric else "partial_coaction"
     rep = Report("%s(%s)" % (which, H.name))
+    _require_dim(H, values)
     rep.expect("counit_normalization", ("eps(z)",),
-               _pairing(H, values, enumerate(H.counit)),
+               _pair(values, enumerate(H.counit), ParamPoly.zero(H.order)),
                ParamPoly.one(H.order))
     u = sparse(values)
     dz = vec_comult(H.comult, u.items())
@@ -249,9 +240,10 @@ def taft_parametric_coaction(n: int) -> Family:
             for i in range(j + 1):
                 fact = q_factorial(j - i, q) * q_factorial(i, q)
                 assert not fact.is_zero(), "q-factorials below order are units"
-                term = q ** (i * (i + 1) // 2 - i * (j + k)) * cyc_invert(fact)
+                term = (zeta_pow(n, i * (i + 1) // 2 - i * (j + k))
+                        * cyc_invert(fact))
                 inner = inner + (-term if i % 2 else term)
-            c = inv_n * q ** (j * (j - 1) // 2 + k * j) * inner
+            c = inv_n * zeta_pow(n, j * (j - 1) // 2 + k * j) * inner
             if c.is_zero():
                 continue
             coords[k * n + j] = ParamPoly.var(n, "a", j) * c
@@ -395,35 +387,36 @@ def action_consequence_checks(fam: Family) -> Report:
     """Structural consequences every partial action obeys, checked on a
     family's exact values:
 
-      (i)   lam(g) = 1 for group-like g forces lam(g u) = lam(u) for all u;
+      (i)   lam(v) = 1 for a declared group-like v, a basis index or a
+            group-like vector, forces lam(v u) = lam(u) for all u;
       (ii)  a (g,h)-skew-primitive x with lam(g) = lam(h) has lam(x) = 0;
       (iii) lam(x) = 0 and lam(h) = 1 force lam(x u) = 0 for all u.
+
+    A basis group-like is named by its label, a vector by its terms.
     """
     H, f = fam.algebra, fam.values
     rep = Report("consequences(%s/%s)" % (H.name, fam.name))
     one = ParamPoly.one(H.order)
     zero = ParamPoly.zero(H.order)
-
-    def on_product(a, b):
-        """lam(e_a e_b)."""
-        acc = ParamPoly.zero(H.order)
-        for k, c in H.mult.get((a, b), ()):
-            acc = acc + f[k] * c
-        return acc
-
-    for g in H.grouplikes:
-        if f[g] != one:
+    on = _on_products(H, f)
+    declared = [(H.basis[g], {g: H.one_scalar()}) for g in H.grouplikes]
+    declared += [(_cdict_str(v, H), v)
+                 for v in map(sparse, H.grouplike_vectors)]
+    for label, v in declared:
+        if _pair(f, v.items(), zero) != one:
             continue
         for u in range(H.dim):
-            rep.expect("translation_invariance", (H.basis[g], H.basis[u]),
-                       on_product(g, u), f[u])
+            # col[i] = lam(e_i e_u)
+            col = [row.get(u, zero) for row in on]
+            rep.expect("translation_invariance", (label, H.basis[u]),
+                       _pair(col, v.items(), zero), f[u])
     for (x, g, h) in H.skew_primitives:
         if f[g] == f[h]:
             rep.expect("skew_vanishing", (H.basis[x],), f[x], zero)
         if f[x].is_zero() and f[h] == one:
             for u in range(H.dim):
                 rep.expect("skew_annihilation", (H.basis[x], H.basis[u]),
-                           on_product(x, u), zero)
+                           on[x].get(u, zero), zero)
     return rep
 
 

@@ -22,9 +22,11 @@ once.
 Every other product through the structure constants, in this module and
 in the others, runs on one small sparse kernel over {index: scalar} dicts;
 an element of H (x) H is such a dict keyed by basis pairs, with no class of
-its own.  Every check in the package is reported one of two ways: a scalar
-by ``Report.expect``, a pair of coefficient dicts by ``_compare`` (a side
-that must vanish is ``{}``).
+its own, and every linear form on a vector given by its terms (lam(1),
+eps(z), lam(e_b e_y), the counit sums) is one ``_pair``.  Every check in
+the package is reported one of two ways: a scalar by ``Report.expect``, a
+pair of coefficient dicts by ``_compare`` (a side that must vanish is
+``{}``).
 
 An element of H and a functional on H are both plain tuples of ``dim``
 coordinates in the declared basis (ParamPoly for the families, so that free
@@ -108,6 +110,18 @@ def sparse(values) -> dict:
 def dense(u: dict, dim: int, zero) -> tuple:
     """A vector to ``dim`` dense coordinates, ``zero`` where it has none."""
     return tuple(u.get(i, zero) for i in range(dim))
+
+
+def _pair(values, terms, zero):
+    """The linear form with ``values`` on the basis at sum c e_i, over the
+    (i, c) in ``terms``: sum values[i] c, ``zero`` when empty.  A zero value
+    or coefficient costs no product."""
+    out = zero
+    for i, c in terms:
+        v = values[i]
+        if v and c:
+            out = out + v * c
+    return out
 
 
 def vec_mul(mult: dict, u: dict, v: dict) -> dict:
@@ -440,12 +454,8 @@ def validate_bialgebra(H: HopfData) -> Report:
     # eps is an algebra map; Delta(1) = 1 (x) 1; eps(1) = 1
     for i in range(dim):
         for j in range(dim):
-            acc = zero
-            for k, c in mult.get((i, j), ()):
-                ek = H.counit[k]
-                if ek:
-                    acc = acc + c * ek
-            rep.expect("counit_multiplicative", (i, j), acc,
+            rep.expect("counit_multiplicative", (i, j),
+                       _pair(H.counit, mult.get((i, j), ()), zero),
                        H.counit[i] * H.counit[j])
     d1: dict = {}
     for i, ui in H.unit:
@@ -456,10 +466,7 @@ def validate_bialgebra(H: HopfData) -> Report:
             _cdict_add(d1, (i, j), -(ui * uj))
     rep.count()
     _compare(rep, "comult_of_unit", (), d1, {}, H)
-    eps1 = zero
-    for i, ui in H.unit:
-        eps1 = eps1 + ui * H.counit[i]
-    rep.expect("counit_of_unit", (), eps1, one)
+    rep.expect("counit_of_unit", (), _pair(H.counit, H.unit, zero), one)
     return rep
 
 
@@ -514,8 +521,8 @@ def validate_grouplikes(H: HopfData) -> Report:
                  vec_comult(H.comult, u.items()),
                  {(i, j): a * b for i, a in u.items() for j, b in u.items()},
                  H)
-        eps = sum((a * H.counit[i] for i, a in u.items()), H.zero_scalar())
-        rep.expect("grouplike_vector_counit", (), eps, one)
+        rep.expect("grouplike_vector_counit", (),
+                   _pair(H.counit, u.items(), H.zero_scalar()), one)
     return rep
 
 

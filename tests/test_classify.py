@@ -83,6 +83,28 @@ def test_split_rule_without_prebranching():
     assert families_match(res, group_action_families(2))
 
 
+def test_contradiction_rule_ends_a_branch(monkeypatch):
+    """On kC_5 with only 1 declared group-like the solver splits on its own;
+    one of its 5 branches reaches a nonzero constant residual, and the
+    contradiction rule drops it."""
+    outcomes = []
+    propagate = classify._propagate
+
+    def recorded(H, st):
+        out = propagate(H, st)
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(classify, "_propagate", recorded)
+    res = classify_base_field_actions(
+        _trivial_grouplikes(group_algebra_cyclic(5)))
+    assert res.count() == 2
+    assert res.branches_explored == len(outcomes) == 5
+    assert families_match(res, group_action_families(5))
+    assert [out for out in outcomes if out[0] == "contradiction"] == [
+        ("contradiction", "instance (g^2, g^2) = 1")]
+
+
 def test_solutions_are_reverified():
     res = classify_base_field_actions(taft(4))
     for s in res.families:

@@ -3,9 +3,11 @@ import pytest
 
 from partial_hopf.exact_arith import ParamPoly, Rational
 from partial_hopf.expr import parse_poly
-from partial_hopf.algebras import group_algebra_cyclic, nichols, taft
+from partial_hopf.algebras import (
+    dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
+)
 from partial_hopf.families import (
-    NotADivisor, action_consequence_checks, convolution_idempotent,
+    Family, NotADivisor, action_consequence_checks, convolution_idempotent,
     dual_group_action_families, dual_group_subgroup_action,
     group_action_families, group_subgroup_action, instance_residual,
     nichols_action_families, nichols_coaction_families,
@@ -170,6 +172,32 @@ def test_consequence_checks_all_families():
     for n in (2, 3, 4):
         for fam in nichols_action_families(n):
             assert action_consequence_checks(fam).ok
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_consequence_checks_cover_grouplike_vectors(n):
+    """(kC_n)^* declares its group-likes as character vectors only.  The
+    subgroup family of g^d has lam(chi) = 1 exactly for the d characters
+    trivial on that subgroup, and consequence (i) runs for each of them."""
+    H = dual_group_algebra_cyclic(n)
+    assert not H.grouplikes
+    for d, fam in zip([d for d in range(1, n + 1) if n % d == 0],
+                      dual_group_action_families(n)):
+        rep = action_consequence_checks(fam)
+        assert rep.ok, rep.summary()
+        assert rep.checks_run == d * H.dim
+
+
+def test_consequence_checks_refuse_a_functional_on_grouplike_vectors():
+    """On (kC_2)^* the functional (2, 1) has lam(chi_1) = 2 - 1 = 1 for the
+    character chi_1 = 1* - g*, but lam(chi_1 g*) = -1 != lam(g*)."""
+    H = dual_group_algebra_cyclic(2)
+    fam = Family("(2, 1)", H, (),
+                 (ParamPoly.const(2, 2), ParamPoly.const(2, 1)))
+    rep = action_consequence_checks(fam)
+    assert rep.checks_run == 2
+    assert [(f.check, f.where[1], f.lhs, f.rhs) for f in rep.failures] == [
+        ("translation_invariance", "g*", "-1", "1")]
 
 
 def test_convolution_idempotence_parametric():

@@ -217,9 +217,10 @@ def test_taft_7_action_verification_products(monkeypatch, symmetric):
 
 
 def test_classify_dualgroup_24_grouplike_check_products(monkeypatch):
-    """The group-like check of classify makes 2m + 1 scalar products per
-    entry of each of the m = 24 characters: Delta(u), u (x) u and eps(u),
-    24 * 1,176 = 28,224 products.  The m^4 audit it replaced made
+    """The group-like check of classify makes 2m scalar products per
+    entry of each of the m = 24 characters, for Delta(u) and u (x) u, and
+    eps(u) one more at the one entry where the counit is nonzero:
+    24 * (1,152 + 1) = 27,672 products.  The m^4 audit it replaced made
     678,528."""
     calls = [0]
     counting = [False]
@@ -240,4 +241,4 @@ def test_classify_dualgroup_24_grouplike_check_products(monkeypatch):
     monkeypatch.setattr(classify, "validate_grouplikes", check)
     res = classify_base_field_actions(dual_group_algebra_cyclic(24))
     assert res.count() == len(divisors(24)) == 8
-    assert calls[0] == 28224
+    assert calls[0] == 27672
