@@ -65,9 +65,8 @@ def taft(n: int) -> HopfData:
                 for j2 in range(n):
                     if j1 + j2 > n - 1:
                         continue
-                    coeff = q ** (j1 * i2)
                     mult[(idx(i1, j1), idx(i2, j2))] = (
-                        (idx(i1 + i2, j1 + j2), coeff),)
+                        (idx(i1 + i2, j1 + j2), zeta_pow(n, j1 * i2)),)
 
     comult_rows = []
     for i in range(n):

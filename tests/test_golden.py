@@ -4,9 +4,13 @@ The files under ``golden/`` were captured from the implementation that kept
 every CycNumber coordinate as a Fraction, before the integer-coordinate
 core replaced it; ``validate_nichols.json`` (the default sweep, orders 2-6)
 was captured from the validator that checked one basis tuple at a time,
-before it walked the nonzero structure constants; ``duality_nichols.json``
-and ``coactions_taft.json`` (default sweeps) were captured before the
-structure-constant loops were folded into one sparse kernel.
+before it walked the nonzero structure constants; ``validate_taft.json``
+(orders 2-8), ``validate_group.json`` and ``validate_dualgroup.json``
+(default sweeps) were captured while associativity and the two
+multiplicativity axioms were still swept over every first basis index;
+``duality_nichols.json`` and ``coactions_taft.json`` (default sweeps) were
+captured before the structure-constant loops were folded into one sparse
+kernel.
 ``classify_dualgroup.json`` and ``classify_group.json`` (default sweeps,
 orders 1-12) were captured while the group-like audit still summed
 instance residuals as polynomials and every polynomial operation rebuilt
@@ -43,6 +47,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "validate_taft_4": ["validate", "taft", "4"],
     "validate_nichols": ["validate", "nichols"],
+    "validate_taft": ["validate", "taft"],
+    "validate_group": ["validate", "group"],
+    "validate_dualgroup": ["validate", "dualgroup"],
     "duality_taft_3": ["duality", "taft", "3"],
     "duality_nichols": ["duality", "nichols"],
     "classify_taft_5": ["classify", "taft", "5"],

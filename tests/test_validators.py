@@ -3,9 +3,11 @@
 ``reference_validate_bialgebra`` is the earlier validator that built and
 subtracted two coefficient dicts for every basis triple (associativity) and
 every basis pair (Delta-multiplicativity).  The validator in ``hopf_core``
-walks only the nonzero structure constants and regroups the products of
-the Delta-multiplicativity sweep; it must give the same report, check count
-and failure strings included.  Its scalar products are pinned by count.
+walks only the nonzero structure constants, regroups the products of the
+Delta-multiplicativity sweep and takes only the generators of a generation
+certificate as the first index of associativity and the multiplicativity
+axioms; it must give the same report, check count and failure strings
+included.  Its scalar products and the certificates are pinned.
 
 The golden files were captured from the per-tuple implementation.
 """
@@ -19,11 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_hopf import exact_arith
-from partial_hopf.algebras import dual_group_algebra_cyclic, nichols, taft
+from partial_hopf.algebras import (
+    dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
+)
 from partial_hopf.duality import taft_dual
 from partial_hopf.exact_arith import CycNumber, ParamPoly, euler_phi, zeta_pow
 from partial_hopf.hopf_core import (
-    HopfData, Report, validate_all, validate_bialgebra, validate_metadata,
+    HopfData, Report, _generators, validate_all, validate_bialgebra,
+    validate_metadata, vec_mul,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -449,14 +454,21 @@ def test_checks_run_counts_every_basis_tuple(family, n):
     assert rep.checks_run == CHECKS_RUN[(family, n)]
 
 
-# A hit of the Delta-multiplicativity sweep is a term c1 e_a1 (x) e_b1 of
-# Delta(e_i), a left partner a2 and a term c2 e_a2 (x) e_b2 of Delta(e_j)
-# with e_b1 e_b2 != 0.  With one-term product rows (taft, nichols) a hit
-# costs 2 products (c2*cb, then one per output term) plus 1 per (term, a2)
-# that has a hit (c1*ca), where the per-tuple reference makes 3 (c1*c2,
-# ca*cb and their product).  nichols 5 has 9,604 hits in 2,500 such pairs:
-# 38,271 - 7,104; taft 4 has 1,120 hits in 480 pairs: 7,075 - 640.
-SCALAR_PRODUCTS = {("nichols", 5): 31167, ("taft", 4): 6435}
+# Associativity and the two multiplicativity axioms run only with the
+# certificate's generators as first index (g, x for taft; g, x1..x_{n-1}
+# for nichols), so validate_all makes the products of the checks with no
+# first index (unit and counit laws, coassociativity, Delta(1), eps(1)),
+# one slice per generator, and those of the antipode and metadata checks.
+# In the slice of e_i, associativity makes one product per side for each
+# (j, k) with e_i e_j e_k != 0 (one-term rows), and eps-multiplicativity
+# one per term of e_i e_j with a nonzero counit plus dim for
+# eps(e_i) eps(e_j).  taft 4: 227 + (476 for g + 416 for x) + 176 = 1,295,
+# where g takes 2 * 160 = 320 (all 160 nonzero e_j e_k) for associativity,
+# 136 for Delta and 4 + 16 for eps.  taft 8: 2,179 + (5,608 + 5,168)
+# + 1,216; nichols 5: 1,155 + (1,200 + 4 * 836) + 680; nichols 6: 4,355
+# + (3,532 + 5 * 2,428) + 2,008.
+SCALAR_PRODUCTS = {("nichols", 5): 6379, ("nichols", 6): 22035,
+                   ("taft", 4): 1295, ("taft", 8): 14171}
 
 
 @pytest.mark.parametrize("family,n", sorted(SCALAR_PRODUCTS))
@@ -472,6 +484,104 @@ def test_validation_makes_the_same_scalar_products(monkeypatch, family, n):
     monkeypatch.setattr(exact_arith, "_mul", counted)
     assert validate_all(H).ok
     assert calls[0] == SCALAR_PRODUCTS[(family, n)]
+
+
+# -- the generation certificate ---------------------------------------------
+
+def rebased_products(H: HopfData) -> HopfData:
+    """H with only its product table moved to the basis f_0 = e_0,
+    f_i = e_i + e_(i+1) for 0 < i < dim - 1, f_(dim-1) = e_(dim-1): an
+    algebra with the same unit whose products have several terms, so a
+    vector is often reached only after another term of its row is."""
+    dim = H.dim
+    one = H.one_scalar()
+    inner = range(1, dim - 1)
+    f = [{i: one, i + 1: one} if i in inner else {i: one} for i in range(dim)]
+    # e_i = f_i - e_(i+1) inside, e_i = f_i at both ends
+    e = [None] * dim
+    for i in reversed(range(dim)):
+        e[i] = {i: one}
+        if i in inner:
+            for k, c in e[i + 1].items():
+                e[i][k] = -c
+    mult = {}
+    for a in range(dim):
+        for b in range(dim):
+            acc: dict = {}
+            for k, c in vec_mul(H.mult, f[a], f[b]).items():
+                for t, d in e[k].items():
+                    acc[t] = acc.get(t, 0) + c * d
+            row = tuple(sorted((t, c) for t, c in acc.items() if c))
+            if row:
+                mult[(a, b)] = row
+    return dataclasses.replace(H, name="rebased " + H.name, mult=mult)
+
+
+def rebased_taft(n):
+    return rebased_products(taft(n))
+
+
+def rebased_nichols(n):
+    return rebased_products(nichols(n))
+
+
+CERTIFIED = (
+    [(taft, n, 2) for n in range(2, 9)]
+    + [(nichols, n, n) for n in range(2, 7)]
+    + [(group_algebra_cyclic, m, 1) for m in (2, 3, 7, 12)]
+    # a multi-term unit: every basis vector is a generator
+    + [(dual_group_algebra_cyclic, m, m) for m in (2, 3, 7, 12)]
+    + [(rescaled_taft, n, 2) for n in (2, 3, 5)]
+    + [(rescaled_nichols, n, n) for n in (2, 3, 5)]
+    # multi-term products: the degree order no longer matches the table
+    + [(rebased_taft, 2, 3), (rebased_taft, 3, 2), (rebased_taft, 4, 3),
+       (rebased_nichols, 2, 3), (rebased_nichols, 3, 4),
+       (rebased_nichols, 4, 7)]
+)
+
+
+def _span_closure_dim(H: HopfData, vectors) -> int:
+    """dim of the smallest subspace that holds ``vectors`` and is closed
+    under left products by them, by exact row reduction: for vectors that
+    hold the unit, the subalgebra they generate."""
+    rows: dict = {}  # pivot -> row with keys >= pivot, pivot coefficient 1
+
+    def reduce(v):
+        for p in sorted(rows):
+            c = v.get(p)
+            if c:
+                for k, a in rows[p].items():
+                    v[k] = v.get(k, 0) - c * a
+                v = {k: a for k, a in v.items() if a}
+        return v
+
+    todo = [dict(v) for v in vectors]
+    while todo:
+        v = reduce(todo.pop())
+        if not v:
+            continue
+        p = min(v)
+        rows[p] = {k: a / v[p] for k, a in v.items()}
+        todo.extend(vec_mul(H.mult, g, v) for g in vectors)
+    return len(rows)
+
+
+@pytest.mark.parametrize("build,n,count", CERTIFIED)
+def test_generators_generate_the_algebra(build, n, count):
+    H = build(n)
+    gens = _generators(H)
+    assert len(gens) == count
+    assert len(set(gens)) == count
+    one = H.one_scalar()
+    vectors = [dict(H.unit)] + [{g: one} for g in gens]
+    assert _span_closure_dim(H, vectors) == H.dim
+
+
+@pytest.mark.parametrize("build", [rescaled_taft, rescaled_nichols])
+def test_rescaled_copies_keep_the_generator_count(build):
+    base = {rescaled_taft: taft, rescaled_nichols: nichols}[build]
+    for n in range(2, 6):
+        assert len(_generators(build(n))) == len(_generators(base(n)))
 
 
 # -- declared group-like vectors --------------------------------------------
