@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from collections import Counter
 from math import isqrt
 
 from .algebras import (
@@ -309,101 +309,91 @@ def cmd_duality(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _build_q(qspec):
-    if qspec[0] == "generic":
-        return generic_q()
-    if qspec[0] == "rat":
-        return CycNumber.from_rational(1, Rational(qspec[1], qspec[2]))
-    return zeta_pow(qspec[1], 1)
-
-
 def _identity_verdict(item):
     kind = item[0]
+    if kind == "charsum":
+        return check_character_sum(*item[1:])
+    _, name, indices, q = item
     if kind == "pascal":
-        _, variant, i, s, qspec = item
-        return check_pascal(variant, i, s, _build_q(qspec))
-    if kind == "identity":
-        _, name, indices, qspec = item
-        return check_identity(name, indices, _build_q(qspec))
-    _, n, k, l = item
-    return check_character_sum(n, k, l)
+        return check_pascal(name, *indices, q)
+    return check_identity(name, indices, q)
 
 
-def _run_identity_item(item):
-    v = _identity_verdict(item)
-    return (v.name, v.ok, "" if v.ok else str(v))
+def _sweep_qs(root_cap: int) -> list:
+    """The q specs of the sweep, the generic q first."""
+    qs = [generic_q()]
+    qs += [CycNumber.from_rational(1, Rational(a, b))
+           for a, b in ((2, 1), (3, 1), (5, 7))]
+    qs += [zeta_pow(m, 1) for m in range(2, root_cap + 1)]
+    return qs
 
 
-def identity_sweep_items(max_index: int, root_cap: int) -> list:
-    """Deterministic work list for the identity sweep.
-
-    Items are plain tuples so they cross process boundaries; the scalar
-    for each instance is rebuilt inside the worker from its description.
-    """
-    qspecs = [("generic",), ("rat", 2, 1), ("rat", 3, 1), ("rat", 5, 7)]
-    qspecs += [("zeta", m) for m in range(2, root_cap + 1)]
-    items = []
-    for qspec in qspecs:
-        for variant in PASCAL_VARIANTS:
-            for i in range(1, max_index + 5):
-                for s in range(-2, max_index + 7):
-                    items.append(("pascal", variant, i, s, qspec))
-        bound = max_index + 1
-        for i in range(bound):
-            for t in range(bound):
-                for k in range(bound):
-                    items.append(("identity", "alternating_vandermonde",
-                                  (i, t, k), qspec))
-        for j in range(max_index + 3):
-            for i in range(j + 1):
-                for l in range(i + 1):
-                    items.append(("identity", "trinomial_revision",
-                                  (j, i, l), qspec))
-        for i in range(max_index):
-            for j in range(max_index):
-                for t in range(max_index):
-                    for s in range(max_index):
-                        items.append(("identity", "four_index_inversion",
-                                      (i, j, t, s), qspec))
+def _q_instances(max_index: int) -> list:
+    """Every instance of the q-identities, as (kind, name, indices)."""
+    out = []
+    for variant in PASCAL_VARIANTS:
+        for i in range(1, max_index + 5):
+            for s in range(-2, max_index + 7):
+                out.append(("pascal", variant, (i, s)))
+    bound = max_index + 1
+    for i in range(bound):
+        for t in range(bound):
+            for k in range(bound):
+                out.append(("identity", "alternating_vandermonde", (i, t, k)))
+    for j in range(max_index + 3):
+        for i in range(j + 1):
+            for l in range(i + 1):
+                out.append(("identity", "trinomial_revision", (j, i, l)))
+    for i in range(max_index):
         for j in range(max_index):
             for t in range(max_index):
                 for s in range(max_index):
-                    items.append(("identity", "binomial_inversion",
-                                  (j, t, s), qspec))
-    for m in range(1, 2 * max_index + 1):
-        for k in divisors(m):
-            items.append(("charsum", m, k, m // k))
-    return items
+                    out.append(("identity", "four_index_inversion",
+                                (i, j, t, s)))
+    for j in range(max_index):
+        for t in range(max_index):
+            for s in range(max_index):
+                out.append(("identity", "binomial_inversion", (j, t, s)))
+    return out
 
 
-def worker_count(jobs: int, items: int, cpus: int) -> int:
-    """Worker processes for ``items`` work items when ``jobs`` are asked
-    for on a machine with ``cpus`` cores: never more than either, and at
-    least one."""
-    return max(1, min(jobs, cpus, items))
+def _charsum_items(max_index: int) -> list:
+    return [("charsum", m, k, m // k)
+            for m in range(1, 2 * max_index + 1) for k in divisors(m)]
 
 
-def run_identity_sweep(max_index: int, root_cap: int, jobs: int):
-    """Run the sweep, returning (per-suite counts, failure strings)."""
-    items = identity_sweep_items(max_index, root_cap)
-    workers = worker_count(jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that a serial run does not pay for it
-        from multiprocessing import Pool
+def identity_sweep_items(max_index: int, root_cap: int) -> list:
+    """Deterministic work list for the identity sweep: every q instance
+    under every q spec, q spec major, each item ending in its q scalar;
+    then the character sums."""
+    instances = _q_instances(max_index)
+    return ([inst + (q,) for q in _sweep_qs(root_cap) for inst in instances]
+            + _charsum_items(max_index))
 
-        with Pool(processes=workers) as pool:
-            outcomes = pool.map(_run_identity_item, items,
-                                chunksize=max(1, len(items) // (8 * workers)))
-    else:
-        outcomes = [_run_identity_item(item) for item in items]
-    counts: dict = {}
-    failures = []
-    for name, good, detail in outcomes:
-        total, bad = counts.get(name, (0, 0))
-        counts[name] = (total + 1, bad + (0 if good else 1))
-        if not good:
-            failures.append(detail)
-    return counts, failures
+
+def run_identity_sweep(max_index: int, root_cap: int):
+    """Run the sweep, returning (per-suite counts, failure strings).
+
+    The result is that of checking every item of ``identity_sweep_items``
+    in order, but each q instance is checked at the generic q first: one
+    that holds there holds under every q spec (the ``qcomb`` module
+    docstring says why), so only one that fails there is checked under
+    the other specs.
+    """
+    generic, *specs = _sweep_qs(root_cap)
+    instances = _q_instances(max_index)
+    first = [_identity_verdict(inst + (generic,)) for inst in instances]
+    failed = [inst for inst, v in zip(instances, first) if not v.ok]
+    charsums = [_identity_verdict(item) for item in _charsum_items(max_index)]
+    checked = (first + [_identity_verdict(inst + (q,))
+                        for q in specs for inst in failed] + charsums)
+    totals = Counter()
+    for v in first:
+        totals[v.name] += 1 + len(specs)
+    totals.update(v.name for v in charsums)
+    bad = Counter(v.name for v in checked if not v.ok)
+    counts = {name: (total, bad[name]) for name, total in totals.items()}
+    return counts, [str(v) for v in checked if not v.ok]
 
 
 def cmd_identities(args) -> int:
@@ -415,7 +405,7 @@ def cmd_identities(args) -> int:
         raise UsageError("--n must be at least 1, got %d" % root_cap)
     if max_index < 0:
         raise UsageError("--max must be at least 0, got %d" % max_index)
-    counts, failures = run_identity_sweep(max_index, root_cap, args.jobs)
+    counts, failures = run_identity_sweep(max_index, root_cap)
     results, lines = [], []
     for name in sorted(counts):
         total, bad = counts[name]
@@ -517,7 +507,8 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--max", type=int, default=None,
                    help="index bound for the sweeps (default 6)")
     q.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="accepted and checked (an integer of at least 1), "
+                        "but changes nothing: the sweep runs in one process")
     q.add_argument("--output", choices=("text", "json"), default="text")
     q.set_defaults(func=cmd_identities)
 

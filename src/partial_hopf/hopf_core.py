@@ -752,24 +752,17 @@ def to_json_dict(H: HopfData) -> dict:
         for c, j, k in row:
             if not c.is_zero():
                 comult_rows.append([i, j, k, _rc(c)])
-    unit = [H.zero_scalar()] * H.dim
-    for i, c in H.unit:
-        unit[i] = c
-    antipode = []
-    for i in range(H.dim):
-        dense = [H.zero_scalar()] * H.dim
-        for j, c in H.antipode[i]:
-            dense[j] = c
-        antipode.append([_rc(c) for c in dense])
+    zero = H.zero_scalar()
     out = {
         "dim": H.dim,
         "order": H.order,
         "basis": list(H.basis),
         "mult": mult_rows,
         "comult": comult_rows,
-        "unit": [_rc(c) for c in unit],
+        "unit": [_rc(c) for c in dense(dict(H.unit), H.dim, zero)],
         "counit": [_rc(c) for c in H.counit],
-        "antipode": antipode,
+        "antipode": [[_rc(c) for c in dense(dict(row), H.dim, zero)]
+                     for row in H.antipode],
         "grouplikes": list(H.grouplikes),
         "skew_primitives": [list(t) for t in H.skew_primitives],
     }
@@ -853,9 +846,8 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
         for arow in data["antipode"]:
             if len(arow) != dim:
                 raise HopfFormatError("antipode must be a dim x dim matrix")
-            vals = [scal(s) for s in arow]
-            antipode_rows.append(tuple(
-                (j, c) for j, c in enumerate(vals) if not c.is_zero()))
+            antipode_rows.append(
+                tuple(sparse([scal(s) for s in arow]).items()))
 
         grouplikes = tuple(index(i, "grouplike") for i in data["grouplikes"])
         skew = tuple(
@@ -879,8 +871,7 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
 
     H = HopfData(
         name=name, dim=dim, order=order, basis=basis, mult=mult,
-        unit=tuple((i, c) for i, c in enumerate(unit_dense)
-                   if not c.is_zero()),
+        unit=tuple(sparse(unit_dense).items()),
         comult=comult, counit=tuple(counit), antipode=tuple(antipode_rows),
         grouplikes=grouplikes, grouplike_vectors=gvecs,
         skew_primitives=skew, basis_degrees=degrees)

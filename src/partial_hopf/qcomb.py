@@ -14,6 +14,22 @@ recurrence is the definition; agreement with the factorial quotient
 (wherever the relevant q-factorial is nonzero) and the vanishing of
 (n choose k) at a primitive n-th root for 0 < k < n are verified
 properties, not assumptions.
+
+Why an instance that holds at the generic q holds at every q.  Both sides
+of every ``check_pascal`` and ``check_identity`` instance are built from q
+by ring operations alone: sums, products, integer multiples and
+nonnegative powers.  ``check_identity`` clears a negative q-power by
+multiplying both sides with the opposite nonnegative one, and
+``check_pascal`` takes ``q ** s`` only where the binomial beside it is
+nonzero, so s >= 0.  Both sides are therefore the values of two
+polynomials in Q[q] at the q given, and each q spec (a rational, or a
+root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
+skips ``if not term`` and ``if second``/``if first`` drop only terms
+that are zero at that q, so they do not change a side's value.  Equality
+at the generic q is equality in Q[q], and a homomorphism maps it to
+equality at every q spec.  ``cli.run_identity_sweep`` relies on this: it
+checks an instance under the other q specs only when it fails at the
+generic q.
 """
 from __future__ import annotations
 

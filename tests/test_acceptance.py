@@ -173,7 +173,7 @@ def test_criterion_6_reference_tables_diff_empty():
 
 def test_criterion_7_identity_sweeps():
     t0 = time.time()
-    counts, failures = run_identity_sweep(6, 8, jobs=1)
+    counts, failures = run_identity_sweep(6, 8)
     assert failures == []
     totals = {name: total for name, (total, bad) in counts.items()}
     assert totals == {

@@ -144,6 +144,19 @@ def test_branch_limit(monkeypatch):
             _trivial_grouplikes(group_algebra_cyclic(6)))
 
 
+def test_stuck_solver_is_unsupported(monkeypatch):
+    """With no split rule the solver stops with the instances still open;
+    it reports them and raises SolverUnsupported instead of guessing."""
+    monkeypatch.setattr(classify, "_find_split", lambda poly: None)
+    H = _trivial_grouplikes(group_algebra_cyclic(5))
+    with pytest.raises(SolverUnsupported) as exc:
+        classify_base_field_actions(H)
+    pending = "; ".join("(%s, %s)" % (H.basis[h], H.basis[y])
+                        for h in range(1, 5) for y in range(5))
+    assert str(exc.value) == (
+        "solver stuck on kC_5 (support=<gen^1>): " + pending)
+
+
 def test_unclosed_grouplike_metadata_rejected():
     H = taft(3)
     bad = dataclasses.replace(H, grouplikes=(0, 3))  # {1, g} without g^2

@@ -1,7 +1,7 @@
 """Exit codes, output schemas and round trips of the command-line tool."""
+import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from partial_hopf import classify, cli, reference_tables
+from partial_hopf import classify, cli, qcomb, reference_tables
 from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
@@ -19,7 +19,7 @@ from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
 )
 from partial_hopf.cli import (
-    identity_sweep_items, main, run_identity_sweep, worker_count,
+    _identity_verdict, identity_sweep_items, main, run_identity_sweep,
 )
 from partial_hopf.exact_arith import divisors
 from partial_hopf.hopf_core import to_json_dict
@@ -168,6 +168,21 @@ def test_classify_group_17_is_supported(capsys):
         len(divisors(n)) for n in range(1, 18)]
 
 
+def test_classify_stuck_solver_exits_3(monkeypatch, capsys):
+    # kC_5 with only 1 declared group-like and no split rule: the solver
+    # stops with every instance but those of h = 1 still open
+    monkeypatch.setattr(classify, "_find_split", lambda poly: None)
+    monkeypatch.setitem(cli._BUILDERS, "group", lambda n: dataclasses.replace(
+        group_algebra_cyclic(n), grouplikes=(0,)))
+    code, out, err = run(capsys, "classify", "group", "5", "--output", "json")
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert set(doc) == {"command", "ok", "unsupported"}
+    assert doc["command"] == "classify" and doc["ok"] is False
+    assert doc["unsupported"].startswith(
+        "solver stuck on kC_5 (support=<gen^1>): (g, 1); (g, g);")
+
+
 @pytest.mark.parametrize("exc,want", [
     (BranchLimitExceeded("more than 64 branches"), 3),
     (NonCyclicGrouplikes("group-like group is not cyclic"), 3),
@@ -223,11 +238,52 @@ def test_identity_sweep_default_size():
     assert len(identity_sweep_items(6, 8)) == 25555
 
 
-def test_identity_sweep_parallel_matches_serial():
-    serial = run_identity_sweep(2, 3, 1)
-    parallel = run_identity_sweep(2, 3, 2)
-    assert serial == parallel
-    assert serial[1] == []
+def tally_every_item(max_index, root_cap):
+    """The sweep's result by checking every item under every q spec."""
+    counts, failures = {}, []
+    for item in identity_sweep_items(max_index, root_cap):
+        v = _identity_verdict(item)
+        total, bad = counts.get(v.name, (0, 0))
+        counts[v.name] = (total + 1, bad + (not v.ok))
+        if not v.ok:
+            failures.append(str(v))
+    return counts, failures
+
+
+@pytest.fixture
+def wrong_binomial(monkeypatch):
+    """q_binomial off by q at (3 choose 1): every q-identity that meets that
+    binomial, in an instance or inside a recurrence, fails at the generic q
+    and at most specializations.  The recurrence memo is cleared around the
+    test, so no wrong value outlives it."""
+    right = qcomb.q_binomial
+
+    def wrong(m, l, q):
+        value = right(m, l, q)
+        return value + q if (m, l) == (3, 1) else value
+
+    qcomb._q_binomial.cache_clear()
+    monkeypatch.setattr(qcomb, "q_binomial", wrong)
+    yield
+    qcomb._q_binomial.cache_clear()
+
+
+@pytest.mark.parametrize("max_index,root_cap", [(3, 3), (5, 6)])
+def test_identity_sweep_equals_the_tally_of_every_item(max_index, root_cap):
+    got = run_identity_sweep(max_index, root_cap)
+    assert got == tally_every_item(max_index, root_cap)
+    assert got[1] == []
+
+
+@pytest.mark.parametrize("max_index,root_cap", [(3, 3), (5, 6)])
+def test_identity_sweep_reports_every_failure_of_a_wrong_binomial(
+        wrong_binomial, max_index, root_cap):
+    counts, failures = run_identity_sweep(max_index, root_cap)
+    assert (counts, failures) == tally_every_item(max_index, root_cap)
+    # the instances that fail at the generic q are checked under every spec
+    assert any("@ generic" in f for f in failures)
+    assert any("@ q=zeta_%d" % root_cap in f for f in failures)
+    assert any(bad for _, bad in counts.values())
 
 
 def test_export_round_trips_exactly(tmp_path, capsys):
@@ -322,6 +378,50 @@ def test_import_beyond_limits_is_format_error(tmp_path, capsys, field,
     code, out, err = run(capsys, "import", str(path))
     assert code == 2 and out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def _drop_last(key):
+    def edit(doc):
+        doc[key] = doc[key][:-1]
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _short_antipode_row(doc):
+    doc["antipode"][1] = doc["antipode"][1][:-1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_last("basis"), "basis length / dim / order inconsistent"),
+    (_set("order", 0), "basis length / dim / order inconsistent"),
+    (_set("basis", ["1", "x", "g", "x"]), "duplicate basis labels"),
+    (_drop_last("unit"), "unit/counit length mismatch"),
+    (_drop_last("counit"), "unit/counit length mismatch"),
+    (_drop_last("antipode"), "antipode must be a dim x dim matrix"),
+    (_short_antipode_row, "antipode must be a dim x dim matrix"),
+    (_set("grouplike_vectors", [["1", "0", "1"]]),
+     "grouplike vector length mismatch"),
+    (_set("basis_degrees", [0, 1, 0]), "basis_degrees length mismatch"),
+    (_set("counit", ["1", "0", "1/0", "0"]), "division by zero"),
+], ids=["basis_short", "order_zero", "duplicate_label", "unit_short",
+        "counit_short", "antipode_rows", "antipode_row_short",
+        "grouplike_vector_short", "degrees_short", "coefficient_refused"])
+def test_import_refuses_inconsistent_shapes(tmp_path, capsys, edit, message):
+    """Each shape check of the importer is a format error: exit 2, one line
+    on stderr, nothing on stdout."""
+    doc = to_json_dict(taft(2))
+    edit(doc)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 def _set_mult_index(doc, value):
@@ -467,7 +567,7 @@ def test_largest_order_is_the_builders_limit(name, build, top):
         build(top + 1)
 
 
-# -- worker counts ------------------------------------------------------------
+# -- identity sweep options ---------------------------------------------------
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
@@ -500,45 +600,16 @@ def test_non_integer_jobs_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("jobs,items,cpus,want", [
-    (1, 100, 8, 1),
-    (4, 100, 8, 4),
-    (64, 100, 8, 8),
-    (10 ** 9, 100, 2, 2),
-    (8, 3, 8, 3),
-    (8, 0, 8, 1),
-    (3, 100, 1, 1),
-])
-def test_worker_count_clamps(jobs, items, cpus, want):
-    assert worker_count(jobs, items, cpus) == want
-
-
-def test_sweep_pool_is_clamped_to_cores(monkeypatch):
-    # a stand-in Pool records the size asked for and maps serially
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    counts, failures = run_identity_sweep(1, 2, 10 ** 6)
-    assert sizes == [3]
-    assert (counts, failures) == run_identity_sweep(1, 2, 1)
+@pytest.mark.parametrize("jobs", ["4", str(10 ** 6)])
+def test_jobs_changes_no_output(capsys, jobs):
+    argv = ["identities", "--n", "3", "--max", "2", "--output", "json"]
+    code, out, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    assert run(capsys, *argv, "--jobs", jobs) == (0, out, "")
 
 
 def test_cli_import_loads_no_multiprocessing():
-    # a fresh interpreter: only a sweep with two or more workers needs it
+    # a fresh interpreter: the sweep runs in one process
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, partial_hopf.cli; "

@@ -379,6 +379,24 @@ def test_parse_rejects_junk():
         parse_poly("(1", 4)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1/0", "division by zero"),
+    ("z/(1+z^2-z^2-1)", "division by zero"),
+    ("z^x", "expected integer exponent, got 'x'"),
+    ("z^", "expected integer exponent, got None"),
+    ("1+", "unexpected end of expression"),
+    ("2*(", "unexpected end of expression"),
+    ("1+)", "unexpected token ')'"),
+    ("*2", "unexpected token '*'"),
+    ("1 2", "trailing tokens in '1 2'"),
+    ("(1)z", "trailing tokens in '(1)z'"),
+])
+def test_parse_scalar_refusals(text, message):
+    with pytest.raises(ExprError) as exc:
+        parse_scalar(text, 4)
+    assert str(exc.value) == message
+
+
 # -- bounds on the work of one expression -------------------------------------
 
 @pytest.fixture
