@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from math import isqrt
 
 from .algebras import (
@@ -357,43 +356,35 @@ def _q_instances(max_index: int) -> list:
     return out
 
 
-def _charsum_items(max_index: int) -> list:
-    return [("charsum", m, k, m // k)
-            for m in range(1, 2 * max_index + 1) for k in divisors(m)]
-
-
 def identity_sweep_items(max_index: int, root_cap: int) -> list:
     """Deterministic work list for the identity sweep: every q instance
     under every q spec, q spec major, each item ending in its q scalar;
     then the character sums."""
     instances = _q_instances(max_index)
-    return ([inst + (q,) for q in _sweep_qs(root_cap) for inst in instances]
-            + _charsum_items(max_index))
+    items = [inst + (q,) for q in _sweep_qs(root_cap) for inst in instances]
+    items += [("charsum", m, k, m // k)
+              for m in range(1, 2 * max_index + 1) for k in divisors(m)]
+    return items
 
 
 def run_identity_sweep(max_index: int, root_cap: int):
-    """Run the sweep, returning (per-suite counts, failure strings).
+    """Run the sweep, returning (per-suite counts, failure strings): each
+    item of ``identity_sweep_items`` checked once, in order.
 
-    The result is that of checking every item of ``identity_sweep_items``
-    in order, but each q instance is checked at the generic q first: one
-    that holds there holds under every q spec (the ``qcomb`` module
-    docstring says why), so only one that fails there is checked under
-    the other specs.
+    A q instance is checked under every q spec, not only at the generic q
+    (whose verdict already decides every spec, as the ``qcomb`` module
+    docstring shows), so the sweep also exercises the rational and
+    cyclotomic arithmetic of each spec.
     """
-    generic, *specs = _sweep_qs(root_cap)
-    instances = _q_instances(max_index)
-    first = [_identity_verdict(inst + (generic,)) for inst in instances]
-    failed = [inst for inst, v in zip(instances, first) if not v.ok]
-    charsums = [_identity_verdict(item) for item in _charsum_items(max_index)]
-    checked = (first + [_identity_verdict(inst + (q,))
-                        for q in specs for inst in failed] + charsums)
-    totals = Counter()
-    for v in first:
-        totals[v.name] += 1 + len(specs)
-    totals.update(v.name for v in charsums)
-    bad = Counter(v.name for v in checked if not v.ok)
-    counts = {name: (total, bad[name]) for name, total in totals.items()}
-    return counts, [str(v) for v in checked if not v.ok]
+    counts: dict = {}
+    failures = []
+    for item in identity_sweep_items(max_index, root_cap):
+        v = _identity_verdict(item)
+        total, bad = counts.get(v.name, (0, 0))
+        counts[v.name] = (total + 1, bad + (not v.ok))
+        if not v.ok:
+            failures.append(str(v))
+    return counts, failures
 
 
 def cmd_identities(args) -> int:

@@ -27,9 +27,10 @@ root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
 skips ``if not term`` and ``if second``/``if first`` drop only terms
 that are zero at that q, so they do not change a side's value.  Equality
 at the generic q is equality in Q[q], and a homomorphism maps it to
-equality at every q spec.  ``cli.run_identity_sweep`` relies on this: it
-checks an instance under the other q specs only when it fails at the
-generic q.
+equality at every q spec.  So an instance that passes at the generic q
+and fails at some spec shows a fault in that spec's arithmetic (Fraction,
+or CycNumber in Q(zeta_n)), not in the identity; the identity sweep checks
+every spec for that reason.
 """
 from __future__ import annotations
 

@@ -280,10 +280,27 @@ def test_identity_sweep_reports_every_failure_of_a_wrong_binomial(
         wrong_binomial, max_index, root_cap):
     counts, failures = run_identity_sweep(max_index, root_cap)
     assert (counts, failures) == tally_every_item(max_index, root_cap)
-    # the instances that fail at the generic q are checked under every spec
+    # the wrong binomial shows at the generic q and at the roots of unity
     assert any("@ generic" in f for f in failures)
     assert any("@ q=zeta_%d" % root_cap in f for f in failures)
     assert any(bad for _, bad in counts.values())
+
+
+@pytest.mark.parametrize("binomial", ["right", "wrong"])
+def test_a_q_spec_fails_only_where_the_generic_q_fails(request, binomial):
+    """The homomorphism argument of the qcomb docstring: an instance that
+    holds at the generic q holds under every q spec, with the right
+    binomial and with a wrong one that is still a polynomial in q."""
+    if binomial == "wrong":
+        request.getfixturevalue("wrong_binomial")
+    generic, *specs = cli._sweep_qs(6)
+    failing_at_generic = 0
+    for inst in cli._q_instances(5):
+        if _identity_verdict(inst + (generic,)).ok:
+            assert all(_identity_verdict(inst + (q,)).ok for q in specs), inst
+        else:
+            failing_at_generic += 1
+    assert (failing_at_generic > 0) == (binomial == "wrong")
 
 
 def test_export_round_trips_exactly(tmp_path, capsys):
