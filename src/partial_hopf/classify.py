@@ -206,10 +206,7 @@ def _try_linear(st: _State, poly: ParamPoly, why: str) -> bool:
             continue
         if not A.is_constant():
             continue
-        a = A.constant_value()
-        if a.is_zero():
-            continue
-        val = B * (-cyc_invert(a))
+        val = B * (-cyc_invert(A.constant_value()))
         _substitute(st, name, val, why)
         return True
     return False
@@ -384,9 +381,8 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
         solutions.append(sol)
 
     for sol in solutions:
-        rep = verify_partial_action(H, sol.values)
-        rep.merge(verify_partial_action(H, sol.values, symmetric=True))
-        if not rep.ok:
+        rep, srep = verify_partial_action(H, sol.values)
+        if not rep.merge(srep).ok:
             raise ClassificationError(
                 "solver emitted an invalid family on %s: %s"
                 % (H.name, rep.summary()))

@@ -170,8 +170,7 @@ def _family_sweep(args, kind, listings, verify) -> int:
                                                  kind))
         for fam in fams:
             H = fam.algebra
-            rep = verify(H, fam.values)
-            srep = verify(H, fam.values, symmetric=True)
+            rep, srep = verify(H, fam.values)
             good = rep.ok and srep.ok
             ok = ok and good
             vals = _values(fam.values, H.basis)

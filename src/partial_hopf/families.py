@@ -18,13 +18,16 @@ is a proof for all parameter values, not a sampled check.  The coaction
 sides are built on the sparse kernel of hopf_core, and every check is
 reported through ``Report.expect`` or ``_compare``.
 
-The action verifier builds the table of lam on products once per call:
-``on[b][y] = lam(e_b e_y)``, its nonzero entries only.  It scales
-c lam(h_1) (c lam(h_2) when symmetric) once per h, over the terms
-c h_1 (x) h_2 of Delta(h), so each residual of (A) or (B) costs one
-product lam(h) lam(y) and one product per coproduct term.  The classifier
-keeps ``instance_residual``, which evaluates one (h, y) pair on its own,
-since its unknowns change between evaluations.
+Each verifier checks a law and its symmetric form in one sweep and returns
+both reports, (plain, symmetric).  The action verifier builds lam(1), the
+table of lam on products ``on[b][y] = lam(e_b e_y)`` (its nonzero entries
+only) and each product lam(h) lam(y) once.  Per h it scales c lam(h_1) and
+c lam(h_2) once, over the terms c h_1 (x) h_2 of Delta(h), so the residuals
+of (A) and (B) share their left side and each costs one product per
+coproduct term.  The coaction verifier builds eps(z), Delta(z), z (x) 1,
+z (x) z and z^2 - z once; only the two tensor products differ.  The
+classifier keeps ``instance_residual``, which evaluates one (h, y) instance
+of (A) on its own, since its unknowns change between evaluations.
 
 lam and z are each given by their dim coordinates in the basis of H, and a
 ``Family`` is that coordinate tuple with a name and its parameters; the
@@ -61,9 +64,8 @@ def _require_divisor(n: int, k: int):
 # residual sweeps
 # ---------------------------------------------------------------------------
 
-def instance_residual(H: HopfData, lam, h: int, y: int,
-                      symmetric: bool = False) -> ParamPoly:
-    """The defect of one (h, y) instance of (A) (or of (B) when symmetric).
+def instance_residual(H: HopfData, lam, h: int, y: int) -> ParamPoly:
+    """The defect of one (h, y) instance of (A).
 
     ``lam`` is any object indexable by basis index returning ParamPoly.
     Zero residual means the instance holds identically.
@@ -74,15 +76,10 @@ def instance_residual(H: HopfData, lam, h: int, y: int,
     lhs = zero if (lh.is_zero() or ly.is_zero()) else lh * ly
     rhs = zero
     for c, a, b in H.comult[h]:
-        if symmetric:
-            outer = lam[b]
-            prod_idx = a
-        else:
-            outer = lam[a]
-            prod_idx = b
+        outer = lam[a]
         if outer.is_zero():
             continue
-        inner = _pair(lam, H.mult.get((prod_idx, y), ()), zero)
+        inner = _pair(lam, H.mult.get((b, y), ()), zero)
         if inner.is_zero():
             continue
         rhs = rhs + (outer * inner) * c
@@ -107,66 +104,72 @@ def _on_products(H: HopfData, values) -> list:
     return on
 
 
-def verify_partial_action(H: HopfData, values,
-                          symmetric: bool = False) -> Report:
-    """Exact verification of (A) (or (B)) over every ordered basis pair;
-    ``values`` are the dim coordinates lam(e_i)."""
-    which = "symmetric_action" if symmetric else "partial_action"
-    rep = Report("%s(%s)" % (which, H.name))
+def verify_partial_action(H: HopfData, values) -> tuple:
+    """Exact verification of (A) and of (B) over every ordered basis pair;
+    ``values`` are the dim coordinates lam(e_i).  Returns the two reports,
+    (plain, symmetric)."""
     _require_dim(H, values)
     zero = ParamPoly.zero(H.order)
-    rep.expect("unital", ("1",), _pair(values, H.unit, zero),
-               ParamPoly.one(H.order))
+    unit = _pair(values, H.unit, zero)
+    plain = Report("partial_action(%s)" % H.name)
+    sym = Report("symmetric_action(%s)" % H.name)
+    for rep in (plain, sym):
+        rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
     on = _on_products(H, values)
     for h in range(H.dim):
         lh = values[h]
-        # (c lam(h_1), on[h_2]) over the terms c h_1 (x) h_2 of Delta(h),
-        # h_1 and h_2 swapped when symmetric; zero lam(h_1) dropped
-        scaled = []
+        # (c lam(h_1), on[h_2]) for (A) and (c lam(h_2), on[h_1]) for (B),
+        # over the terms c h_1 (x) h_2 of Delta(h); zero lam(h_i) dropped
+        left, right = [], []
         for c, a, b in H.comult[h]:
-            if symmetric:
-                a, b = b, a
             if values[a]:
-                scaled.append((values[a] * c, on[b]))
+                left.append((values[a] * c, on[b]))
+            if values[b]:
+                right.append((values[b] * c, on[a]))
+        checks = ((plain, "partial_action", left),
+                  (sym, "symmetric_action", right))
         for y in range(H.dim):
             ly = values[y]
-            rhs = zero
-            for s, row in scaled:
-                p = row.get(y)
-                if p is not None:
-                    rhs = rhs + s * p
             lhs = lh * ly if lh and ly else zero
-            rep.expect(which, (H.basis[h], H.basis[y]), lhs - rhs, zero)
-    return rep
+            for rep, which, scaled in checks:
+                rhs = zero
+                for s, row in scaled:
+                    p = row.get(y)
+                    if p is not None:
+                        rhs = rhs + s * p
+                rep.expect(which, (H.basis[h], H.basis[y]), lhs - rhs, zero)
+    return plain, sym
 
 
-def verify_partial_coaction(H: HopfData, values,
-                            symmetric: bool = False) -> Report:
-    """Exact verification of (C) (or (D)) for the element z with the dim
-    coordinates ``values``; also reports z^2 = z, which the coaction law
-    forces.  Both sides are built on the sparse kernel."""
-    which = "symmetric_coaction" if symmetric else "partial_coaction"
-    rep = Report("%s(%s)" % (which, H.name))
+def verify_partial_coaction(H: HopfData, values) -> tuple:
+    """Exact verification of (C) and of (D) for the element z with the dim
+    coordinates ``values``; each report also checks z^2 = z, which the
+    coaction law forces.  Both sides are built on the sparse kernel.
+    Returns the two reports, (plain, symmetric)."""
     _require_dim(H, values)
-    rep.expect("counit_normalization", ("eps(z)",),
-               _pair(values, enumerate(H.counit), ParamPoly.zero(H.order)),
-               ParamPoly.one(H.order))
+    eps = _pair(values, enumerate(H.counit), ParamPoly.zero(H.order))
     u = sparse(values)
     dz = vec_comult(H.comult, u.items())
     z1 = {(i, j): a * b for i, a in u.items() for j, b in H.unit}
-    diff = {(i, j): a * b for i, a in u.items() for j, b in u.items()}
-    prod = (tensor_mul(H.mult, dz, z1) if symmetric
-            else tensor_mul(H.mult, z1, dz))
-    for key, c in prod.items():
-        _cdict_add(diff, key, -c)
-    rep.count()
-    _compare(rep, which, ("z",), diff, {}, H)
+    zz = {(i, j): a * b for i, a in u.items() for j, b in u.items()}
     idem = vec_mul(H.mult, u, u)
     for i, a in u.items():
         _cdict_add(idem, i, -a)
-    rep.count()
-    _compare(rep, "idempotent", ("z^2 - z",), idem, {}, H)
-    return rep
+    reps = []
+    for which, s, t in (("partial_coaction", z1, dz),
+                        ("symmetric_coaction", dz, z1)):
+        rep = Report("%s(%s)" % (which, H.name))
+        rep.expect("counit_normalization", ("eps(z)",), eps,
+                   ParamPoly.one(H.order))
+        diff = dict(zz)
+        for key, c in tensor_mul(H.mult, s, t).items():
+            _cdict_add(diff, key, -c)
+        rep.count()
+        _compare(rep, which, ("z",), diff, {}, H)
+        rep.count()
+        _compare(rep, "idempotent", ("z^2 - z",), idem, {}, H)
+        reps.append(rep)
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------

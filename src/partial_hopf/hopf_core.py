@@ -784,8 +784,8 @@ def _json_int(v, what: str) -> int:
     return v
 
 
-def from_json_dict(data: dict, validate: bool = True) -> HopfData:
-    """Parse and (by default) fully validate an algebra description.
+def from_json_dict(data: dict) -> HopfData:
+    """Parse and fully validate an algebra description.
 
     Raises HopfFormatError for structural problems, for a dim above MAX_DIM
     or an order above MAX_ORDER, and for a coefficient the expression
@@ -875,8 +875,7 @@ def from_json_dict(data: dict, validate: bool = True) -> HopfData:
         comult=comult, counit=tuple(counit), antipode=tuple(antipode_rows),
         grouplikes=grouplikes, grouplike_vectors=gvecs,
         skew_primitives=skew, basis_degrees=degrees)
-    if validate:
-        rep = validate_all(H)
-        if not rep.ok:
-            raise HopfValidationError(rep)
+    rep = validate_all(H)
+    if not rep.ok:
+        raise HopfValidationError(rep)
     return H

@@ -108,7 +108,7 @@ def test_contradiction_rule_ends_a_branch(monkeypatch):
 def test_solutions_are_reverified():
     res = classify_base_field_actions(taft(4))
     for s in res.families:
-        assert verify_partial_action(s.algebra, s.values).ok
+        assert all(r.ok for r in verify_partial_action(s.algebra, s.values))
 
 
 def test_traces_record_derivation():
@@ -155,6 +155,28 @@ def test_stuck_solver_is_unsupported(monkeypatch):
                         for h in range(1, 5) for y in range(5))
     assert str(exc.value) == (
         "solver stuck on kC_5 (support=<gen^1>): " + pending)
+
+
+def _double_unit_value(fam):
+    """``fam`` with its coordinate 0, lam(1), doubled."""
+    v = fam.values
+    return dataclasses.replace(fam, values=(v[0] + v[0],) + v[1:])
+
+
+def test_invalid_solution_is_refused(monkeypatch):
+    """The final re-verification is the solver's soundness guard: a
+    solution with lam(1) doubled fails it, and classify names the
+    algebra and the failing report."""
+    promote = classify._promote
+    monkeypatch.setattr(classify, "_promote",
+                        lambda H, st: _double_unit_value(promote(H, st)))
+    with pytest.raises(ClassificationError) as exc:
+        classify_base_field_actions(taft(3))
+    assert not isinstance(exc.value, SolverUnsupported)
+    assert str(exc.value).startswith(
+        "solver emitted an invalid family on taft(3): "
+        "partial_action(taft(3)): FAILED")
+    assert "\n  unital at ('1',): 2 != 1" in str(exc.value)
 
 
 def test_unclosed_grouplike_metadata_rejected():

@@ -22,6 +22,10 @@ from partial_hopf.cli import (
     _identity_verdict, identity_sweep_items, main, run_identity_sweep,
 )
 from partial_hopf.exact_arith import divisors
+from partial_hopf.families import (
+    taft_action_families, taft_coaction_families, verify_partial_action,
+    verify_partial_coaction,
+)
 from partial_hopf.hopf_core import to_json_dict
 
 
@@ -181,6 +185,54 @@ def test_classify_stuck_solver_exits_3(monkeypatch, capsys):
     assert doc["command"] == "classify" and doc["ok"] is False
     assert doc["unsupported"].startswith(
         "solver stuck on kC_5 (support=<gen^1>): (g, 1); (g, g);")
+
+
+def _double_unit_value(fam):
+    """``fam`` with its coordinate 0 (lam(1), or the 1-coordinate of z)
+    doubled."""
+    v = fam.values
+    return dataclasses.replace(fam, values=(v[0] + v[0],) + v[1:])
+
+
+def test_classify_invalid_solution_exits_1(monkeypatch, capsys):
+    promote = classify._promote
+    monkeypatch.setattr(classify, "_promote",
+                        lambda H, st: _double_unit_value(promote(H, st)))
+    code, out, err = run(capsys, "classify", "taft", "3")
+    assert code == 1 and out == ""
+    assert err.startswith(
+        "error: solver emitted an invalid family on taft(3): "
+        "partial_action(taft(3)): FAILED")
+
+
+@pytest.mark.parametrize("kind,lists,listing,verify,checks", [
+    ("action", cli._ACTION_LISTS, taft_action_families,
+     verify_partial_action, 2 * (1 + 81)),
+    ("coaction", cli._COACTION_LISTS, taft_coaction_families,
+     verify_partial_coaction, 2 * 3),
+])
+def test_failing_family_exits_1(monkeypatch, capsys, kind, lists, listing,
+                                verify, checks):
+    """With the parametric family of taft(3) faulted in coordinate 0 as its
+    only family, the sweep exits 1, counts the checks of both reports, and
+    lists the plain report's failures before the symmetric report's."""
+    fam = _double_unit_value(listing(3)[-1])
+    monkeypatch.setitem(lists, "taft", lambda n: [fam])
+    code, out, err = run(capsys, kind + "s", "taft", "3", "--output",
+                         "json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    (res,) = doc["results"]
+    assert res["verified"] is False and res["checks"] == checks
+    code, out, err = run(capsys, kind + "s", "taft", "3")
+    assert code == 1 and err == ""
+    plain, sym = verify(fam.algebra, fam.values)
+    assert not plain.ok and not sym.ok
+    want = ["    " + str(f) for f in plain.failures + sym.failures]
+    lines = out.splitlines()
+    start = lines.index("  parametric [params: a] FAILED") + 1
+    assert lines[start:start + len(want)] == want
 
 
 @pytest.mark.parametrize("exc,want", [

@@ -86,7 +86,7 @@ def test_every_coordinate_fault_is_caught(kind):
         else verify_partial_coaction
     accepted = []
     for label, H, coords in _faults(kind):
-        if verify(H, coords).ok and verify(H, coords, symmetric=True).ok:
+        if all(r.ok for r in verify(H, coords)):
             accepted.append(label)
             assert label in VALID, "%s accepted" % label
             assert coords == VALID[label](), label
@@ -94,21 +94,38 @@ def test_every_coordinate_fault_is_caught(kind):
                                       if k.startswith(kind + " "))
 
 
-def reference_verify_partial_action(H, values, symmetric=False):
-    """The action verifier as it ran before it built lam on products once
-    per call: one ``instance_residual`` per ordered basis pair."""
-    which = "symmetric_action" if symmetric else "partial_action"
-    rep = Report("%s(%s)" % (which, H.name))
+def symmetric_residual(H, values, h, y):
+    """One (h, y) instance of (B), from its formula:
+    lam(h) lam(y) - sum c lam(h_1 y) lam(h_2)."""
+    zero = ParamPoly.zero(H.order)
+    rhs = zero
+    for c, a, b in H.comult[h]:
+        on = zero
+        for k, d in H.mult.get((a, y), ()):
+            on = on + values[k] * d
+        rhs = rhs + on * values[b] * c
+    return values[h] * values[y] - rhs
+
+
+def reference_verify_partial_action(H, values):
+    """The action verifier as it ran before it built lam on products once:
+    one residual per ordered basis pair and report, the (A) residual from
+    ``instance_residual`` and the (B) residual from its formula."""
     unit = ParamPoly.zero(H.order)
     for i, c in H.unit:
         unit = unit + values[i] * c
-    rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
     zero = ParamPoly.zero(H.order)
-    for h in range(H.dim):
-        for y in range(H.dim):
-            rep.expect(which, (H.basis[h], H.basis[y]),
-                       instance_residual(H, values, h, y, symmetric), zero)
-    return rep
+    reps = []
+    for which, residual in (("partial_action", instance_residual),
+                            ("symmetric_action", symmetric_residual)):
+        rep = Report("%s(%s)" % (which, H.name))
+        rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
+        for h in range(H.dim):
+            for y in range(H.dim):
+                rep.expect(which, (H.basis[h], H.basis[y]),
+                           residual(H, values, h, y), zero)
+        reps.append(rep)
+    return reps
 
 
 def _failures(rep):
@@ -117,13 +134,15 @@ def _failures(rep):
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_action_verifier_matches_per_pair_reference(symmetric):
-    """On every action fault, the verifier reports what the per-pair
-    residual loop reports: the same check count and the same failures, in
-    the same order, with the same rendered sides."""
+    """On every action fault, the verifier's plain report (or, with
+    ``symmetric``, its symmetric report) is what the per-pair residual loop
+    reports: the same subject and check count and the same failures, in the
+    same order, with the same rendered sides."""
     failing = 0
     for label, H, coords in _faults("action"):
-        rep = verify_partial_action(H, coords, symmetric)
-        ref = reference_verify_partial_action(H, coords, symmetric)
+        rep = verify_partial_action(H, coords)[symmetric]
+        ref = reference_verify_partial_action(H, coords)[symmetric]
+        assert rep.subject == ref.subject, label
         assert rep.checks_run == ref.checks_run, label
         assert _failures(rep) == _failures(ref), label
         failing += not ref.ok

@@ -112,8 +112,9 @@ def family_failure_reports() -> dict:
                 H = fam.algebra
                 for i in range(H.dim):
                     y = _perturbed(fam.values, i)
-                    entry = {"plain": _report(verify(H, y)),
-                             "symmetric": _report(verify(H, y, True))}
+                    rep, srep = verify(H, y)
+                    entry = {"plain": _report(rep),
+                             "symmetric": _report(srep)}
                     if kind == "action":
                         entry["consequences"] = _report(
                             action_consequence_checks(

@@ -206,14 +206,20 @@ def test_classify_dualgroup_7_residual_count(monkeypatch):
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_taft_7_action_verification_products(monkeypatch, symmetric):
-    """verify_partial_action builds lam on products once per call and
-    scales c lam(h_1) once per h, so the families of taft(7) cost 4,174
-    polynomial products where the per-pair residual loop made 7,310."""
+    """verify_partial_action checks (A) and (B) in one sweep: it builds lam
+    on products and each lam(h) lam(y) once, and scales c lam(h_1) and
+    c lam(h_2) once per h.  The families of taft(7) cost 6,456 polynomial
+    products, their construction included, where one call per law made
+    8,320 and the per-pair residual loop 7,310 for (A) alone.  Each case
+    also asserts one of the two reports: the plain one, or the symmetric
+    one."""
     calls = _count_calls(monkeypatch)
     for fam in families.taft_action_families(7):
-        assert families.verify_partial_action(fam.algebra, fam.values,
-                                              symmetric).ok
-    assert calls == {"residual": 0, "poly_mul": 4174}
+        reps = families.verify_partial_action(fam.algebra, fam.values)
+        assert reps[symmetric].subject.startswith(
+            "symmetric_action(" if symmetric else "partial_action(")
+        assert all(r.ok for r in reps)
+    assert calls == {"residual": 0, "poly_mul": 6456}
 
 
 def test_classify_dualgroup_24_grouplike_check_products(monkeypatch):

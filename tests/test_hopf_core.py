@@ -142,11 +142,10 @@ def test_algebra_mismatch():
     coords = taft_parametric_action(2).values
     other_order = tuple(ParamPoly.one(3) for _ in range(T2.dim))
     for verify in (verify_partial_action, verify_partial_coaction):
-        for symmetric in (False, True):
-            with pytest.raises(ValueError, match="4 coordinates"):
-                verify(T3, coords, symmetric)
-            with pytest.raises(OrderMismatch):
-                verify(T2, other_order, symmetric)
+        with pytest.raises(ValueError, match="4 coordinates"):
+            verify(T3, coords)
+        with pytest.raises(OrderMismatch):
+            verify(T2, other_order)
     phi = taft_to_dual(3)
     with pytest.raises(ValueError, match="4 coordinates"):
         phi.apply(coords, ParamPoly.zero(3))
@@ -219,11 +218,3 @@ def test_json_invalid_structure_fails_validation():
     with pytest.raises(HopfValidationError) as exc:
         from_json_dict(d)
     assert not exc.value.report.ok
-
-
-def test_json_skip_validation_flag():
-    d = to_json_dict(taft(2))
-    i, j, k, expr = d["mult"][-1]
-    d["mult"][-1] = [i, j, (k + 1) % 4, expr]
-    H = from_json_dict(d, validate=False)
-    assert not validate_all(H).ok

@@ -14,13 +14,15 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_hopf import exact_arith
 from partial_hopf.duality import taft_to_dual, verify_hopf_morphism
 from partial_hopf.exact_arith import CycNumber, ParamPoly, euler_phi
 from partial_hopf.families import (
-    taft_coaction_families, verify_partial_coaction,
+    nichols_parametric_coaction, taft_coaction_families,
+    taft_parametric_coaction, verify_partial_coaction,
 )
 from partial_hopf.hopf_core import (
     _pair, convolve, dense, sparse, tensor_map, tensor_mul, vec_comult, vec_map,
@@ -409,7 +411,9 @@ def test_verifier_products_are_unchanged(monkeypatch):
     """exact_arith._mul calls, as counted before the kernel replaced the
     loops in verify_hopf_morphism and in the coaction verifiers, except
     that the counit check of the morphism no longer multiplies by the
-    counit's zero values: 3,368 products where it made 3,428."""
+    counit's zero values (3,368 products where it made 3,428), and that
+    one coaction call checks (C) and (D) on shared sides (1,432 products
+    where one call per law made 2 * 880)."""
     phi = taft_to_dual(4)
     fams = taft_coaction_families(4)
     n = [0]
@@ -424,10 +428,27 @@ def test_verifier_products_are_unchanged(monkeypatch):
     assert n[0] == 3368
     n[0] = 0
     for fam in fams:
-        assert verify_partial_coaction(fam.algebra, fam.values).ok
-    assert n[0] == 880
-    n[0] = 0
-    for fam in fams:
-        assert verify_partial_coaction(fam.algebra, fam.values,
-                                       symmetric=True).ok
-    assert n[0] == 880
+        assert all(r.ok for r in verify_partial_coaction(fam.algebra,
+                                                         fam.values))
+    assert n[0] == 1432
+
+
+@pytest.mark.parametrize("build,products", [
+    (taft_parametric_coaction, 1378), (nichols_parametric_coaction, 306)])
+def test_coaction_verifier_builds_shared_sides_once(monkeypatch, build,
+                                                   products):
+    """eps(z), Delta(z), z (x) 1, z (x) z and z^2 - z are built once for
+    (C) and (D); only the two tensor products are made twice.  One call per
+    law made 1,682 products on taft(4) and 390 on nichols(4)."""
+    fam = build(4)
+    n = [0]
+    mul = exact_arith._mul
+
+    def counted(a, b):
+        n[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(exact_arith, "_mul", counted)
+    assert all(r.ok for r in verify_partial_coaction(fam.algebra,
+                                                     fam.values))
+    assert n[0] == products
