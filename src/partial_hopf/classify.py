@@ -224,7 +224,7 @@ def _find_split(poly: ParamPoly):
 def _propagate(H: HopfData, st: _State):
     """Run rules to a fixpoint.  Returns one of
     ("solved",), ("contradiction", where), ("split", var, cofactor),
-    ("stuck", leftovers)."""
+    ("stuck", unsolved)."""
     while True:
         progressed = False
 
@@ -268,10 +268,10 @@ def _propagate(H: HopfData, st: _State):
             hit = _find_split(c)
             if hit:
                 return ("split", hit[0], hit[1])
-        leftovers = [c.render("q") for c in st.extra]
-        leftovers += ["(%s, %s)" % (H.basis[h], H.basis[y])
-                      for h, y in st.pending]
-        return ("stuck", leftovers)
+        unsolved = [c.render("q") for c in st.extra]
+        unsolved += ["(%s, %s)" % (H.basis[h], H.basis[y])
+                     for h, y in st.pending]
+        return ("stuck", unsolved)
 
 
 def _promote(H: HopfData, st: _State) -> Family:
@@ -279,36 +279,28 @@ def _promote(H: HopfData, st: _State) -> Family:
     is named once the solutions are sorted.
 
     Canonical scaling: walking the basis in degree order, the first value
-    that is a constant multiple of a lone unrenamed unknown defines that
-    parameter outright (the value becomes exactly t_k), which pins the
-    normalization instead of leaving it to substitution order."""
+    that is a constant multiple of a lone unknown u_k defines a new
+    parameter outright (the value becomes exactly t_j), which pins the
+    normalization instead of leaving it to substitution order.  The walk
+    reaches every surviving unknown: u_k is never substituted, so
+    values[k] is still exactly u_k at index k unless an earlier index
+    already replaced u_k by a parameter."""
     values = list(st.values)
     params = []
-    done = set()
     for i in sorted(range(H.dim), key=lambda i: (H.degree(i), i)):
         v = values[i]
         if v.is_constant() or len(v.terms) != 1:
             continue
         (mono, c), = v.terms.items()
         old = mono[0][0]
-        if len(mono) != 1 or mono[0][1] != 1 or old in done \
-                or not old.startswith("u"):
+        if len(mono) != 1 or mono[0][1] != 1 or not old.startswith("u"):
             continue
         new = "t%d" % (len(params) + 1)
         params.append(new)
-        done.add(old)
         repl = ParamPoly.var(H.order, new) * cyc_invert(c)
         values = [w.subs(old, repl) for w in values]
         st.trace.append("free parameter %s scaled into %s = lam(%s)"
                         % (old, new, H.basis[i]))
-    leftover = set()
-    for v in values:
-        leftover.update(x for x in v.vars_used() if x not in params)
-    for old in sorted(leftover, key=lambda s: int(s[1:])):
-        new = "t%d" % (len(params) + 1)
-        params.append(new)
-        values = [w.subs(old, ParamPoly.var(H.order, new)) for w in values]
-        st.trace.append("free parameter %s renamed %s" % (old, new))
     return Family("", H, tuple(params), tuple(values), tuple(st.trace))
 
 
@@ -356,7 +348,6 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
         st = stack.pop()
         out = _propagate(H, st)
         if out[0] == "contradiction":
-            st.trace.append("contradiction: %s" % out[1])
             continue
         if out[0] == "stuck":
             raise SolverUnsupported(

@@ -14,7 +14,9 @@ Subcommands:
 
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, 2 for usage or input errors, and 3 when the classifier does not
-support the input (e.g. a search beyond its branch limit).
+support the input (e.g. a search beyond its branch limit).  When the
+reader closes stdout early (``| head``), the command stops and exits 141,
+the status of a process ended by SIGPIPE, with nothing on stderr.
 `--output json` emits one stable JSON document on stdout instead of the
 text report; for exit 3 it is {"command", "ok": false, "unsupported"},
 with "results" for the orders classified before the unsupported one.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 
@@ -205,8 +208,8 @@ def cmd_coactions(args) -> int:
 
 def cmd_classify(args) -> int:
     """Classify every swept order.  At the first order the solver does not
-    support, stop: report the reason, and the orders already done under
-    "results" when there are any, and exit 3."""
+    support, stop: report the reason, and the orders already classified
+    under "results" when there are any, and exit 3."""
     build = _BUILDERS[args.algebra]
     results, lines, unsupported = [], [], None
     for n in _orders(args, _CLASSIFY_RANGE):
@@ -519,7 +522,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go
+        # nowhere instead of raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidOrder, NotADivisor, HopfFormatError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

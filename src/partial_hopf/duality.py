@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    HopfData, Report, _compare, _pair, convolve, dense, dual_hopf,
+    HopfData, Report, _compare, _pair, dense, dual_hopf,
     sparse, tensor_map, vec_comult, vec_map, vec_mul,
 )
 from .algebras import nichols, taft
@@ -241,7 +241,7 @@ def taft_from_dual(n: int) -> HopfMorphism:
 @lru_cache(maxsize=None)
 def nichols_to_dual(n: int) -> HopfMorphism:
     """Extend g |-> 1* - g*, x_i |-> x_i* - (g x_i)* multiplicatively:
-    each monomial maps to the convolution product of its factors."""
+    each monomial maps to the product of its factors in the dual."""
     H, D = nichols(n), nichols_dual(n)
     one = CycNumber.one(2)
     g_img = {0: one, 1: -one}
@@ -250,10 +250,10 @@ def nichols_to_dual(n: int) -> HopfMorphism:
     for m in range(H.dim):
         acc = sparse(H.counit)
         if m & 1:
-            acc = convolve(H.comult, acc, g_img)
+            acc = vec_mul(D.mult, acc, g_img)
         for i in range(1, n):
             if m & (1 << i):
-                acc = convolve(H.comult, acc, x_img[i - 1])
+                acc = vec_mul(D.mult, acc, x_img[i - 1])
         rows.append(tuple(sorted(acc.items())))
     return HopfMorphism(H, D, tuple(rows))
 

@@ -248,12 +248,6 @@ class CycNumber:
             return NotImplemented
         return self * cyc_invert(o)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * cyc_invert(self)
-
     def __pow__(self, e: int):
         if e < 0:
             return cyc_invert(self) ** (-e)
@@ -365,12 +359,8 @@ def _zeta(order: int, m: int) -> CycNumber:
 
 
 def _rat_poly_divmod(num: list, den: list):
-    # division over the rationals; den need not be monic
+    # division over the rationals; den is trimmed but need not be monic
     num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
     lead = den[-1]
     out = [_R0] * max(0, len(num) - dd)
@@ -558,9 +548,6 @@ class ParamPoly:
     def __sub__(self, other):
         return self._sum(other, True)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, CycNumber):
             if other.order != self.order:
@@ -589,14 +576,6 @@ class ParamPoly:
         if not k:
             return _poly(self.order, {})
         return _poly(self.order, {m: c * k for m, c in self.terms.items()})
-
-    def __truediv__(self, other):
-        # exact division by a nonzero scalar only
-        if isinstance(other, ParamPoly):
-            other = other.constant_value()
-        if isinstance(other, _RAT_TYPES):
-            other = CycNumber.from_rational(self.order, other)
-        return self * cyc_invert(other)
 
     def __pow__(self, e: int):
         if e < 0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, convolve,
+    HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, dual_hopf,
     sparse, tensor_mul, vec_comult, vec_mul,
 )
 from .algebras import (
@@ -426,4 +426,4 @@ def action_consequence_checks(fam: Family) -> Report:
 def convolution_idempotent(fam: Family) -> bool:
     """lam * lam = lam in the convolution algebra, exactly in parameters."""
     u = sparse(fam.values)
-    return convolve(fam.algebra.comult, u, u) == u
+    return vec_mul(dual_hopf(fam.algebra).mult, u, u) == u

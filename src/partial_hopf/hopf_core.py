@@ -208,24 +208,6 @@ def vec_comult(comult, terms) -> dict:
     return {k: s for k, s in out.items() if s}
 
 
-def convolve(comult, u: dict, v: dict) -> dict:
-    """The product of the functionals with values u and v on the basis, in
-    the dual algebra: (u v)(e_i) = sum c u(e_j) v(e_k) over Delta(e_i)."""
-    out: dict = {}
-    for i, row in enumerate(comult):
-        acc = None
-        for c, j, k in row:
-            uj = u.get(j)
-            if uj:
-                vk = v.get(k)
-                if vk:
-                    add = (uj * vk) * c
-                    acc = add if acc is None else acc + add
-        if acc:
-            out[i] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -287,12 +269,9 @@ def _cdict_add(acc: dict, key, c):
 def _cdict_str(d: dict, H: HopfData) -> str:
     parts = []
     for k in sorted(d):
-        v = d[k]
-        if v.is_zero():
-            continue
         lbl = ("(x)".join(H.basis[i] for i in k) if isinstance(k, tuple)
                else H.basis[k])
-        parts.append("(%s)*%s" % (v.render(), lbl))
+        parts.append("(%s)*%s" % (d[k].render(), lbl))
     return " + ".join(parts) if parts else "0"
 
 
@@ -565,10 +544,7 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
             rep.expect("counit_multiplicative", (i, j),
                        _pair(H.counit, mult.get((i, j), ()), zero),
                        H.counit[i] * H.counit[j])
-    d1: dict = {}
-    for i, ui in H.unit:
-        for c, j, k in comult[i]:
-            _cdict_add(d1, (j, k), ui * c)
+    d1 = vec_comult(comult, H.unit)
     for i, ui in H.unit:
         for j, uj in H.unit:
             _cdict_add(d1, (i, j), -(ui * uj))
@@ -666,8 +642,9 @@ def validate_all(H: HopfData) -> Report:
 def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
     """The dual Hopf algebra on the dual basis, by transposing tensors.
 
-    Product of functionals is convolution (transpose of comult), coproduct
-    is the transpose of mult, unit is the counit, counit is evaluation at 1,
+    The product of functionals is the transpose of comult, so the dual's
+    product table is the convolution product of H*; the coproduct is the
+    transpose of mult, unit is the counit, counit is evaluation at 1,
     and the antipode matrix is transposed.  Group-like metadata cannot be
     inferred in general, so the caller declares it: ``grouplike_vectors``
     are coordinate rows in the dual basis (algebra characters of H).

@@ -199,6 +199,33 @@ def test_duplicated_grouplike_declaration_is_unsupported(H, twice):
         classify_base_field_actions(dataclasses.replace(H, grouplikes=g))
 
 
+def test_unit_missing_from_the_grouplikes_is_a_failure():
+    """kC_3 declaring only g: the unit 1 is a group-like of H but not among
+    the declared ones, so the branching cannot start from it."""
+    bad = dataclasses.replace(group_algebra_cyclic(3), grouplikes=(1,))
+    with pytest.raises(ClassificationError,
+                       match="unit is not among the group-likes") as exc:
+        classify_base_field_actions(bad)
+    assert not isinstance(exc.value, SolverUnsupported)
+
+
+def test_constant_derived_constraint_is_a_contradiction():
+    """A derived constraint that reduces to a nonzero constant ends the
+    branch before any instance is evaluated."""
+    H = group_algebra_cyclic(2)
+    values = [ParamPoly.var(H.order, "u%d" % i) for i in range(H.dim)]
+    st = classify._State(values, [(0, 0)], [ParamPoly.one(H.order)])
+    assert classify._propagate(H, st) == ("contradiction",
+                                          "derived constraint 1")
+
+
+def test_split_needs_a_variable_common_to_every_monomial():
+    u0, u1 = (ParamPoly.var(1, name) for name in ("u0", "u1"))
+    one = ParamPoly.one(1)
+    assert classify._find_split(u0 * u1 + one) is None
+    assert classify._find_split(u0 * u1 + u1) == ("u1", u0 + one)
+
+
 def test_undeclared_grouplikes_are_unsupported():
     """A dual with no declared characters is a limit of the solver (exit
     3), not a failed check."""

@@ -427,6 +427,21 @@ def test_import_invalid_structure(tmp_path, capsys):
     assert code == 1
 
 
+def test_import_failure_report_is_truncated(tmp_path, capsys):
+    """taft(4) with the identity as antipode fails 28 checks; the report
+    lists the first 20 and counts the rest."""
+    doc = to_json_dict(taft(4))
+    dim = doc["dim"]
+    doc["antipode"] = [["1" if i == j else "0" for j in range(dim)]
+                       for i in range(dim)]
+    path = tmp_path / "identity_antipode.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "import", str(path))
+    assert code == 1
+    assert err.count("\n  antipode_") == 20
+    assert err.endswith("\n  ... 8 more failures\n")
+
+
 @pytest.mark.parametrize("field,value", [
     ("counit", "2^100000000"),
     ("counit", "1" * 257),
@@ -686,3 +701,26 @@ def test_cli_import_loads_no_multiprocessing():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True)
     assert probe.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "taft", "2"),                      # fails at the last flush
+    ("classify", "taft", "2", "--output", "json"),
+    ("export", "taft", "8"),                        # fails while printing
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    """A reader that stops early, as in ``| head -1``: the read end of the
+    pipe is closed before the command writes, so every write fails.
+    stdout is block-buffered, as it is for a user's pipe."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "partial_hopf.cli", *argv], stdout=w,
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+            timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")

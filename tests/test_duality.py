@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from partial_hopf.exact_arith import CycNumber, divisors
-from partial_hopf.algebras import nichols, taft
+from partial_hopf.algebras import group_algebra_cyclic, nichols, taft
 from partial_hopf.hopf_core import Report, dense, sparse, validate_all
 from partial_hopf.families import (
     nichols_counit_action, nichols_global_coaction, nichols_parametric_action,
@@ -146,6 +146,22 @@ def test_apply_requires_source_element():
     zero = CycNumber.zero(2)
     with pytest.raises(ValueError, match="9 coordinates"):
         psi.apply((CycNumber.one(2),) + (zero,) * 8, zero)
+
+
+def test_morphisms_that_do_not_compose_are_refused():
+    phi = taft_to_dual(2)                       # taft(2) -> taft(2)^*
+    with pytest.raises(ValueError, match="morphisms do not compose"):
+        compose(phi, phi)
+
+
+def test_a_map_between_dimensions_is_neither_identity_nor_invertible():
+    H, T = taft(2), group_algebra_cyclic(2)
+    one = CycNumber.one(2)
+    # g^i x^j -> g^i when j = 0, else 0
+    phi = HopfMorphism(H, T, (((0, one),), (), ((1, one),), ()))
+    assert not is_identity(phi)
+    with pytest.raises(ValueError, match="not a square map"):
+        invert_morphism(phi)
 
 
 # -- reports of faulted morphisms -------------------------------------------
