@@ -5,8 +5,9 @@
   * nichols(n): group-like g with g^2 = 1 and skew-primitives x_1..x_{n-1}
     with x_i^2 = 0, x_i x_j = -x_j x_i, x_i g = -g x_i; dim 2^n.
   * group_algebra_cyclic(n): the cyclic group algebra kC_n.
-  * dual_group_algebra_cyclic(n): its dual on the dual basis, whose declared
-    group-likes are the n characters g^i -> zeta_n^{ik}.
+  * dual_group_algebra_cyclic(n), taft_dual(n), nichols_dual(n): the duals
+    of kC_n, taft(n) and nichols(n) on the dual basis, whose declared
+    group-likes are the characters g^i -> zeta^{ik} of their group-likes.
 
 Antipodes are extended anti-homomorphically from the generators by actual
 structure-constant products, not transcribed, so validators exercise real
@@ -221,11 +222,35 @@ def group_algebra_cyclic(n: int) -> HopfData:
     )
 
 
+def _character_dual(H: HopfData) -> HopfData:
+    """The dual of H with its declared group-likes: the characters
+    chi_k(g^i) = zeta_m^(ik), k < m = H.order, on the declared group-likes
+    g^0 .. g^(m-1) of H, each zero on every other basis vector."""
+    m = H.order
+    zero = CycNumber.zero(m)
+    characters = []
+    for k in range(m):
+        vec = [zero] * H.dim
+        for i, b in enumerate(H.grouplikes):
+            vec[b] = zeta_pow(m, i * k)
+        characters.append(tuple(vec))
+    return dual_hopf(H, grouplike_vectors=tuple(characters))
+
+
+@lru_cache(maxsize=None)
+def taft_dual(n: int) -> HopfData:
+    """Dual of taft(n); its group-likes are the n characters g -> q^k."""
+    return _character_dual(taft(n))
+
+
+@lru_cache(maxsize=None)
+def nichols_dual(n: int) -> HopfData:
+    """Dual of nichols(n); the two characters send g to +1 or -1."""
+    return _character_dual(nichols(n))
+
+
 @lru_cache(maxsize=None)
 def dual_group_algebra_cyclic(n: int) -> HopfData:
     """(kC_n)^* on the dual basis; the declared group-likes are the
     characters g^i -> zeta_n^{ik}, one coordinate row per k."""
-    H = group_algebra_cyclic(n)
-    characters = tuple(
-        tuple(zeta_pow(n, i * k) for i in range(n)) for k in range(n))
-    return dual_hopf(H, grouplike_vectors=characters)
+    return _character_dual(group_algebra_cyclic(n))

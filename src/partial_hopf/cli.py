@@ -389,15 +389,23 @@ def run_identity_sweep(max_index: int, root_cap: int):
     return counts, failures
 
 
+# The largest --max and --n of the identity sweep (defaults 6 and 8): it
+# lists about max^4 q instances, each under 3 + n q specs, before its first
+# check, so the work grows without bound in both.
+_IDENTITY_MAX_LIMIT = 8
+_IDENTITY_N_LIMIT = 16
+
+
 def cmd_identities(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     max_index = args.max if args.max is not None else 6
     root_cap = args.n if args.n is not None else 8
-    if root_cap < 1:
-        raise UsageError("--n must be at least 1, got %d" % root_cap)
-    if max_index < 0:
-        raise UsageError("--max must be at least 0, got %d" % max_index)
+    for flag, value, lo, hi in (("--n", root_cap, 1, _IDENTITY_N_LIMIT),
+                                ("--max", max_index, 0, _IDENTITY_MAX_LIMIT)):
+        if not lo <= value <= hi:
+            bound = "at least %d" % lo if value < lo else "at most %d" % hi
+            raise UsageError("%s must be %s, got %d" % (flag, bound, value))
     counts, failures = run_identity_sweep(max_index, root_cap)
     results, lines = [], []
     for name in sorted(counts):
@@ -470,7 +478,7 @@ def _parser() -> argparse.ArgumentParser:
         return q
 
     all_algebras = tuple(_BUILDERS)
-    self_dual = ("taft", "nichols")
+    self_dual = tuple(_COACTION_LISTS)
 
     algebra_cmd("validate", cmd_validate,
                 "run the Hopf axiom checks on built-in algebras",
@@ -496,9 +504,11 @@ def _parser() -> argparse.ArgumentParser:
                        help="sweep the q-binomial and character-sum "
                             "identities")
     q.add_argument("--n", type=int, default=None,
-                   help="largest root-of-unity order to test (default 8)")
+                   help="largest root-of-unity order to test (default 8, "
+                        "at most %d)" % _IDENTITY_N_LIMIT)
     q.add_argument("--max", type=int, default=None,
-                   help="index bound for the sweeps (default 6)")
+                   help="index bound for the sweeps (default 6, at most %d)"
+                        % _IDENTITY_MAX_LIMIT)
     q.add_argument("--jobs", type=int, default=1,
                    help="accepted and checked (an integer of at least 1), "
                         "but changes nothing: the sweep runs in one process")
@@ -530,16 +540,11 @@ def main(argv=None) -> int:
         # nowhere instead of raising a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InvalidOrder, NotADivisor, HopfFormatError, UsageError) as exc:
+    except (InvalidOrder, NotADivisor, HopfFormatError, UsageError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except HopfValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ClassificationError as exc:
+    except (HopfValidationError, ClassificationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

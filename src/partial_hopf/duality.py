@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
-    HopfData, Report, _compare, _pair, dense, dual_hopf,
-    sparse, tensor_map, vec_comult, vec_map, vec_mul,
+    HopfData, Report, _compare, _pair, dense, sparse, tensor_map,
+    vec_comult, vec_map, vec_mul,
 )
-from .algebras import nichols, taft
+from .algebras import nichols, nichols_dual, taft, taft_dual
 from .families import Family
 from .qcomb import Verdict, q_factorial
 
@@ -106,7 +106,6 @@ def verify_hopf_morphism(phi: HopfMorphism) -> Report:
     rows = phi.rows
     vecs = [dict(row) for row in rows]
 
-    rep.count()
     _compare(rep, "unit", (), vec_map(rows, S.unit), dict(T.unit), T)
 
     zero = T.zero_scalar()
@@ -116,13 +115,11 @@ def verify_hopf_morphism(phi: HopfMorphism) -> Report:
 
     for i in range(S.dim):
         for j in range(S.dim):
-            rep.count()
             _compare(rep, "multiplicative", (S.basis[i], S.basis[j]),
                      vec_map(rows, S.mult.get((i, j), ())),
                      vec_mul(T.mult, vecs[i], vecs[j]), T)
 
     for i in range(S.dim):
-        rep.count()
         _compare(rep, "comultiplicative", (S.basis[i],),
                  tensor_map(rows, (((a, b), c) for c, a, b in S.comult[i])),
                  vec_comult(T.comult, rows[i]), T)
@@ -168,36 +165,6 @@ def verify_inverse_pair(phi: HopfMorphism, psi: HopfMorphism) -> PairReport:
                                                psi.target.name))
         return PairReport(rep, psi_rep, True, True)
     return PairReport(rep, verify_hopf_morphism(psi), round_trip, False)
-
-
-# ---------------------------------------------------------------------------
-# dual algebras with their character metadata
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def taft_dual(n: int) -> HopfData:
-    """Dual of taft(n); its group-likes are the n characters g -> q^k."""
-    H = taft(n)
-    chars = []
-    for k in range(n):
-        vec = [CycNumber.zero(n)] * H.dim
-        for i in range(n):
-            vec[i * n] = zeta_pow(n, i * k)
-        chars.append(tuple(vec))
-    return dual_hopf(H, grouplike_vectors=tuple(chars))
-
-
-@lru_cache(maxsize=None)
-def nichols_dual(n: int) -> HopfData:
-    """Dual of nichols(n); the two characters send g to +1 or -1."""
-    H = nichols(n)
-    chars = []
-    for sign in (1, -1):
-        vec = [CycNumber.zero(2)] * H.dim
-        vec[0] = CycNumber.one(2)
-        vec[1] = CycNumber.from_rational(2, sign)
-        chars.append(tuple(vec))
-    return dual_hopf(H, grouplike_vectors=tuple(chars))
 
 
 # ---------------------------------------------------------------------------

@@ -43,26 +43,13 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den must be monic; plain synthetic division over the integers
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    return out, num[:dd]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending, monic) of the n-th cyclotomic polynomial.
 
-    Computed by exact integer division of x^n - 1 by the product of the
-    cyclotomic polynomials of all proper divisors of n.
+    Computed by exact division of x^n - 1 by the product of the cyclotomic
+    polynomials of all proper divisors of n; they are monic, so the division
+    stays in the integers.
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
@@ -70,7 +57,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in divisors(n):
         if d == n:
             continue
-        num, rem = _int_poly_divmod(num, list(cyclotomic_polynomial(d)))
+        num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
         assert not any(rem), "cyclotomic division must be exact"
     return tuple(num)
 
@@ -358,16 +345,19 @@ def _zeta(order: int, m: int) -> CycNumber:
     return _cyc(order, next(islice(_high_powers(order), m - phi, None)), 1)
 
 
-def _rat_poly_divmod(num: list, den: list):
-    # division over the rationals; den is trimmed but need not be monic
+def _poly_divmod(num: list, den: list):
+    # division over the rationals; den is trimmed but need not be monic.  A
+    # monic den divides without a division, so int coefficients stay ints
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    out = [_R0] * max(0, len(num) - dd)
+    monic = lead == 1
+    out = [0] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
-            c = c / lead
+            if not monic:
+                c = c / lead
             out[i - dd] = c
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
@@ -397,7 +387,7 @@ def cyc_invert(a: CycNumber) -> CycNumber:
             scale = a.den / r1[0]
             coords = [c * scale for c in s1] + [_R0] * phi
             return CycNumber(a.order, coords[:phi])
-        q, r = _rat_poly_divmod(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         # s_next = s0 - q*s1
         s_next = list(s0) + [_R0] * max(0, len(q) + len(s1) - 1 - len(s0))
         for i, qi in enumerate(q):

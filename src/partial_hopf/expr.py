@@ -180,6 +180,6 @@ def parse_poly(s: str, order: int, root_symbol: str = "z",
     return value
 
 
-def parse_scalar(s: str, order: int, root_symbol: str = "z") -> CycNumber:
-    """Parse a parameter-free expression into a CycNumber."""
-    return parse_poly(s, order, root_symbol, params=()).constant_value()
+def parse_scalar(s: str, order: int) -> CycNumber:
+    """Parse a parameter-free expression in z into a CycNumber."""
+    return parse_poly(s, order, params=()).constant_value()

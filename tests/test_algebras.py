@@ -4,7 +4,7 @@ import pytest
 from partial_hopf.exact_arith import CycNumber, zeta_pow
 from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
-    taft,
+    nichols_dual, taft, taft_dual,
 )
 from partial_hopf.hopf_core import (
     tensor_mul, validate_all, vec_comult, vec_mul,
@@ -27,6 +27,32 @@ def test_nichols_validates(n):
 def test_group_algebras_validate(n):
     assert validate_all(group_algebra_cyclic(n)).ok
     assert validate_all(dual_group_algebra_cyclic(n)).ok
+
+
+def _g_power(i):
+    return "1" if i == 0 else ("g" if i == 1 else "g^%d" % i)
+
+
+@pytest.mark.parametrize("dual,base,n", (
+    [(taft_dual, taft, n) for n in range(2, 7)]
+    + [(nichols_dual, nichols, n) for n in range(2, 6)]
+    + [(dual_group_algebra_cyclic, group_algebra_cyclic, n)
+       for n in range(1, 9)]))
+def test_dual_characters_in_k_order(dual, base, n):
+    # validation passes for any order of the characters, so the rows are
+    # pinned here: row k is chi_k(g^i) = zeta_m^(ik) on the label of g^i
+    H, D = base(n), dual(n)
+    m = H.order
+    want = []
+    for k in range(m):
+        row = [CycNumber.zero(m)] * H.dim
+        for i in range(m):
+            row[H.label_index(_g_power(i))] = zeta_pow(m, i * k)
+        want.append(tuple(row))
+    assert D.grouplike_vectors == tuple(want)
+    if base is nichols:
+        sign = [CycNumber.from_rational(2, s) for s in (1, -1)]
+        assert [row[1] for row in D.grouplike_vectors] == sign
 
 
 def test_bad_orders():

@@ -663,11 +663,14 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
 @pytest.mark.parametrize("args,flag", [
     (["--n", "0"], "--n"), (["--n", "-3"], "--n"),
     (["--max", "-1"], "--max"), (["--max", "-7", "--n", "2"], "--max"),
+    (["--max", "9"], "--max"), (["--n", "17", "--max", "0"], "--n"),
+    (["--max", str(10 ** 9)], "--max"),
 ])
 def test_identities_bounds_are_usage_errors(capsys, args, flag):
     code, out, err = run(capsys, "identities", *args, "--jobs", "1")
     assert code == 2 and out == ""
     assert flag in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_identities_smallest_bounds_run(capsys):

@@ -51,6 +51,16 @@ def test_cyclotomic_known_values(n, coeffs):
     assert cyclotomic_polynomial(n) == coeffs
 
 
+def test_cyclotomic_coefficients_are_ints():
+    # a Fraction coefficient would compare equal to its int and pass the
+    # value tests above
+    for n in range(1, 201):
+        assert all(type(c) is int for c in cyclotomic_polynomial(n)), n
+    phi105 = cyclotomic_polynomial(105)
+    assert [k for k, c in enumerate(phi105) if c not in (-1, 0, 1)] == [7, 41]
+    assert phi105[7] == phi105[41] == -2
+
+
 @pytest.mark.parametrize("n", ORDERS)
 def test_degree_is_euler_phi(n):
     assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1

@@ -22,6 +22,19 @@ from partial_hopf.hopf_core import (
 )
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_compare_counts_dim_to_the_width(n):
+    H = group_algebra_cyclic(n)
+    for width, checks in ((0, 1), (1, n), (2, n * n)):
+        rep = hopf_core.Report("compare")
+        hopf_core._compare(rep, "empty", (), {}, {}, H, width)
+        assert (rep.checks_run, rep.failures) == (checks, [])
+    # a failing slice counts the same: one failure, n checks
+    rep = hopf_core.Report("compare")
+    hopf_core._compare(rep, "one", (), {(0, 0): H.one_scalar()}, {}, H, 1)
+    assert (rep.checks_run, len(rep.failures)) == (n, 1)
+
+
 def test_validate_all_taft4():
     rep = validate_all(taft(4))
     assert rep.ok, rep.summary()
