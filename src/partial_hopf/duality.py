@@ -260,6 +260,13 @@ def check_character_sum(n: int, k: int, l: int) -> Verdict:
     lval = CycNumber.from_rational(n, Rational(l) / n)
     rhs = [lval if t % l == 0 else CycNumber.zero(n) for t in range(n)]
     ok = lhs == rhs
-    return Verdict("character_sum", (n, k, l), "q=zeta_%d" % n, ok,
-                   " + ".join(str(c) for c in lhs),
-                   " + ".join(str(c) for c in rhs))
+    text = _g_vector(lhs)
+    return Verdict("character_sum", (n, k, l), "q=zeta_%d" % n, ok, text,
+                   text if ok else _g_vector(rhs))
+
+
+def _g_vector(coeffs) -> str:
+    """sum_t coeffs[t] g^t as text, zero terms left out."""
+    parts = ["(%s)*g^%d" % (c.render(), t)
+             for t, c in enumerate(coeffs) if c]
+    return " + ".join(parts) if parts else "0"

@@ -108,6 +108,11 @@ def _zero(order: int) -> "CycNumber":
     return _cyc(order, (0,) * euler_phi(order), 1)
 
 
+@lru_cache(maxsize=None)
+def _one(order: int) -> "CycNumber":
+    return _cyc(order, (1,) + (0,) * (euler_phi(order) - 1), 1)
+
+
 class CycNumber:
     """An element of Q(zeta_order) in canonical coordinates.
 
@@ -146,7 +151,7 @@ class CycNumber:
 
     @staticmethod
     def one(order: int) -> "CycNumber":
-        return CycNumber.from_rational(order, 1)
+        return _one(order)
 
     @staticmethod
     def from_rational(order: int, value) -> "CycNumber":

@@ -24,13 +24,15 @@ multiplying both sides with the opposite nonnegative one, and
 nonzero, so s >= 0.  Both sides are therefore the values of two
 polynomials in Q[q] at the q given, and each q spec (a rational, or a
 root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
-skips ``if not term`` and ``if second``/``if first`` drop only terms
-that are zero at that q, so they do not change a side's value.  Equality
-at the generic q is equality in Q[q], and a homomorphism maps it to
-equality at every q spec.  So an instance that passes at the generic q
-and fails at some spec shows a fault in that spec's arithmetic (Fraction,
-or CycNumber in Q(zeta_n)), not in the identity; the identity sweep checks
-every spec for that reason.
+skips drop only terms that are zero at that q, so they do not change a
+side's value: a ``check_identity`` sum skips a term at its first zero
+binomial factor, before any product, and at a zero product
+(``if not term``), and ``check_pascal`` adds its q-power term only
+``if second``/``if first``.  Equality at the generic q is equality in
+Q[q], and a homomorphism maps it to equality at every q spec.  So an
+instance that passes at the generic q and fails at some spec shows a
+fault in that spec's arithmetic (Fraction, or CycNumber in Q(zeta_n)),
+not in the identity; the identity sweep checks every spec for that reason.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ def one_like(q):
     return type(q).one(q.order)
 
 
+@lru_cache(maxsize=None)
 def q_label(q) -> str:
     """Short human-readable description of a q scalar for reports."""
     if isinstance(q, ParamPoly):
@@ -77,7 +80,7 @@ def q_number(m: int, q):
         raise PreconditionViolated("q-number of negative index %d" % m)
     acc = zero_like(q)
     for k in range(m):
-        acc = acc + q ** k
+        acc = acc + _q_pow(k, q)
     return acc
 
 
@@ -106,7 +109,13 @@ def q_binomial(m: int, l: int, q):
 
 @lru_cache(maxsize=None)
 def _q_binomial(m: int, l: int, q):
-    return q_binomial(m - 1, l - 1, q) + (q ** l) * q_binomial(m - 1, l, q)
+    return q_binomial(m - 1, l - 1, q) + _q_pow(l, q) * q_binomial(m - 1, l, q)
+
+
+@lru_cache(maxsize=None)
+def _q_pow(e: int, q):
+    """q ** e for e >= 0, computed once per (e, q)."""
+    return q ** e
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,11 @@ class Verdict:
 
 
 def _verdict(name, indices, q, lhs, rhs) -> Verdict:
-    return Verdict(name, tuple(indices), q_label(q), lhs == rhs,
-                   lhs.render(), rhs.render())
+    # equal canonical forms render identically, so a pass renders one side
+    ok = lhs == rhs
+    text = lhs.render()
+    return Verdict(name, tuple(indices), q_label(q), ok, text,
+                   text if ok else rhs.render())
 
 
 PASCAL_VARIANTS = ("a", "b")
@@ -151,12 +163,12 @@ def check_pascal(variant: str, i: int, s: int, q) -> Verdict:
         second = q_binomial(i - 1, s, q)
         rhs = q_binomial(i - 1, s - 1, q)
         if second:
-            rhs = rhs + q ** s * second
+            rhs = rhs + _q_pow(s, q) * second
     else:
         first = q_binomial(i - 1, s - 1, q)
         rhs = q_binomial(i - 1, s, q)
         if first:
-            rhs = rhs + q ** (i - s) * first
+            rhs = rhs + _q_pow(i - s, q) * first
     return _verdict("pascal_" + variant, (i, s), q, lhs, rhs)
 
 
@@ -200,10 +212,14 @@ def check_identity(name: str, indices, q) -> Verdict:
         i, t, k = indices
         acc = zero_like(q)
         for s in range(i + 1):
-            term = q_binomial(i, s, q) * q_binomial(i + t - s, i + k, q)
+            first = q_binomial(i, s, q)
+            second = first and q_binomial(i + t - s, i + k, q)
+            if not second:
+                continue
+            term = first * second
             if not term:
                 continue
-            term = term * q ** (s * k + s * (s + 1) // 2)
+            term = term * _q_pow(s * k + s * (s + 1) // 2, q)
             acc = acc - term if s % 2 else acc + term
         return _verdict(name, indices, q, acc, q_binomial(t, k, q))
 
@@ -220,31 +236,39 @@ def check_identity(name: str, indices, q) -> Verdict:
         i, j, t, s = indices
         acc = zero_like(q)
         for l in range(j + 1):
-            term = (q_binomial(j, l, q)
-                    * q_binomial(j + t - l, i + s - l, q)
-                    * q_binomial(l, i, q))
+            # (l i) first: it is zero whenever l < i
+            third = q_binomial(l, i, q)
+            first = third and q_binomial(j, l, q)
+            second = first and q_binomial(j + t - l, i + s - l, q)
+            if not second:
+                continue
+            term = first * second * third
             if not term:
                 continue
             d = i - l
-            term = term * q ** (d * (d + 1) // 2)
+            term = term * _q_pow(d * (d + 1) // 2, q)
             acc = acc - term if d % 2 else acc + term
         rhs = q_binomial(j, i, q) * q_binomial(t, s, q)
         shift = s * (i - j)
         if shift >= 0:
-            lhs = q ** shift * acc
+            lhs = _q_pow(shift, q) * acc
         else:
             lhs = acc
-            rhs = q ** (-shift) * rhs
+            rhs = _q_pow(-shift, q) * rhs
         return _verdict(name, indices, q, lhs, rhs)
 
     # binomial_inversion
     j, t, s = indices
     acc = zero_like(q)
     for l in range(j + 1):
-        term = q_binomial(j, l, q) * q_binomial(j + t - l, s - l, q)
+        first = q_binomial(j, l, q)
+        second = first and q_binomial(j + t - l, s - l, q)
+        if not second:
+            continue
+        term = first * second
         if not term:
             continue
-        term = term * q ** (l * (l - 1) // 2)
+        term = term * _q_pow(l * (l - 1) // 2, q)
         acc = acc - term if l % 2 else acc + term
-    rhs = q ** (s * j) * q_binomial(t, s, q)
+    rhs = _q_pow(s * j, q) * q_binomial(t, s, q)
     return _verdict(name, indices, q, acc, rhs)

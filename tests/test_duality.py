@@ -131,6 +131,19 @@ def test_character_sums():
         check_character_sum(6, 4, 2)
 
 
+def test_character_sum_sides_read_as_g_vectors(monkeypatch):
+    v = check_character_sum(2, 2, 1)
+    assert (v.lhs, v.rhs) == ("(1/2)*g^0 + (1/2)*g^1",) * 2
+    assert check_character_sum(6, 2, 3).rhs == "(1/2)*g^0 + (1/2)*g^3"
+    # a wrong power of zeta: the failing verdict renders each side itself
+    monkeypatch.setattr(duality, "zeta_pow",
+                        lambda n, k: CycNumber.zero(n) if k else
+                        CycNumber.one(n))
+    v = check_character_sum(2, 1, 2)
+    assert not v.ok
+    assert (v.lhs, v.rhs) == ("(1)*g^0 + (1/2)*g^1", "(1)*g^0")
+
+
 def test_taft2_and_nichols2_isos_agree():
     # same algebra up to relabeling, so the two closed forms must agree
     # through the relabeling permutation 1,x,g,gx -> 1,g,x1,gx1

@@ -19,8 +19,10 @@ its term dict; ``classify_taft.json`` (orders 2-8) and
 support branch still enumerated every subset of G(H).
 ``identity_verdicts_n3_max3.txt`` holds ``str()`` of every verdict of
 ``identity_sweep_items(3, 3)``, one a line, captured while the generic q
-was a separate Laurent-polynomial class; a passing verdict prints both
-rendered sides, so it pins the rendering of every scalar kind of q.
+was a separate Laurent-polynomial class, except its ``character_sum``
+lines, regenerated when a character sum's sides became g-vectors such as
+``(1/2)*g^0 + (1/2)*g^1``; a passing verdict prints its rendered side
+twice, so it pins the rendering of every scalar kind of q.
 ``family_failures.json`` holds ``family_failure_reports()`` as JSON, captured
 while the coaction verifier still built its tensors with a separate tensor
 class.  Any change to a verdict, a check count, a family, a failure text or a
