@@ -73,7 +73,7 @@ def taft(n: int) -> HopfData:
     for i in range(n):
         for j in range(n):
             row = tuple(
-                (q_binomial(j, l, q), idx(i + l, j - l), idx(i, l))
+                ((idx(i + l, j - l), idx(i, l)), q_binomial(j, l, q))
                 for l in range(j + 1))
             comult_rows.append(row)
 
@@ -161,8 +161,7 @@ def nichols(n: int) -> HopfData:
         for i in xbits(m):
             dxi = {(1 << i, 0): one, (1, 1 << i): one}
             acc = tensor_mul(mult, acc, dxi)
-        comult_rows.append(tuple(
-            (c, j, k) for (j, k), c in sorted(acc.items())))
+        comult_rows.append(tuple(sorted(acc.items())))
 
     counit = tuple(one if m & ~1 == 0 else CycNumber.zero(order)
                    for m in range(dim))
@@ -204,7 +203,7 @@ def group_algebra_cyclic(n: int) -> HopfData:
                   for i in range(n))
     mult = {(i, j): (((i + j) % n, one),)
             for i in range(n) for j in range(n)}
-    comult = tuple(((one, i, i),) for i in range(n))
+    comult = tuple((((i, i), one),) for i in range(n))
     antipode = tuple(((-i % n, one),) for i in range(n))
     return HopfData(
         name="kC_%d" % n,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
 from .hopf_core import (
     HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, dual_hopf,
-    sparse, tensor_mul, vec_comult, vec_mul,
+    sparse, tensor_mul, vec_map, vec_mul,
 )
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
@@ -75,7 +75,7 @@ def instance_residual(H: HopfData, lam, h: int, y: int) -> ParamPoly:
     ly = lam[y]
     lhs = zero if (lh.is_zero() or ly.is_zero()) else lh * ly
     rhs = zero
-    for c, a, b in H.comult[h]:
+    for (a, b), c in H.comult[h]:
         outer = lam[a]
         if outer.is_zero():
             continue
@@ -121,7 +121,7 @@ def verify_partial_action(H: HopfData, values) -> tuple:
         # (c lam(h_1), on[h_2]) for (A) and (c lam(h_2), on[h_1]) for (B),
         # over the terms c h_1 (x) h_2 of Delta(h); zero lam(h_i) dropped
         left, right = [], []
-        for c, a, b in H.comult[h]:
+        for (a, b), c in H.comult[h]:
             if values[a]:
                 left.append((values[a] * c, on[b]))
             if values[b]:
@@ -149,7 +149,7 @@ def verify_partial_coaction(H: HopfData, values) -> tuple:
     _require_dim(H, values)
     eps = _pair(values, enumerate(H.counit), ParamPoly.zero(H.order))
     u = sparse(values)
-    dz = vec_comult(H.comult, u.items())
+    dz = vec_map(H.comult, u.items())
     z1 = {(i, j): a * b for i, a in u.items() for j, b in H.unit}
     zz = {(i, j): a * b for i, a in u.items() for j, b in u.items()}
     idem = vec_mul(H.mult, u, u)

@@ -26,14 +26,16 @@ depend on the certificate.  In the Delta sweep a product row scaled by
 its coproduct coefficient is built once and shared by every coproduct
 term it meets, so with one-term rows a pair of terms costs two scalar
 products, not three.  The JSON importer bounds dim, order and coefficient
-expressions before any sweep runs, refuses a non-integer where it expects
-an integer, and parses each distinct coefficient string once.
+expressions before any sweep runs, refuses a non-integer or a non-array
+where it expects one, and parses each distinct coefficient string once.
 
-Every other product through the structure constants, in this module and
-in the others, runs on one small sparse kernel over {index: scalar} dicts;
-an element of H (x) H is such a dict keyed by basis pairs, with no class of
-its own, and every linear form on a vector given by its terms (lam(1),
-eps(z), lam(e_b e_y), the counit sums) is one ``_pair``.  Every check in
+Those sweeps, the unit and counit laws, coassociativity and
+``validate_antipode`` loop over the structure rows; the products that
+build whole vectors, in this module and in the others, run on one small
+sparse kernel over {index: scalar} dicts.  An element of H (x) H is such a
+dict keyed by basis pairs, with no class of its own, and every linear form
+on a vector given by its terms (lam(1), eps(z), lam(e_b e_y), the counit
+sums) is one ``_pair``.  Every check in
 the package is reported one of two ways: a scalar by ``Report.expect``, a
 pair of coefficient dicts by ``_compare`` (a side that must vanish is
 ``{}``).
@@ -56,7 +58,7 @@ class HopfData:
     """Structure constants of one finite-dimensional Hopf algebra.
 
     mult[(i, j)]   -> tuple of (k, c):       e_i e_j = sum c . e_k
-    comult[i]      -> tuple of (c, j, k):    Delta(e_i) = sum c . e_j (x) e_k
+    comult[i]      -> tuple of ((j, k), c):  Delta(e_i) = sum c . e_j (x) e_k
     unit           -> tuple of (i, c):       1 = sum c . e_i
     counit[i]      -> CycNumber              eps(e_i)
     antipode[i]    -> tuple of (j, c):       S(e_i) = sum c . e_j
@@ -66,6 +68,8 @@ class HopfData:
     skew_primitives -> (x, g, h) with Delta(e_x) = e_x (x) e_g + e_h (x) e_x
     basis_degrees  -> optional ordering hint (0 for group part); empty means
                       all zero
+    Every structure row is (key, c) pairs, so Delta is ``vec_map`` over
+    comult, and m, Delta and S each transpose by one ``_transpose``.
     """
 
     name: str
@@ -106,9 +110,9 @@ class HopfData:
 # ---------------------------------------------------------------------------
 # A vector is a dict {index: scalar} and a tensor in H (x) H a dict
 # {(i, j): scalar}, the scalars CycNumber or ParamPoly; results hold no zero
-# entries.  vec_map, tensor_map and vec_comult read their argument once, as
-# (key, scalar) pairs, so a dict's items(), a structure row or
-# enumerate(coords) all serve; zero scalars among them are skipped.  The
+# entries.  vec_map (Delta too, over comult) and tensor_map read their
+# argument once, as (key, scalar) pairs, so a dict's items(), a structure
+# row or enumerate(coords) all serve; zero scalars among them are skipped.  The
 # structure constant is always the right operand of a product, so a
 # ParamPoly coordinate times a CycNumber constant is one ParamPoly product.
 
@@ -193,18 +197,6 @@ def tensor_map(rows, terms) -> dict:
                     key = (p, q)
                     prev = out.get(key)
                     out[key] = cu * v if prev is None else prev + cu * v
-    return {k: s for k, s in out.items() if s}
-
-
-def vec_comult(comult, terms) -> dict:
-    """Delta of sum a e_i, over the (i, a) in ``terms``, as a tensor."""
-    out: dict = {}
-    for i, a in terms:
-        if a:
-            for c, j, k in comult[i]:
-                key = (j, k)
-                prev = out.get(key)
-                out[key] = a * c if prev is None else prev + a * c
     return {k: s for k, s in out.items() if s}
 
 
@@ -437,7 +429,7 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
             containing[m].append((a, b, c))
     by_first: list = [[] for _ in range(dim)]
     for j, row in enumerate(comult):
-        for c, a, b in row:
+        for (a, b), c in row:
             by_first[a].append((j, c, b))
 
     # unit laws
@@ -481,7 +473,7 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
     for i in range(dim):
         lacc: dict = {}
         racc: dict = {}
-        for c, j, k in comult[i]:
+        for (j, k), c in comult[i]:
             ej = H.counit[j]
             if ej:
                 _cdict_add(lacc, (k,), c * ej)
@@ -497,10 +489,10 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
     for i in range(dim):
         left = {}
         right = {}
-        for c, j, k in comult[i]:
-            for c2, a, b in comult[j]:
+        for (j, k), c in comult[i]:
+            for (a, b), c2 in comult[j]:
                 _cdict_add(left, (a, b, k), c * c2)
-            for c2, a, b in comult[k]:
+            for (a, b), c2 in comult[k]:
                 _cdict_add(right, (j, a, b), c * c2)
         _compare(rep, "coassociativity", (i,), left, right, H)
 
@@ -511,12 +503,12 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
         lhs: dict = {}
         for j, row_ij in by_left[i]:
             for k, c in row_ij:
-                for c2, a, b in comult[k]:
+                for (a, b), c2 in comult[k]:
                     key = (j, a, b)
                     prev = lhs.get(key)
                     lhs[key] = c * c2 if prev is None else prev + c * c2
         rhs: dict = {}
-        for c1, a1, b1 in comult[i]:
+        for (a1, b1), c1 in comult[i]:
             for a2, ra in by_left[a1]:
                 # the row of e_a1 e_a2 scaled by c1, built at the first hit
                 ra1 = None
@@ -541,7 +533,7 @@ def _bialgebra_sweep(H: HopfData, firsts) -> Report:
             rep.expect("counit_multiplicative", (i, j),
                        _pair(H.counit, mult.get((i, j), ()), zero),
                        H.counit[i] * H.counit[j])
-    d1 = vec_comult(comult, H.unit)
+    d1 = vec_map(comult, H.unit)
     for i, ui in H.unit:
         for j, uj in H.unit:
             _cdict_add(d1, (i, j), -(ui * uj))
@@ -557,7 +549,7 @@ def validate_antipode(H: HopfData) -> Report:
     for i in range(H.dim):
         left: dict = {}
         right: dict = {}
-        for c, j, k in H.comult[i]:
+        for (j, k), c in H.comult[i]:
             for m, cs in H.antipode[j]:
                 row = mult.get((m, k))
                 if row:
@@ -586,8 +578,8 @@ def validate_grouplikes(H: HopfData) -> Report:
     one = H.one_scalar()
     for b in H.grouplikes:
         row: dict = {}
-        for c, j, k in H.comult[b]:
-            _cdict_add(row, (j, k), c)
+        for jk, c in H.comult[b]:
+            _cdict_add(row, jk, c)
         _cdict_add(row, (b, b), -one)
         _compare(rep, "grouplike_comult", (b,), row, {}, H)
         rep.expect("grouplike_counit", (b,), H.counit[b], one)
@@ -595,7 +587,7 @@ def validate_grouplikes(H: HopfData) -> Report:
         u = sparse(vec)
         _compare(rep, "grouplike_vector_comult",
                  tuple(c.render() for c in vec),
-                 vec_comult(H.comult, u.items()),
+                 vec_map(H.comult, u.items()),
                  {(i, j): a * b for i, a in u.items() for j, b in u.items()},
                  H)
         rep.expect("grouplike_vector_counit", (),
@@ -611,8 +603,8 @@ def validate_metadata(H: HopfData) -> Report:
     one = H.one_scalar()
     for (x, g, h) in H.skew_primitives:
         row: dict = {}
-        for c, j, k in H.comult[x]:
-            _cdict_add(row, (j, k), c)
+        for jk, c in H.comult[x]:
+            _cdict_add(row, jk, c)
         _cdict_add(row, (x, g), -one)
         _cdict_add(row, (h, x), -one)
         _compare(rep, "skew_primitive_comult", (x, g, h), row, {}, H)
@@ -631,50 +623,41 @@ def validate_all(H: HopfData) -> Report:
 # duality
 # ---------------------------------------------------------------------------
 
+def _transpose(rows) -> dict:
+    """The transpose of a map given by its (key, row) pairs, each row of
+    (key2, c) pairs: {key2: ((key, c), ...)}, each row in the order of
+    ``rows``."""
+    out: dict = {}
+    for key, row in rows:
+        for key2, c in row:
+            out.setdefault(key2, []).append((key, c))
+    return {key2: tuple(v) for key2, v in out.items()}
+
+
 def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
-    """The dual Hopf algebra on the dual basis, by transposing tensors.
+    """The dual Hopf algebra on the dual basis, by transposing m, Delta, S.
 
     The product of functionals is the transpose of comult, so the dual's
     product table is the convolution product of H*; the coproduct is the
-    transpose of mult, unit is the counit, counit is evaluation at 1,
-    and the antipode matrix is transposed.  Group-like metadata cannot be
+    transpose of mult, each row sorted by its (j, k) key; unit is the
+    counit, counit is evaluation at 1.  Group-like metadata cannot be
     inferred in general, so the caller declares it: ``grouplike_vectors``
     are coordinate rows in the dual basis (algebra characters of H).
     """
-    mult_dual: dict = {}
-    for i in range(H.dim):
-        for c, j, k in H.comult[i]:
-            mult_dual.setdefault((j, k), []).append((i, c))
-    mult_dual = {key: tuple(v) for key, v in mult_dual.items()}
-
-    comult_rows: list = [[] for _ in range(H.dim)]
-    for (j, k), row in H.mult.items():
-        for i, c in row:
-            comult_rows[i].append((c, j, k))
-    comult_dual = tuple(tuple(sorted(r, key=lambda t: (t[1], t[2])))
-                        for r in comult_rows)
-
-    unit_dual = tuple((i, c) for i, c in enumerate(H.counit) if not c.is_zero())
-    counit_dual = [H.zero_scalar()] * H.dim
-    for i, c in H.unit:
-        counit_dual[i] = c
-
-    antipode_rows: list = [[] for _ in range(H.dim)]
-    for i in range(H.dim):
-        for j, c in H.antipode[i]:
-            antipode_rows[j].append((i, c))
-    antipode_dual = tuple(tuple(sorted(r)) for r in antipode_rows)
-
+    dim = H.dim
+    comult = _transpose(H.mult.items())
+    antipode = _transpose(enumerate(H.antipode))
     return HopfData(
         name=H.name + "^*",
-        dim=H.dim,
+        dim=dim,
         order=H.order,
         basis=tuple(lbl + "*" for lbl in H.basis),
-        mult=mult_dual,
-        unit=unit_dual,
-        comult=comult_dual,
-        counit=tuple(counit_dual),
-        antipode=antipode_dual,
+        mult=_transpose(enumerate(H.comult)),
+        unit=tuple(sparse(H.counit).items()),
+        comult=tuple(tuple(sorted(comult.get(i, ()), key=lambda t: t[0]))
+                     for i in range(dim)),
+        counit=dense(dict(H.unit), dim, H.zero_scalar()),
+        antipode=tuple(antipode.get(i, ()) for i in range(dim)),
         grouplikes=(),
         grouplike_vectors=grouplike_vectors,
         skew_primitives=(),
@@ -714,7 +697,7 @@ def to_json_dict(H: HopfData) -> dict:
                 mult_rows.append([i, j, k, c.render()])
     comult_rows = []
     for i, row in enumerate(H.comult):
-        for c, j, k in row:
+        for (j, k), c in row:
             if not c.is_zero():
                 comult_rows.append([i, j, k, c.render()])
     zero = H.zero_scalar()
@@ -749,6 +732,14 @@ def _json_int(v, what: str) -> int:
     return v
 
 
+def _json_list(v, what: str) -> list:
+    """A JSON array field or row; a string or object is refused rather than
+    read entry by entry."""
+    if type(v) is not list:
+        raise HopfFormatError("%s must be an array, not %r" % (what, v))
+    return v
+
+
 def from_json_dict(data: dict) -> HopfData:
     """Parse and fully validate an algebra description.
 
@@ -764,7 +755,7 @@ def from_json_dict(data: dict) -> HopfData:
             raise HopfFormatError(
                 "dim %d / order %d beyond the import limits %d / %d"
                 % (dim, order, MAX_DIM, MAX_ORDER))
-        basis = tuple(str(b) for b in data["basis"])
+        basis = tuple(str(b) for b in _json_list(data["basis"], "basis"))
         if len(basis) != dim or dim < 1 or order < 1:
             raise HopfFormatError("basis length / dim / order inconsistent")
         if len(set(basis)) != dim:
@@ -787,45 +778,49 @@ def from_json_dict(data: dict) -> HopfData:
                 raise HopfFormatError("%s index %d out of range" % (what, i))
             return i
 
+        def rows(v, what):
+            return (_json_list(r, what + " row") for r in _json_list(v, what))
+
         mult: dict = {}
-        for row in data["mult"]:
-            i, j, k, cs = row
+        for i, j, k, cs in rows(data["mult"], "mult"):
             key = (index(i, "mult"), index(j, "mult"))
             mult.setdefault(key, []).append((index(k, "mult"), scal(cs)))
         mult = {k: tuple(v) for k, v in mult.items()}
 
         comult_rows: list = [[] for _ in range(dim)]
-        for row in data["comult"]:
-            i, j, k, cs = row
-            comult_rows[index(i, "comult")].append(
-                (scal(cs), index(j, "comult"), index(k, "comult")))
+        for i, j, k, cs in rows(data["comult"], "comult"):
+            r, c = comult_rows[index(i, "comult")], scal(cs)
+            r.append(((index(j, "comult"), index(k, "comult")), c))
         comult = tuple(tuple(r) for r in comult_rows)
 
-        unit_dense = [scal(s) for s in data["unit"]]
-        counit = [scal(s) for s in data["counit"]]
+        unit_dense = [scal(s) for s in _json_list(data["unit"], "unit")]
+        counit = [scal(s) for s in _json_list(data["counit"], "counit")]
         if len(unit_dense) != dim or len(counit) != dim:
             raise HopfFormatError("unit/counit length mismatch")
         antipode_rows = []
-        if len(data["antipode"]) != dim:
+        if len(_json_list(data["antipode"], "antipode")) != dim:
             raise HopfFormatError("antipode must be a dim x dim matrix")
-        for arow in data["antipode"]:
+        for arow in rows(data["antipode"], "antipode"):
             if len(arow) != dim:
                 raise HopfFormatError("antipode must be a dim x dim matrix")
             antipode_rows.append(
                 tuple(sparse([scal(s) for s in arow]).items()))
 
-        grouplikes = tuple(index(i, "grouplike") for i in data["grouplikes"])
+        grouplikes = tuple(index(i, "grouplike") for i in
+                           _json_list(data["grouplikes"], "grouplikes"))
         skew = tuple(
             (index(x, "skew"), index(g, "skew"), index(h, "skew"))
-            for (x, g, h) in data["skew_primitives"])
+            for (x, g, h) in rows(data["skew_primitives"], "skew_primitives"))
         gvecs = tuple(
             tuple(scal(s) for s in vec)
-            for vec in data.get("grouplike_vectors", ()))
+            for vec in rows(data.get("grouplike_vectors", []),
+                            "grouplike_vectors"))
         for vec in gvecs:
             if len(vec) != dim:
                 raise HopfFormatError("grouplike vector length mismatch")
         degrees = tuple(_json_int(d, "basis degree")
-                        for d in data.get("basis_degrees", ()))
+                        for d in _json_list(data.get("basis_degrees", []),
+                                            "basis_degrees"))
         if degrees and len(degrees) != dim:
             raise HopfFormatError("basis_degrees length mismatch")
         name = str(data.get("name", "imported"))

@@ -26,13 +26,13 @@ polynomials in Q[q] at the q given, and each q spec (a rational, or a
 root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
 skips drop only terms that are zero at that q, so they do not change a
 side's value: a ``check_identity`` sum skips a term at its first zero
-binomial factor, before any product, and at a zero product
-(``if not term``), and ``check_pascal`` adds its q-power term only
-``if second``/``if first``.  Equality at the generic q is equality in
-Q[q], and a homomorphism maps it to equality at every q spec.  So an
-instance that passes at the generic q and fails at some spec shows a
-fault in that spec's arithmetic (Fraction, or CycNumber in Q(zeta_n)),
-not in the identity; the identity sweep checks every spec for that reason.
+binomial factor, before any product, and ``check_pascal`` adds its
+q-power term only ``if second``/``if first``.  Equality at the generic q
+is equality in Q[q], and a homomorphism maps it to equality at every q
+spec.  So an instance that passes at the generic q and fails at some spec
+shows a fault in that spec's arithmetic (Fraction, or CycNumber in
+Q(zeta_n)), not in the identity; the identity sweep checks every spec for
+that reason.
 """
 from __future__ import annotations
 
@@ -217,8 +217,6 @@ def check_identity(name: str, indices, q) -> Verdict:
             if not second:
                 continue
             term = first * second
-            if not term:
-                continue
             term = term * _q_pow(s * k + s * (s + 1) // 2, q)
             acc = acc - term if s % 2 else acc + term
         return _verdict(name, indices, q, acc, q_binomial(t, k, q))
@@ -243,8 +241,6 @@ def check_identity(name: str, indices, q) -> Verdict:
             if not second:
                 continue
             term = first * second * third
-            if not term:
-                continue
             d = i - l
             term = term * _q_pow(d * (d + 1) // 2, q)
             acc = acc - term if d % 2 else acc + term
@@ -266,8 +262,6 @@ def check_identity(name: str, indices, q) -> Verdict:
         if not second:
             continue
         term = first * second
-        if not term:
-            continue
         term = term * _q_pow(l * (l - 1) // 2, q)
         acc = acc - term if l % 2 else acc + term
     rhs = _q_pow(s * j, q) * q_binomial(t, s, q)

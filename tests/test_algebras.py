@@ -7,7 +7,7 @@ from partial_hopf.algebras import (
     nichols_dual, taft, taft_dual,
 )
 from partial_hopf.hopf_core import (
-    tensor_mul, validate_all, vec_comult, vec_mul,
+    tensor_mul, validate_all, vec_map, vec_mul,
 )
 
 
@@ -95,10 +95,10 @@ def test_taft_relations(n):
 def test_taft_comult_is_power_of_primitive_row(n):
     H = taft(n)
     one = CycNumber.one(n)
-    dx = vec_comult(H.comult, [(H.label_index("x"), one)])
-    acc = vec_comult(H.comult, H.unit)
+    dx = vec_map(H.comult, [(H.label_index("x"), one)])
+    acc = vec_map(H.comult, H.unit)
     for j in range(n):
-        assert vec_comult(H.comult, [(j, one)]) == acc  # index (0, j) = j
+        assert vec_map(H.comult, [(j, one)]) == acc  # index (0, j) = j
         acc = tensor_mul(H.mult, acc, dx)
 
 
@@ -108,7 +108,7 @@ def test_nichols_delta_of_x1x2():
     t = lambda a, b: (H.label_index(a), H.label_index(b))
     want = {t("x1x2", "1"): one, t("gx1", "x2"): -one, t("gx2", "x1"): one,
             t("1", "x1x2"): one}
-    assert vec_comult(H.comult, [(H.label_index("x1x2"), one)]) == want
+    assert vec_map(H.comult, [(H.label_index("x1x2"), one)]) == want
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -135,7 +135,7 @@ def test_taft2_equals_nichols2_up_to_relabeling():
         want = tuple(sorted((perm[k], c) for k, c in row))
         assert tuple(sorted(got)) == want
     for i in range(4):
-        want = sorted((c, perm[j], perm[k]) for c, j, k in T.comult[i])
+        want = sorted(((perm[j], perm[k]), c) for (j, k), c in T.comult[i])
         assert sorted(N.comult[perm[i]]) == want
         assert N.counit[perm[i]] == T.counit[i]
         want_s = sorted((perm[j], c) for j, c in T.antipode[i])
@@ -149,7 +149,7 @@ def test_group_algebra_tables():
     for i in range(n):
         for j in range(n):
             assert H.mult[(i, j)] == (((i + j) % n, one),)
-        assert H.comult[i] == ((one, i, i),)
+        assert H.comult[i] == (((i, i), one),)
         assert H.antipode[i] == (((-i) % n, one),)
     assert H.grouplikes == tuple(range(n))
 

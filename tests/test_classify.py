@@ -285,7 +285,7 @@ def _klein_group_algebra():
         name="kKlein", dim=dim, order=order,
         basis=("1", "a", "b", "ab"),
         mult=mult, unit=((0, one),),
-        comult=tuple(((one, i, i),) for i in range(dim)),
+        comult=tuple((((i, i), one),) for i in range(dim)),
         counit=(one,) * dim,
         antipode=tuple(((i, one),) for i in range(dim)),
         grouplikes=(0, 1, 2, 3), grouplike_vectors=(),

@@ -569,6 +569,29 @@ def test_import_refuses_inconsistent_shapes(tmp_path, capsys, edit, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("basis", "1g"),
+    ("unit", "10"),
+    ("counit", "11"),
+    ("antipode", ["10", "01"]),
+    ("grouplike_vectors", ["10"]),
+    ("unit", {"1": 0, "0": 0}),
+], ids=["basis_string", "unit_string", "counit_string",
+        "antipode_row_strings", "grouplike_vector_string", "unit_object"])
+def test_import_refuses_non_array_fields(tmp_path, capsys, key, value):
+    """A string or object where the format has an array is a format error;
+    it used to be read entry by entry (an object as its keys), and each of
+    these documents of kC_2 imported as valid."""
+    doc = to_json_dict(group_algebra_cyclic(2))
+    doc[key] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an array" in err and "Traceback" not in err
+
+
 def _set_mult_index(doc, value):
     doc["mult"][0][0] = value  # the row [0, 0, 0, "1"]
 

@@ -225,12 +225,12 @@ def reference_verify_hopf_morphism(phi):
                          str(lhs), str(rhs))
     for i in range(S.dim):
         lhs, rhs = {}, {}
-        for c, a, b in S.comult[i]:
+        for (a, b), c in S.comult[i]:
             for p, u in imgs[a].items():
                 for q, v in imgs[b].items():
                     add(lhs, (p, q), c * u * v)
         for j, m in imgs[i].items():
-            for c, p, q in T.comult[j]:
+            for (p, q), c in T.comult[j]:
                 add(rhs, (p, q), m * c)
         rep.count()
         if lhs != rhs:

@@ -99,7 +99,7 @@ def symmetric_residual(H, values, h, y):
     lam(h) lam(y) - sum c lam(h_1 y) lam(h_2)."""
     zero = ParamPoly.zero(H.order)
     rhs = zero
-    for c, a, b in H.comult[h]:
+    for (a, b), c in H.comult[h]:
         on = zero
         for k, d in H.mult.get((a, y), ()):
             on = on + values[k] * d

@@ -25,8 +25,12 @@ lines, regenerated when a character sum's sides became g-vectors such as
 twice, so it pins the rendering of every scalar kind of q.
 ``family_failures.json`` holds ``family_failure_reports()`` as JSON, captured
 while the coaction verifier still built its tensors with a separate tensor
-class.  Any change to a verdict, a check count, a family, a failure text or a
-rendered scalar shows up here as a byte difference.
+class.  ``export_taft_3.json``, ``export_nichols_2.json`` and
+``export_dualgroup_4.json`` hold ``export`` output, captured while a Delta row
+was stored coefficient-first as (c, j, k); they pin every exported
+structure row and its order.  Any change to a verdict, a check count, a
+family, a failure text or a rendered scalar shows up here as a byte
+difference.
 """
 import dataclasses
 import json
@@ -70,6 +74,20 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_report_matches_golden(capsys, name):
     assert main(CASES[name] + ["--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
+
+
+EXPORTS = {
+    "export_taft_3": ["export", "taft", "3"],
+    "export_nichols_2": ["export", "nichols", "2"],
+    "export_dualgroup_4": ["export", "dualgroup", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_matches_golden(capsys, name):
+    assert main(EXPORTS[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / (name + ".json")).read_bytes()
 

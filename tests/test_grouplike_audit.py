@@ -115,7 +115,7 @@ def _bump(row, t, at):
 def _faults(H):
     for i, row in enumerate(H.comult):
         for t in range(len(row)):
-            comult = H.comult[:i] + (_bump(row, t, 0),) + H.comult[i + 1:]
+            comult = H.comult[:i] + (_bump(row, t, 1),) + H.comult[i + 1:]
             yield "comult[%d][%d]" % (i, t), dataclasses.replace(
                 H, comult=comult)
     for key in sorted(H.mult):

@@ -9,7 +9,8 @@ from partial_hopf.exact_arith import (
     CycNumber, OrderMismatch, ParamPoly, Rational,
 )
 from partial_hopf.algebras import (
-    dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
+    dual_group_algebra_cyclic, group_algebra_cyclic, nichols, nichols_dual,
+    taft, taft_dual,
 )
 from partial_hopf.duality import taft_to_dual
 from partial_hopf.families import (
@@ -68,7 +69,7 @@ def test_broken_comult_fails_counit_law():
     H = taft(3)
     comult = list(H.comult)
     one = CycNumber.one(3)
-    comult[1] = ((one, 1, 0),)  # Delta(x) = x (x) 1 drops the g (x) x term
+    comult[1] = (((1, 0), one),)  # Delta(x) = x (x) 1 drops the g (x) x term
     bad = dataclasses.replace(H, comult=tuple(comult))
     rep = validate_bialgebra(bad)
     assert any(f.check == "counit_left" for f in rep.failures)
@@ -112,24 +113,39 @@ def test_dual_comult_is_addition():
     n = 5
     D = dual_group_algebra_cyclic(n)
     for k in range(n):
-        pairs = sorted((j, kk) for _, j, kk in D.comult[k])
+        pairs = sorted(jk for jk, _ in D.comult[k])
         assert pairs == sorted((a, (k - a) % n) for a in range(n))
 
 
+def _by_key(row):
+    return tuple(sorted(row, key=lambda t: t[0]))
+
+
+DOUBLE_DUAL_CASES = (
+    [(taft, n) for n in range(2, 6)]
+    + [(nichols, n) for n in range(2, 5)]
+    + [(group_algebra_cyclic, n) for n in range(1, 7)]
+    + [(dual_group_algebra_cyclic, n) for n in range(1, 7)]
+    + [(taft_dual, n) for n in range(2, 5)]
+    + [(nichols_dual, n) for n in range(2, 5)])
+
+
 def test_double_dual_returns_original_constants():
-    H = taft(3)
-    DD = dual_hopf(dual_hopf(H))
-    assert DD.dim == H.dim
-    for key in set(H.mult) | set(DD.mult):
-        assert sorted(H.mult.get(key, ())) == sorted(DD.mult.get(key, ()))
-    for i in range(H.dim):
-        a = {(j, k): c for c, j, k in H.comult[i]}
-        b = {(j, k): c for c, j, k in DD.comult[i]}
-        assert a == b
-    assert H.counit == DD.counit
-    assert sorted(H.unit) == sorted(DD.unit)
-    for i in range(H.dim):
-        assert sorted(H.antipode[i]) == sorted(DD.antipode[i])
+    """H** has H's m, S, unit and counit row for row, and its Delta rows
+    are H's sorted by their (j, k) key, as every Delta row of a dual is:
+    taft lists the terms of a Delta row by l, which wraps past g^(n-1)."""
+    for build, n in DOUBLE_DUAL_CASES:
+        H = build(n)
+        D = dual_hopf(H)
+        DD = dual_hopf(D)
+        assert DD.dim == H.dim
+        assert DD.mult == H.mult, H.name
+        assert DD.comult == tuple(_by_key(row) for row in H.comult), H.name
+        assert DD.antipode == H.antipode, H.name
+        assert DD.unit == H.unit, H.name
+        assert DD.counit == H.counit, H.name
+        for dual in (D, DD):
+            assert all(row == _by_key(row) for row in dual.comult), H.name
 
 
 def test_tensor_square_product():

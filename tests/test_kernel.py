@@ -28,7 +28,7 @@ from partial_hopf.families import (
 )
 from partial_hopf.hopf_core import (
     HopfData, _pair, dense, dual_hopf, sparse, tensor_map, tensor_mul,
-    vec_comult, vec_map, vec_mul,
+    vec_map, vec_mul,
 )
 
 
@@ -125,7 +125,7 @@ def ref_comultiply(comult, zero, a):                  # hopf_core.comultiply
     for i, ca in enumerate(a):
         if ca.is_zero():
             continue
-        for c, j, k in comult[i]:
+        for (j, k), c in comult[i]:
             key = (j, k)
             out[key] = out.get(key, zero) + ca * c
     return out
@@ -133,7 +133,7 @@ def ref_comultiply(comult, zero, a):                  # hopf_core.comultiply
 
 def ref_morphism_comult(imgs, zero, row):   # verify_hopf_morphism, Delta side
     lhs = {}
-    for c, a, b in row:
+    for (a, b), c in row:
         for p, u in imgs[a].items():
             cu = c * u
             for qq, v in imgs[b].items():
@@ -150,7 +150,7 @@ def ref_convolution(comult, zero, f, g):              # hopf_core.convolution
     out = []
     for row in comult:
         acc = zero
-        for c, j, k in row:
+        for (j, k), c in row:
             fj = f[j]
             if fj.is_zero():
                 continue
@@ -166,7 +166,7 @@ def ref_convolve(comult, zero, u, v):                 # duality._convolve
     out = []
     for row in comult:
         acc = zero
-        for c, a, b in row:
+        for (a, b), c in row:
             ua, vb = u[a], v[b]
             if not (ua.is_zero() or vb.is_zero()):
                 acc = acc + c * ua * vb
@@ -260,7 +260,7 @@ def _mult(rng, order, dim):
 
 def _comult(rng, order, dim):
     pairs = [(j, k) for j in range(dim) for k in range(dim)]
-    return tuple(tuple((c, j, k) for (j, k), c in _terms(rng, order, pairs))
+    return tuple(tuple(_terms(rng, order, pairs))
                  if rng.random() < 0.85 else () for _ in range(dim))
 
 
@@ -351,21 +351,21 @@ def test_tensor_map(seed, order, poly):
     rows = tuple(tuple(img.items()) for img in imgs)
     row = _comult(rng, order, dim)[0]
     if poly:
-        row = tuple((_scalar(rng, order, True), j, k) for _, j, k in row)
-    got, want = same_work(
-        lambda: tensor_map(rows, (((a, b), c) for c, a, b in row)),
-        lambda: ref_morphism_comult(imgs, zero, row))
+        row = tuple((jk, _scalar(rng, order, True)) for jk, _ in row)
+    got, want = same_work(lambda: tensor_map(rows, row),
+                          lambda: ref_morphism_comult(imgs, zero, row))
     assert got == want
     assert all(got.values())
 
 
 @settings(max_examples=150, deadline=None)
 @given(**CASES)
-def test_vec_comult(seed, order, poly):
+def test_vec_map_comultiplies(seed, order, poly):
+    """Delta is vec_map over the comult rows, whose keys are basis pairs."""
     rng, dim, zero = _case(seed, order, poly)
     comult = _comult(rng, order, dim)
     values = _dense(rng, order, dim, poly)
-    got, want = same_work(lambda: vec_comult(comult, enumerate(values)),
+    got, want = same_work(lambda: vec_map(comult, enumerate(values)),
                           lambda: ref_comultiply(comult, zero, values))
     assert got == {k: v for k, v in want.items() if v}
     assert all(got.values())

@@ -116,7 +116,7 @@ def reference_validate_bialgebra(H: HopfData) -> Report:
     for i in range(dim):
         lacc: dict = {}
         racc: dict = {}
-        for c, j, k in H.comult[i]:
+        for (j, k), c in H.comult[i]:
             ej = H.counit[j]
             if ej:
                 _ref_add(lacc, k, c * ej)
@@ -134,10 +134,10 @@ def reference_validate_bialgebra(H: HopfData) -> Report:
     for i in range(dim):
         left: dict = {}
         right: dict = {}
-        for c, j, k in H.comult[i]:
-            for c2, a, b in H.comult[j]:
+        for (j, k), c in H.comult[i]:
+            for (a, b), c2 in H.comult[j]:
                 _ref_add(left, (a, b, k), c * c2)
-            for c2, a, b in H.comult[k]:
+            for (a, b), c2 in H.comult[k]:
                 _ref_add(right, (j, a, b), c * c2)
         rep.count()
         diff = _ref_sub(left, right)
@@ -150,11 +150,11 @@ def reference_validate_bialgebra(H: HopfData) -> Report:
         for j in range(dim):
             lhs: dict = {}
             for k, c in mult.get((i, j), ()):
-                for c2, a, b in H.comult[k]:
+                for (a, b), c2 in H.comult[k]:
                     _ref_add(lhs, (a, b), c * c2)
             rhs: dict = {}
-            for c1, a1, b1 in ci:
-                for c2, a2, b2 in H.comult[j]:
+            for (a1, b1), c1 in ci:
+                for (a2, b2), c2 in H.comult[j]:
                     ra = mult.get((a1, a2))
                     if not ra:
                         continue
@@ -185,7 +185,7 @@ def reference_validate_bialgebra(H: HopfData) -> Report:
                          (H.counit[i] * H.counit[j]).render())
     d1: dict = {}
     for i, ui in H.unit:
-        for c, j, k in H.comult[i]:
+        for (j, k), c in H.comult[i]:
             _ref_add(d1, (j, k), ui * c)
     for i, ui in H.unit:
         for j, uj in H.unit:
@@ -221,10 +221,10 @@ def perturbations(H: HopfData):
                 yield ("mult%s[%d]" % (key, t),
                        dataclasses.replace(H, mult=mult))
     for i, row in enumerate(H.comult):
-        for t, (c, j, k) in enumerate(row):
+        for t, (jk, c) in enumerate(row):
             if c:
                 comult = list(H.comult)
-                comult[i] = row[:t] + ((c + c, j, k),) + row[t + 1:]
+                comult[i] = row[:t] + ((jk, c + c),) + row[t + 1:]
                 yield ("comult[%d][%d]" % (i, t),
                        dataclasses.replace(H, comult=tuple(comult)))
     for i, row in enumerate(H.antipode):
@@ -270,8 +270,9 @@ def rescaled(H: HopfData, seed: int) -> HopfData:
     counit = [None] * dim
     degrees = [None] * dim
     for i in range(dim):
-        comult[perm[i]] = tuple((c * (r[i] / (r[j] * r[k])), perm[j], perm[k])
-                                for c, j, k in H.comult[i])
+        comult[perm[i]] = tuple(
+            ((perm[j], perm[k]), c * (r[i] / (r[j] * r[k])))
+            for (j, k), c in H.comult[i])
         antipode[perm[i]] = tuple((perm[j], c * (r[i] / r[j]))
                                   for j, c in H.antipode[i])
         basis[perm[i]] = H.basis[i]
@@ -301,7 +302,7 @@ def test_rescaled_copies_are_hopf_algebras_with_fractions(build):
     H = build(3)
     assert validate_all(H).ok
     dens = {c.den for row in H.mult.values() for _k, c in row}
-    dens |= {c.den for row in H.comult for c, _j, _k in row}
+    dens |= {c.den for row in H.comult for _jk, c in row}
     assert len(dens) > 2
 
 
@@ -405,9 +406,8 @@ def random_table(seed: int) -> HopfData:
     mult = {(i, j): tuple(_terms(rng, order, idx))
             for i in range(dim) for j in range(dim)
             if rng.random() < density}
-    comult = tuple(
-        tuple((c, j, k) for (j, k), c in _terms(rng, order, pair))
-        if rng.random() < density else () for _ in range(dim))
+    comult = tuple(tuple(_terms(rng, order, pair))
+                   if rng.random() < density else () for _ in range(dim))
     unit = tuple((i, _scalar(rng, order)) for i in range(dim)
                  if rng.random() < 0.4)
     counit = tuple(_scalar(rng, order) for _ in range(dim))
