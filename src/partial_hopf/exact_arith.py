@@ -6,8 +6,8 @@ Three layers, all exact:
   * ``CycNumber`` -- elements of Q(zeta_n), stored in canonical coordinates
     modulo the n-th cyclotomic polynomial: phi(n) integer numerators over
     one positive common denominator, reduced so that equal values have
-    equal fields.  Sums, products and the reduction modulo Phi_n run on
-    plain Python integers.
+    equal fields.  Sums, products, inverses and the reduction modulo Phi_n
+    run on plain Python integers.
   * ``ParamPoly`` -- sparse multivariate polynomials over CycNumber carrying
     free symbolic parameters, so that "for all alpha" claims are discharged
     as exact polynomial identities rather than by sampling.
@@ -18,16 +18,13 @@ beyond the standard library.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 from math import gcd, lcm
 
 Rational = Fraction
 
 _RAT_TYPES = (int, Fraction)
-
-_R0 = Fraction(0)
-_R1 = Fraction(1)
 
 
 class OrderMismatch(ValueError):
@@ -351,57 +348,54 @@ def _zeta(order: int, m: int) -> CycNumber:
 
 
 def _poly_divmod(num: list, den: list):
-    # division over the rationals; den is trimmed but need not be monic.  A
-    # monic den divides without a division, so int coefficients stay ints
+    # division by a monic den needs no division, so int coefficients stay ints
     num = list(num)
     dd = len(den) - 1
-    lead = den[-1]
-    monic = lead == 1
     out = [0] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
-            if not monic:
-                c = c / lead
             out[i - dd] = c
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
     return out, num[:dd]
 
 
+def _conjugate(order: int, num: tuple, k: int) -> CycNumber:
+    """sigma_k of the integer value sum num[i]*zeta^i: the sum of
+    num[i]*zeta^(i*k), each power read from the cached ``_zeta`` rows."""
+    acc = [0] * len(num)
+    for i, x in enumerate(num):
+        if x:
+            for j, r in enumerate(_zeta(order, i * k % order).num):
+                if r:
+                    acc[j] += x * r
+    return _cyc(order, tuple(acc), 1)
+
+
 def cyc_invert(a: CycNumber) -> CycNumber:
-    """Multiplicative inverse in Q(zeta_order), via the extended Euclidean
-    algorithm against the cyclotomic polynomial.  Raises ZeroDivisionError
-    on zero input."""
+    """Multiplicative inverse in Q(zeta_order), on integers.  Raises
+    ZeroDivisionError on zero input.
+
+    A single term c*zeta^k inverts to zeta^-k / c.  Any other a = A/den
+    inverts as den*B/N, where B is the product of the conjugates sigma_k(A)
+    over the units 1 < k < order and N = A*B, the field norm of A, is a
+    nonzero integer."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % a.order)
-    phi = len(a.num)
-    if a.is_rational():
-        p = a.num[0]
-        return _cyc(a.order, (a.den if p > 0 else -a.den,) + (0,) * (phi - 1),
-                    abs(p))
-    # a = A(zeta)/den, so 1/a = den/A(zeta); extended euclid on r0 = Phi_n,
-    # r1 = A, keeping only the coefficient of A
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(a.order)]
-    r1 = [Fraction(c) for c in a.num]
-    s0, s1 = [_R0], [_R1]
-    while True:
-        while r1 and not r1[-1]:
-            r1.pop()
-        if len(r1) == 1:
-            scale = a.den / r1[0]
-            coords = [c * scale for c in s1] + [_R0] * phi
-            return CycNumber(a.order, coords[:phi])
-        q, r = _poly_divmod(r0, r1)
-        # s_next = s0 - q*s1
-        s_next = list(s0) + [_R0] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    if sj:
-                        s_next[i + j] -= qi * sj
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
+    order, num, den = a.order, a.num, a.den
+    terms = [k for k, x in enumerate(num) if x]
+    if len(terms) == 1:
+        b, p = _zeta(order, -terms[0] % order), num[terms[0]]
+    else:
+        conjugates = (_conjugate(order, num, k) for k in range(2, order)
+                      if gcd(k, order) == 1)
+        b = reduce(lambda b, c: _mul(c, b), conjugates)
+        norm = _mul(_cyc(order, num, 1), b)
+        assert norm.is_rational(), "a field norm is rational"
+        p = norm.num[0]
+    scale = den if p > 0 else -den
+    return _cyc(order, tuple([x * scale for x in b.num]), abs(p))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ Expressions arrive from imported files, so the work one can demand is
 bounded: exponents, integer literals, parenthesis depth and the estimated
 size of a power (which scales with phi(order), and so bounds its cost too)
 are capped by the module constants below, and a breach is an ExprError
-raised before the expensive step runs.
+raised before the expensive step runs.  A division is bounded as the
+(phi(order) - 1)-th power of its divisor, unless the divisor is a single
+term c*z^k.
 """
 from __future__ import annotations
 
@@ -52,9 +54,9 @@ def _tokenize(s: str) -> list[str]:
     return out
 
 
-def _power(base, exp: int):
-    """base ** exp for a ParamPoly or CycNumber base and exp >= 0, refused
-    when the power would take more than MAX_POWER_BITS bits in all: about
+def _bound(base, exp: int, what: str) -> None:
+    """Refuse base ** exp, for a ParamPoly or CycNumber base, when it would
+    take more than MAX_POWER_BITS bits in all: about
     exp * log2(|num|_1 * den) + 1 bits (|num|_1 sums the absolute numerators
     of the base, so a root of unity does not grow) in each of phi(order)
     coordinates, or in one for a rational base."""
@@ -65,9 +67,25 @@ def _power(base, exp: int):
               else euler_phi(base.order))
     bits = (grow * exp + 1) * coords
     if bits > MAX_POWER_BITS:
-        raise ExprError("power too large: about %d bits, limit %d"
-                        % (bits, MAX_POWER_BITS))
+        raise ExprError("%s too large: about %d bits, limit %d"
+                        % (what, bits, MAX_POWER_BITS))
+
+
+def _power(base, exp: int):
+    """base ** exp for exp >= 0, refused by ``_bound``."""
+    _bound(base, exp, "power")
     return base ** exp
+
+
+def _inverse(c: CycNumber) -> CycNumber:
+    """1/c, refused like a power: a divisor with several terms costs about
+    as much as its (phi(order) - 1)-th power.  A single term a*z^k is
+    exempt, because its inverse z^-k/a is a single term too."""
+    if c.is_zero():
+        raise ExprError("division by zero")
+    if sum(1 for x in c.num if x) > 1:
+        _bound(c, euler_phi(c.order) - 1, "inverse")
+    return cyc_invert(c)
 
 
 class _Parser:
@@ -108,10 +126,7 @@ class _Parser:
             if op == "*":
                 value = value * rhs
             else:
-                den = rhs.constant_value()
-                if den.is_zero():
-                    raise ExprError("division by zero")
-                value = value * cyc_invert(den)
+                value = value * _inverse(rhs.constant_value())
         return value
 
     def parse_factor(self) -> ParamPoly:
@@ -125,7 +140,7 @@ class _Parser:
             if exp >= 0:
                 value = _power(value, exp)
             else:
-                inv = cyc_invert(value.constant_value())
+                inv = _inverse(value.constant_value())
                 value = ParamPoly.const(self.order, _power(inv, -exp))
         return -value if negate else value
 

@@ -724,19 +724,14 @@ def to_json_dict(H: HopfData) -> dict:
     return out
 
 
-def _json_int(v, what: str) -> int:
-    """A JSON integer field; a float, bool or string is refused rather than
-    converted."""
-    if type(v) is not int:
-        raise HopfFormatError("%s must be an integer, not %r" % (what, v))
-    return v
-
-
-def _json_list(v, what: str) -> list:
-    """A JSON array field or row; a string or object is refused rather than
-    read entry by entry."""
-    if type(v) is not list:
-        raise HopfFormatError("%s must be an array, not %r" % (what, v))
+def _json(v, kind: type, what: str):
+    """A JSON field, row or entry of type ``kind`` (int, list or str); any
+    other JSON type is refused rather than converted: a float, bool or
+    string is not an integer, a string or object is not read entry by entry
+    as an array, and a number, null, array or object is not a string."""
+    if type(v) is not kind:
+        noun = {int: "an integer", list: "an array", str: "a string"}[kind]
+        raise HopfFormatError("%s must be %s, not %r" % (what, noun, v))
     return v
 
 
@@ -749,13 +744,14 @@ def from_json_dict(data: dict) -> HopfData:
     the axioms fail on well-formed data.
     """
     try:
-        dim = _json_int(data["dim"], "dim")
-        order = _json_int(data["order"], "order")
+        dim = _json(data["dim"], int, "dim")
+        order = _json(data["order"], int, "order")
         if dim > MAX_DIM or order > MAX_ORDER:
             raise HopfFormatError(
                 "dim %d / order %d beyond the import limits %d / %d"
                 % (dim, order, MAX_DIM, MAX_ORDER))
-        basis = tuple(str(b) for b in _json_list(data["basis"], "basis"))
+        basis = tuple(_json(b, str, "basis label")
+                      for b in _json(data["basis"], list, "basis"))
         if len(basis) != dim or dim < 1 or order < 1:
             raise HopfFormatError("basis length / dim / order inconsistent")
         if len(set(basis)) != dim:
@@ -773,13 +769,14 @@ def from_json_dict(data: dict) -> HopfData:
             return c
 
         def index(v, what):
-            i = _json_int(v, what + " index")
+            i = _json(v, int, what + " index")
             if not 0 <= i < dim:
                 raise HopfFormatError("%s index %d out of range" % (what, i))
             return i
 
         def rows(v, what):
-            return (_json_list(r, what + " row") for r in _json_list(v, what))
+            return (_json(r, list, what + " row")
+                    for r in _json(v, list, what))
 
         mult: dict = {}
         for i, j, k, cs in rows(data["mult"], "mult"):
@@ -793,12 +790,12 @@ def from_json_dict(data: dict) -> HopfData:
             r.append(((index(j, "comult"), index(k, "comult")), c))
         comult = tuple(tuple(r) for r in comult_rows)
 
-        unit_dense = [scal(s) for s in _json_list(data["unit"], "unit")]
-        counit = [scal(s) for s in _json_list(data["counit"], "counit")]
+        unit_dense = [scal(s) for s in _json(data["unit"], list, "unit")]
+        counit = [scal(s) for s in _json(data["counit"], list, "counit")]
         if len(unit_dense) != dim or len(counit) != dim:
             raise HopfFormatError("unit/counit length mismatch")
         antipode_rows = []
-        if len(_json_list(data["antipode"], "antipode")) != dim:
+        if len(_json(data["antipode"], list, "antipode")) != dim:
             raise HopfFormatError("antipode must be a dim x dim matrix")
         for arow in rows(data["antipode"], "antipode"):
             if len(arow) != dim:
@@ -807,7 +804,7 @@ def from_json_dict(data: dict) -> HopfData:
                 tuple(sparse([scal(s) for s in arow]).items()))
 
         grouplikes = tuple(index(i, "grouplike") for i in
-                           _json_list(data["grouplikes"], "grouplikes"))
+                           _json(data["grouplikes"], list, "grouplikes"))
         skew = tuple(
             (index(x, "skew"), index(g, "skew"), index(h, "skew"))
             for (x, g, h) in rows(data["skew_primitives"], "skew_primitives"))
@@ -818,12 +815,12 @@ def from_json_dict(data: dict) -> HopfData:
         for vec in gvecs:
             if len(vec) != dim:
                 raise HopfFormatError("grouplike vector length mismatch")
-        degrees = tuple(_json_int(d, "basis degree")
-                        for d in _json_list(data.get("basis_degrees", []),
-                                            "basis_degrees"))
+        degrees = tuple(_json(d, int, "basis degree")
+                        for d in _json(data.get("basis_degrees", []), list,
+                                       "basis_degrees"))
         if degrees and len(degrees) != dim:
             raise HopfFormatError("basis_degrees length mismatch")
-        name = str(data.get("name", "imported"))
+        name = _json(data.get("name", "imported"), str, "name")
     except HopfFormatError:
         raise
     except Exception as exc:

@@ -105,6 +105,26 @@ def test_contradiction_rule_ends_a_branch(monkeypatch):
         ("contradiction", "instance (g^2, g^2) = 1")]
 
 
+def test_both_sides_of_a_split_reaching_one_family_count_once(monkeypatch):
+    """A first split on a fresh unknown w sends both sides to the one
+    family of k (w = 0 on the vanishing side, the cofactor w = 0 on the
+    other); the second arrival is dropped as a duplicate."""
+    propagate = classify._propagate
+    calls = []
+
+    def split_first(H, st):
+        calls.append(st)
+        if len(calls) == 1:
+            return ("split", "w", ParamPoly.var(H.order, "w"))
+        return propagate(H, st)
+
+    monkeypatch.setattr(classify, "_propagate", split_first)
+    res = classify_base_field_actions(group_algebra_cyclic(1))
+    assert res.count() == 1
+    assert res.branches_explored == len(calls) == 3
+    assert families_match(res, group_action_families(1))
+
+
 def test_solutions_are_reverified():
     res = classify_base_field_actions(taft(4))
     for s in res.families:

@@ -592,6 +592,28 @@ def test_import_refuses_non_array_fields(tmp_path, capsys, key, value):
     assert "must be an array" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,shown", [
+    ("basis", [None, {"a": 1}], "basis label must be a string, not None"),
+    ("basis", [1, "g"], "basis label must be a string, not 1"),
+    ("name", ["x"], "name must be a string, not ['x']"),
+    ("name", 7, "name must be a string, not 7"),
+    ("name", None, "name must be a string, not None"),
+], ids=["basis_null_object", "basis_number", "name_array", "name_number",
+        "name_null"])
+def test_import_refuses_non_string_labels_and_names(tmp_path, capsys, key,
+                                                    value, shown):
+    """A basis label or name of another JSON type is a format error; it
+    used to be converted with str(), and each of these documents of kC_2
+    imported as valid."""
+    doc = to_json_dict(group_algebra_cyclic(2))
+    doc[key] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % shown
+
+
 def _set_mult_index(doc, value):
     doc["mult"][0][0] = value  # the row [0, 0, 0, "1"]
 

@@ -1,5 +1,7 @@
 """Exact scalar tower: cyclotomic coordinates and parameter polynomials."""
+import json
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,10 +12,14 @@ from partial_hopf.exact_arith import (
     CycNumber, OrderMismatch, ParamPoly, Rational,
     cyc_invert, cyclotomic_polynomial, divisors, euler_phi, zeta_pow,
 )
+from partial_hopf import expr
+from partial_hopf.algebras import group_algebra_cyclic
+from partial_hopf.cli import main
 from partial_hopf.expr import (
     MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, ExprError, parse_poly,
     parse_scalar,
 )
+from partial_hopf.hopf_core import to_json_dict
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
@@ -111,6 +117,18 @@ def test_invert_one_plus_zeta3():
     assert got * (1 + z) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 60, 1024])
+def test_invert_roots_of_unity_and_their_multiples(n):
+    # one nonzero coordinate c*zeta^k inverts to zeta^-k / c; a power zeta^k
+    # with several coordinates in normal form takes the norm path
+    for k in range(n):
+        for c in (1, -1, Rational(3, 2)):
+            x = c * zeta_pow(n, k)
+            inv = cyc_invert(x)
+            assert inv == zeta_pow(n, -k) * (1 / Rational(c))
+            assert x * inv == 1
+
+
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError):
         cyc_invert(CycNumber.zero(4))
@@ -165,16 +183,19 @@ def test_field_axioms(data):
 # -- differential check against Fraction coordinates --------------------------
 
 def ref_mul(n, a, b):
-    # schoolbook product of Fraction coordinates, then long division by Phi_n
+    # schoolbook product of Fraction coordinates, then long division by Phi_n;
+    # a zero factor is skipped, as it adds nothing
     phi, cyc = euler_phi(n), cyclotomic_polynomial(n)
     prod = [Fraction(0)] * (2 * phi - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod[i + j] += x * y
+            if x and y:
+                prod[i + j] += x * y
     for m in range(len(prod) - 1, phi - 1, -1):
         c = prod[m]
         for k, f in enumerate(cyc):
-            prod[m - phi + k] -= c * f
+            if c and f:
+                prod[m - phi + k] -= c * f
     return tuple(prod[:phi])
 
 
@@ -190,7 +211,7 @@ def ref_render(coords):
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-DIFF_ORDERS = list(range(1, 13)) + [15, 16]
+DIFF_ORDERS = list(range(1, 13)) + [15, 16, 60, 97, 128]
 
 
 @st.composite
@@ -452,6 +473,63 @@ def test_power_bound_scales_with_the_order():
             parse_scalar(text, 1024)
     # a rational power fills one coordinate, whatever the order
     assert parse_scalar("2^4096", 1024) == 2 ** 4096
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The divisors the expression parser inverts while the test runs."""
+    seen = []
+
+    def counted(c, _invert=cyc_invert):
+        seen.append(c)
+        return _invert(c)
+
+    monkeypatch.setattr(expr, "cyc_invert", counted)
+    return seen
+
+
+def test_division_bound_is_the_power_bound(inversions):
+    # 1/(1+z) is bounded as (1+z)^(phi-1): 65536 bits at order 512, the limit
+    one_plus_z = 1 + zeta_pow(512, 1)
+    for text in ("1/(1+z)", "(1+z)^-1"):
+        assert parse_scalar(text, 512) == cyc_invert(one_plus_z)
+    # and 262144 bits at order 1024, where (1+z)^128 is refused too
+    for text in ("1/(1+z)", "(1+z)^-1", "z/(z+z^2)"):
+        with pytest.raises(ExprError) as exc:
+            parse_scalar(text, 1024)
+        assert str(exc.value) == (
+            "inverse too large: about 262144 bits, limit 65536")
+    assert len(inversions) == 2
+    # a single term inverts to a single term, at any order
+    assert parse_scalar("1/3", 1024) == Rational(1, 3)
+    assert parse_scalar("z^-1", 1024) == zeta_pow(1024, -1)
+    assert parse_scalar("(3*z)^-1", 1024) == zeta_pow(1024, -1) / 3
+    assert parse_scalar("1/(900*z^511)", 1024) == zeta_pow(1024, -511) / 900
+    for text in ("1/0", "0^-1", "z/(z-z)", "(z-z)^-3"):
+        with pytest.raises(ExprError) as exc:
+            parse_scalar(text, 1024)
+        assert str(exc.value) == "division by zero"
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2 if k % 2 == 0 else -1 for k in range(33)],
+    random.Random(1).choices((-2, -1, 1, 2), k=33),
+], ids=["alternating", "seeded"])
+def test_import_refuses_a_large_division_at_once(tmp_path, capsys,
+                                                 inversions, coeffs):
+    """A unit (D)/(D), with D of degree 32 at order 1024: each division once
+    ran for many seconds and then imported as valid."""
+    D = CycNumber(1024, coeffs + [0] * (euler_phi(1024) - len(coeffs)))
+    doc = to_json_dict(group_algebra_cyclic(1))
+    doc["order"] = 1024
+    doc["unit"] = ["(%s)/(%s)" % (D.render(), D.render())]
+    path = tmp_path / "division.json"
+    path.write_text(json.dumps(doc))
+    code = main(["import", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, inversions) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inverse too large: about 1308672 bits, limit 65536" in err
 
 
 def test_literal_digits_are_bounded():
