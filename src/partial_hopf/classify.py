@@ -338,8 +338,7 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
             st.extra.append(form - one if (mask >> a) & 1 else form)
         stack.append(st)
 
-    solutions = []
-    seen = set()
+    solutions: dict = {}  # rendered values -> family, in the order found
     explored = 0
     while stack:
         explored += 1
@@ -365,21 +364,17 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
             stack.append(other)
             continue
         sol = _promote(H, st)
-        key = tuple(v.render() for v in sol.values)
-        if key in seen:
-            continue
-        seen.add(key)
-        solutions.append(sol)
+        solutions.setdefault(tuple(v.render() for v in sol.values), sol)
 
-    for sol in solutions:
+    for sol in solutions.values():
         rep, srep = verify_partial_action(H, sol.values)
         if not rep.merge(srep).ok:
             raise ClassificationError(
                 "solver emitted an invalid family on %s: %s"
                 % (H.name, rep.summary()))
 
-    solutions.sort(key=lambda s: (len(s.params),
-                                  tuple(v.render() for v in s.values)))
+    ranked = sorted(solutions.items(),
+                    key=lambda ks: (len(ks[1].params), ks[0]))
     families = tuple(replace(s, name="family%d" % (i + 1))
-                     for i, s in enumerate(solutions))
+                     for i, (_, s) in enumerate(ranked))
     return ClassifiedActions(H, families, explored)

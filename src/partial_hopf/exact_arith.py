@@ -7,7 +7,8 @@ Three layers, all exact:
     modulo the n-th cyclotomic polynomial: phi(n) integer numerators over
     one positive common denominator, reduced so that equal values have
     equal fields.  Sums, products, inverses and the reduction modulo Phi_n
-    run on plain Python integers.
+    run on plain Python integers.  The powers of zeta_n come from one
+    table per order, which the product's fold and the conjugates read.
   * ``ParamPoly`` -- sparse multivariate polynomials over CycNumber carrying
     free symbolic parameters, so that "for all alpha" claims are discharged
     as exact polynomial identities rather than by sampling.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import islice
 from math import gcd, lcm
 
 Rational = Fraction
@@ -59,28 +59,32 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _high_powers(n: int):
-    """Yield the integer coordinates of x^phi, x^(phi+1), ... modulo Phi_n,
-    each from the previous one by a shift and one fold of the monic Phi_n."""
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple:
+    """zeta_n^0, ..., zeta_n^(n-1) as canonical CycNumbers, each row from
+    the one before by a shift and one fold of the monic Phi_n."""
     phi = euler_phi(n)
     low = [(k, c) for k, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c]
-    row = [0] * phi
-    row[-1] = 1
-    while True:
+    row = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(_cyc(n, tuple(row), 1))
         top = row[-1]
         row = [0] + row[:-1]
         for k, c in low:
             row[k] -= top * c
-        yield tuple(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _fold_table(n: int) -> tuple:
     """Sparse rows (k, c) of x^m mod Phi_n for phi <= m <= 2*phi - 2: the
-    powers a product of two canonical coordinate vectors can reach."""
+    powers a product of two canonical coordinate vectors can reach, read
+    from ``_powers`` (x^n = 1 mod Phi_n, so m wraps at n)."""
     phi = euler_phi(n)
-    return tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                 for row in islice(_high_powers(n), phi - 1))
+    powers = _powers(n)
+    return tuple(tuple((k, c) for k, c in enumerate(powers[m % n].num) if c)
+                 for m in range(phi, 2 * phi - 1))
 
 
 _new = object.__new__
@@ -336,15 +340,7 @@ def _power(base, e: int):
 
 def zeta_pow(order: int, k: int) -> CycNumber:
     """zeta_order^k as a canonical CycNumber (k may be any integer)."""
-    return _zeta(order, k % order)
-
-
-@lru_cache(maxsize=None)
-def _zeta(order: int, m: int) -> CycNumber:
-    phi = euler_phi(order)
-    if m < phi:
-        return _cyc(order, tuple(int(i == m) for i in range(phi)), 1)
-    return _cyc(order, next(islice(_high_powers(order), m - phi, None)), 1)
+    return _powers(order)[k % order]
 
 
 def _poly_divmod(num: list, den: list):
@@ -363,11 +359,12 @@ def _poly_divmod(num: list, den: list):
 
 def _conjugate(order: int, num: tuple, k: int) -> CycNumber:
     """sigma_k of the integer value sum num[i]*zeta^i: the sum of
-    num[i]*zeta^(i*k), each power read from the cached ``_zeta`` rows."""
+    num[i]*zeta^(i*k), each power read as row i*k mod order of ``_powers``."""
     acc = [0] * len(num)
+    powers = _powers(order)
     for i, x in enumerate(num):
         if x:
-            for j, r in enumerate(_zeta(order, i * k % order).num):
+            for j, r in enumerate(powers[i * k % order].num):
                 if r:
                     acc[j] += x * r
     return _cyc(order, tuple(acc), 1)
@@ -386,7 +383,7 @@ def cyc_invert(a: CycNumber) -> CycNumber:
     order, num, den = a.order, a.num, a.den
     terms = [k for k, x in enumerate(num) if x]
     if len(terms) == 1:
-        b, p = _zeta(order, -terms[0] % order), num[terms[0]]
+        b, p = zeta_pow(order, -terms[0]), num[terms[0]]
     else:
         conjugates = (_conjugate(order, num, k) for k in range(2, order)
                       if gcd(k, order) == 1)

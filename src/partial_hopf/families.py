@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
+from .exact_arith import (
+    CycNumber, ParamPoly, Rational, cyc_invert, divisors, zeta_pow,
+)
 from .hopf_core import (
     HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, dual_hopf,
     sparse, tensor_mul, vec_map, vec_mul,
@@ -320,7 +322,7 @@ def taft_action_families(n: int) -> list:
     """All classified action families on taft(n): the counit, one indicator
     per intermediate subgroup, and the one-parameter family (which contains
     the trivial-subgroup indicator at a = 0)."""
-    out = [taft_subgroup_action(n, k) for k in range(1, n) if n % k == 0]
+    out = [taft_subgroup_action(n, k) for k in divisors(n)[:-1]]
     out.append(taft_parametric_action(n))
     return out
 
@@ -329,7 +331,7 @@ def taft_coaction_families(n: int) -> list:
     """All classified coaction families on taft(n).  The parametric family
     contains the full-group average at a = 0, so the closed entries run over
     the proper subgroups (k > 1), including z = 1 at k = n."""
-    out = [taft_subgroup_coaction(n, k) for k in range(2, n + 1) if n % k == 0]
+    out = [taft_subgroup_coaction(n, k) for k in divisors(n)[1:]]
     out.append(taft_parametric_coaction(n))
     return out
 
@@ -343,13 +345,11 @@ def nichols_coaction_families(n: int) -> list:
 
 
 def group_action_families(n: int) -> list:
-    return [group_subgroup_action(n, d)
-            for d in range(1, n + 1) if n % d == 0]
+    return [group_subgroup_action(n, d) for d in divisors(n)]
 
 
 def dual_group_action_families(n: int) -> list:
-    return [dual_group_subgroup_action(n, d)
-            for d in range(1, n + 1) if n % d == 0]
+    return [dual_group_subgroup_action(n, d) for d in divisors(n)]
 
 
 # ---------------------------------------------------------------------------

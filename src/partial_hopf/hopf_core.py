@@ -762,7 +762,7 @@ def from_json_dict(data: dict) -> HopfData:
         parsed: dict = {}
 
         def scal(s):
-            s = str(s)
+            s = _json(s, str, "coefficient")
             c = parsed.get(s)
             if c is None:
                 c = parsed[s] = parse_scalar(s, order)

@@ -592,21 +592,32 @@ def test_import_refuses_non_array_fields(tmp_path, capsys, key, value):
     assert "must be an array" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key,value,shown", [
-    ("basis", [None, {"a": 1}], "basis label must be a string, not None"),
-    ("basis", [1, "g"], "basis label must be a string, not 1"),
-    ("name", ["x"], "name must be a string, not ['x']"),
-    ("name", 7, "name must be a string, not 7"),
-    ("name", None, "name must be a string, not None"),
+@pytest.mark.parametrize("where,value,shown", [
+    (("basis",), [None, {"a": 1}],
+     "basis label must be a string, not None"),
+    (("basis",), [1, "g"], "basis label must be a string, not 1"),
+    (("name",), ["x"], "name must be a string, not ['x']"),
+    (("name",), 7, "name must be a string, not 7"),
+    (("name",), None, "name must be a string, not None"),
+    (("unit", 0), 1, "coefficient must be a string, not 1"),
+    (("counit", 1), True, "coefficient must be a string, not True"),
+    (("mult", 0, 3), None, "coefficient must be a string, not None"),
+    (("antipode", 0, 0), 0.5, "coefficient must be a string, not 0.5"),
 ], ids=["basis_null_object", "basis_number", "name_array", "name_number",
-        "name_null"])
-def test_import_refuses_non_string_labels_and_names(tmp_path, capsys, key,
-                                                    value, shown):
-    """A basis label or name of another JSON type is a format error; it
-    used to be converted with str(), and each of these documents of kC_2
-    imported as valid."""
+        "name_null", "unit_number", "counit_bool", "mult_null",
+        "antipode_float"])
+def test_import_refuses_non_string_labels_and_names(tmp_path, capsys,
+                                                    where, value, shown):
+    """A basis label, name or coefficient of another JSON type is a format
+    error; it used to be converted with str(), so the label, name and unit
+    documents of kC_2 imported as valid and the others were refused as an
+    unknown parameter 'True' or 'None' or a bad character '.'."""
     doc = to_json_dict(group_algebra_cyclic(2))
-    doc[key] = value
+    *keys, last = where
+    target = doc
+    for k in keys:
+        target = target[k]
+    target[last] = value
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "import", str(path))

@@ -84,6 +84,22 @@ def test_zeta3_canonical_coords():
     assert zeta_pow(3, 2).coords == (Rational(-1), Rational(-1))
 
 
+@pytest.mark.parametrize("n", ORDERS + [15, 16, 60, 97, 105, 128])
+def test_zeta_pow_is_x_to_the_k_mod_phi(n):
+    # x^k reduced by long division by Phi_n, as ref_mul reduces; k >= n
+    # covers the wrap of the exponent, and the prime orders the fold rows
+    # with m >= n
+    phi, cyc = euler_phi(n), cyclotomic_polynomial(n)
+    for k in range(2 * n):
+        rem = [0] * k + [1]
+        for m in range(k, phi - 1, -1):
+            c = rem[m]
+            for i, f in enumerate(cyc):
+                if c and f:
+                    rem[m - phi + i] -= c * f
+        assert zeta_pow(n, k).coords == tuple((rem + [0] * phi)[:phi]), k
+
+
 @pytest.mark.parametrize("n", ORDERS)
 def test_zeta_power_law(n):
     for a in range(n):
