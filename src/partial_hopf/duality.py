@@ -5,10 +5,21 @@ and the partial-action equations for lam on H are the partial-coaction
 equations for that element of H*.  When H carries an isomorphism
 phi: H* -> H, every partial action on the base field therefore transports
 to a partial coaction phi(lam) on H itself.  This module builds those
-isomorphisms (and the maps H -> H* they invert) in closed form for the Taft
-and Nichols families, verifies all morphism axioms exactly, and performs
-the transport.  A morphism is stored in the one form the sparse kernel of
-hopf_core consumes: its rows of nonzero image coordinates.
+isomorphisms for the Taft and Nichols families, verifies all morphism
+axioms exactly, and performs the transport.  A morphism is stored in the
+one form the sparse kernel of hopf_core consumes: its rows of nonzero image
+coordinates.
+
+The maps H -> H* are built in closed form, and one rule inverts both.  The
+rows M[i] of each are orthogonal for the Hermitian form sum_k a_k conj(b_k),
+so M^-1 = conj(M)^T D^-1, with D the diagonal of the squared row norms.
+The rows of the Taft map fall into blocks by the power j of x, and block j
+is C_j diag(q^(-ij)) (q^(-ik)) diag(q^(-jk)): a scaled character table of
+the cyclic group of order n, whose rows are orthogonal.  The Nichols map
+is block diagonal, one 2 x 2 block P of entries +-1 for each monomial in
+the x_i and its product with g, and P P^T = 2I, so its inverse is half its
+transpose.  ``verify_inverse_pair`` checks both round trips exactly, so a
+map whose rows are not orthogonal gets a wrong inverse and is refused.
 """
 from __future__ import annotations
 
@@ -16,10 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact_arith import CycNumber, ParamPoly, Rational, cyc_invert, zeta_pow
+from .exact_arith import (
+    CycNumber, ParamPoly, Rational, _conjugate, _cyc, cyc_invert, zeta_pow,
+)
 from .hopf_core import (
-    HopfData, Report, _compare, _pair, dense, sparse, tensor_map, vec_map,
-    vec_mul,
+    HopfData, Report, _compare, _pair, _transpose, dense, sparse, tensor_map,
+    vec_map, vec_mul,
 )
 from .algebras import nichols, nichols_dual, taft, taft_dual
 from .families import Family
@@ -60,37 +73,21 @@ def is_identity(phi: HopfMorphism) -> bool:
     return all(row == ((i, one),) for i, row in enumerate(phi.rows))
 
 
-def invert_morphism(phi: HopfMorphism) -> HopfMorphism:
-    """Exact Gaussian elimination; raises ValueError when not bijective."""
-    n = phi.source.dim
-    if phi.target.dim != n:
-        raise ValueError("not a square map")
+def _inverse(phi: HopfMorphism) -> HopfMorphism:
+    """phi^-1(e_k) = sum_i conj(M[i][k]) / D_i e_i, with M[i] the rows of
+    phi and D_i = sum_k |M[i][k]|^2: the inverse of a map whose rows are
+    orthogonal (see the module docstring)."""
     order = phi.target.order
-    zero, one = CycNumber.zero(order), CycNumber.one(order)
-    # rows of the augmented system: images as a matrix M with M[i][j],
-    # solving X M = I  (row-vector convention matches apply)
-    m = [list(dense(dict(row), n, zero))
-         + [one if k == i else zero for k in range(n)]
-         for i, row in enumerate(phi.rows)]
-    col = 0
-    for row in range(n):
-        piv = next((r for r in range(row, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("morphism is not invertible")
-        m[row], m[piv] = m[piv], m[row]
-        inv = cyc_invert(m[row][col])
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        col += 1
-    # back out: solution rows give the inverse images in source coordinates
-    inv_rows = [None] * n
-    for r in range(n):
-        j = next(c for c in range(n) if not m[r][c].is_zero())
-        inv_rows[j] = tuple(sparse(m[r][n:]).items())
-    return HopfMorphism(phi.target, phi.source, tuple(inv_rows))
+    scaled = []
+    for i, row in enumerate(phi.rows):
+        conj = [(k, _cyc(order, _conjugate(order, c.num, order - 1).num,
+                         c.den)) for k, c in row]
+        inv = cyc_invert(sum((c * b for (_, c), (_, b) in zip(row, conj)),
+                             CycNumber.zero(order)))
+        scaled.append((i, [(k, b * inv) for k, b in conj]))
+    cols = _transpose(scaled)
+    return HopfMorphism(phi.target, phi.source,
+                        tuple(cols.get(k, ()) for k in range(phi.target.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +186,11 @@ def taft_to_dual(n: int) -> HopfMorphism:
 
 @lru_cache(maxsize=None)
 def taft_from_dual(n: int) -> HopfMorphism:
-    """(g^i x^j)* |-> (1/n) ((j)!_q)^(-1) q^(ij + j(j-1)/2)
-                      sum_k q^(k(i+j)) g^k x^j."""
-    H, D = taft(n), taft_dual(n)
-    q = zeta_pow(n, 1)
-    inv_n = CycNumber.from_rational(n, Rational(1) / n)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            c = inv_n * cyc_invert(q_factorial(j, q)) \
-                * zeta_pow(n, i * j + j * (j - 1) // 2)
-            rows.append(tuple((k * n + j, c * zeta_pow(n, k * (i + j)))
-                              for k in range(n)))
-    return HopfMorphism(D, H, tuple(rows))
+    """The inverse of ``taft_to_dual(n)``, in closed form
+
+      (g^i x^j)* |-> (1/n) ((j)!_q)^(-1) q^(ij + j(j-1)/2)
+                     sum_k q^(k(i+j)) g^k x^j."""
+    return _inverse(taft_to_dual(n))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +215,8 @@ def nichols_to_dual(n: int) -> HopfMorphism:
 
 @lru_cache(maxsize=None)
 def nichols_from_dual(n: int) -> HopfMorphism:
-    return invert_morphism(nichols_to_dual(n))
+    """The inverse of ``nichols_to_dual(n)``: half its transpose."""
+    return _inverse(nichols_to_dual(n))
 
 
 # ---------------------------------------------------------------------------

@@ -569,3 +569,25 @@ def test_long_sign_chains_parse_iteratively():
     assert parse_scalar("-" * 100001 + "z", 3) == -zeta_pow(3, 1)
     assert parse_scalar("-" * 100000 + "2^3", 1) == 8
     assert parse_scalar("-2^2", 1) == -4
+
+
+# -- refusals -----------------------------------------------------------------
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: cyclotomic_polynomial(0), ValueError,
+     "order must be a positive integer"),
+    (lambda: zeta_pow(3, 1).rational_value(), ValueError,
+     "not a rational value: CycNumber(3, z)"),
+    (lambda: ParamPoly.var(3, "a", -1), ValueError,
+     "parameter powers must be nonnegative"),
+    (lambda: ParamPoly.var(3, "a").constant_value(), ValueError,
+     "polynomial is not constant: a"),
+    (lambda: ParamPoly.var(3, "a").subs("a", "b"), TypeError,
+     "cannot substitute 'b'"),
+], ids=["cyclotomic_polynomial", "rational_value", "var", "constant_value",
+        "subs"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert info.value.args == (message,)

@@ -248,3 +248,9 @@ def test_json_invalid_structure_fails_validation():
     with pytest.raises(HopfValidationError) as exc:
         from_json_dict(d)
     assert not exc.value.report.ok
+
+
+def test_label_index_refuses_an_unknown_label():
+    with pytest.raises(KeyError) as info:
+        taft(2).label_index("y")
+    assert info.value.args == ("no basis element 'y' in taft(2)",)

@@ -160,3 +160,17 @@ def test_q_pow_concrete_negative():
     assert z ** -1 * z == 1
     two = CycNumber.from_rational(1, 2)
     assert (two ** -2).rational_value() == Rational(1) / 4
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: q_number(-1, GQ), "q-number of negative index -1"),
+    (lambda: q_factorial(-2, GQ), "q-factorial of negative index -2"),
+    (lambda: check_pascal("a", 0, 0, GQ), "Pascal check needs i >= 1"),
+    (lambda: check_identity("binomial_inversion", (1, -1, 0), GQ),
+     "indices must be nonnegative: (1, -1, 0)"),
+], ids=["q_number", "q_factorial", "check_pascal", "check_identity"])
+def test_refusals(call, message):
+    with pytest.raises(PreconditionViolated) as info:
+        call()
+    assert type(info.value) is PreconditionViolated
+    assert info.value.args == (message,)
