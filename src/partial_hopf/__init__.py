@@ -1,170 +1,77 @@
 """Exact partial actions and coactions of finite-dimensional Hopf algebras
 on the base field, with verifiers, self-duality transport, and a
 classification solver.  All arithmetic is exact; symbolic parameters make
-"for all alpha" statements polynomial identities."""
+"for all alpha" statements polynomial identities.
 
-from .algebras import (
-    InvalidOrder,
-    dual_group_algebra_cyclic,
-    group_algebra_cyclic,
-    nichols,
-    taft,
-)
-from .classify import (
-    BranchLimitExceeded,
-    ClassificationError,
-    ClassifiedActions,
-    NonCyclicGrouplikes,
-    SolverUnsupported,
-    classify_base_field_actions,
-    family_count,
-)
-from .duality import (
-    HopfMorphism,
-    check_character_sum,
-    compose,
-    is_identity,
-    nichols_dual,
-    nichols_from_dual,
-    nichols_to_dual,
-    taft_dual,
-    taft_from_dual,
-    taft_to_dual,
-    transport,
-    verify_hopf_morphism,
-    verify_inverse_pair,
-)
-from .exact_arith import (
-    CycNumber,
-    OrderMismatch,
-    ParamPoly,
-    Rational,
-    cyc_invert,
-    cyclotomic_polynomial,
-    divisors,
-    euler_phi,
-    zeta_pow,
-)
-from .expr import parse_poly
-from .families import (
-    Family,
-    NotADivisor,
-    action_consequence_checks,
-    convolution_idempotent,
-    dual_group_action_families,
-    group_action_families,
-    instance_residual,
-    nichols_action_families,
-    nichols_coaction_families,
-    nichols_counit_action,
-    nichols_global_coaction,
-    nichols_parametric_action,
-    nichols_parametric_coaction,
-    special_value_checks,
-    taft_action_families,
-    taft_coaction_families,
-    taft_parametric_action,
-    taft_parametric_coaction,
-    taft_subgroup_action,
-    taft_subgroup_coaction,
-    verify_partial_action,
-    verify_partial_coaction,
-)
-from .hopf_core import (
-    HopfData,
-    HopfFormatError,
-    HopfValidationError,
-    Report,
-    dual_hopf,
-    from_json_dict,
-    to_json_dict,
-    validate_all,
-)
-from .qcomb import (
-    Verdict,
-    check_identity,
-    check_pascal,
-    generic_q,
-    q_binomial,
-    q_factorial,
-    q_number,
-)
-from .reference_tables import reference_checks
+The package exports lazily (PEP 562): ``_EXPORTS`` names each public name
+once, under its home module, and the first access to a name imports that
+module alone.  So ``import partial_hopf`` compiles no layer, and a process
+that needs only ``partial_hopf.algebras`` never runs the classifier's
+module.  ``from partial_hopf import *`` binds every name of ``__all__``.
+"""
 
-__all__ = [
-    "BranchLimitExceeded",
-    "ClassificationError",
-    "ClassifiedActions",
-    "CycNumber",
-    "Family",
-    "HopfData",
-    "HopfFormatError",
-    "HopfMorphism",
-    "HopfValidationError",
-    "InvalidOrder",
-    "NonCyclicGrouplikes",
-    "NotADivisor",
-    "OrderMismatch",
-    "ParamPoly",
-    "Rational",
-    "Report",
-    "SolverUnsupported",
-    "Verdict",
-    "action_consequence_checks",
-    "check_character_sum",
-    "check_identity",
-    "check_pascal",
-    "classify_base_field_actions",
-    "compose",
-    "convolution_idempotent",
-    "cyc_invert",
-    "cyclotomic_polynomial",
-    "divisors",
-    "dual_group_action_families",
-    "dual_group_algebra_cyclic",
-    "dual_hopf",
-    "euler_phi",
-    "family_count",
-    "from_json_dict",
-    "generic_q",
-    "group_action_families",
-    "group_algebra_cyclic",
-    "instance_residual",
-    "is_identity",
-    "nichols",
-    "nichols_action_families",
-    "nichols_coaction_families",
-    "nichols_counit_action",
-    "nichols_dual",
-    "nichols_from_dual",
-    "nichols_global_coaction",
-    "nichols_parametric_action",
-    "nichols_parametric_coaction",
-    "nichols_to_dual",
-    "parse_poly",
-    "q_binomial",
-    "q_factorial",
-    "q_number",
-    "reference_checks",
-    "special_value_checks",
-    "taft",
-    "taft_action_families",
-    "taft_coaction_families",
-    "taft_dual",
-    "taft_from_dual",
-    "taft_parametric_action",
-    "taft_parametric_coaction",
-    "taft_subgroup_action",
-    "taft_subgroup_coaction",
-    "taft_to_dual",
-    "to_json_dict",
-    "transport",
-    "validate_all",
-    "verify_hopf_morphism",
-    "verify_inverse_pair",
-    "verify_partial_action",
-    "verify_partial_coaction",
-    "zeta_pow",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "algebras": (
+        "InvalidOrder", "dual_group_algebra_cyclic", "group_algebra_cyclic",
+        "nichols", "nichols_dual", "taft", "taft_dual",
+    ),
+    "classify": (
+        "BranchLimitExceeded", "ClassificationError", "ClassifiedActions",
+        "NonCyclicGrouplikes", "SolverUnsupported",
+        "classify_base_field_actions", "family_count",
+    ),
+    "duality": (
+        "HopfMorphism", "check_character_sum", "compose", "is_identity",
+        "nichols_from_dual", "nichols_to_dual", "taft_from_dual",
+        "taft_to_dual", "transport", "verify_hopf_morphism",
+        "verify_inverse_pair",
+    ),
+    "exact_arith": (
+        "CycNumber", "OrderMismatch", "ParamPoly", "Rational", "cyc_invert",
+        "cyclotomic_polynomial", "divisors", "euler_phi", "zeta_pow",
+    ),
+    "expr": ("parse_poly",),
+    "families": (
+        "Family", "NotADivisor", "action_consequence_checks",
+        "convolution_idempotent", "dual_group_action_families",
+        "group_action_families", "instance_residual",
+        "nichols_action_families", "nichols_coaction_families",
+        "nichols_counit_action", "nichols_global_coaction",
+        "nichols_parametric_action", "nichols_parametric_coaction",
+        "special_value_checks", "taft_action_families",
+        "taft_coaction_families", "taft_parametric_action",
+        "taft_parametric_coaction", "taft_subgroup_action",
+        "taft_subgroup_coaction", "verify_partial_action",
+        "verify_partial_coaction",
+    ),
+    "hopf_core": (
+        "HopfData", "HopfFormatError", "HopfValidationError", "Report",
+        "dual_hopf", "from_json_dict", "to_json_dict", "validate_all",
+    ),
+    "qcomb": (
+        "Verdict", "check_identity", "check_pascal", "generic_q",
+        "q_binomial", "q_factorial", "q_number",
+    ),
+    "reference_tables": ("reference_checks",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

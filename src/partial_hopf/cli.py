@@ -12,6 +12,13 @@ Subcommands:
 
 `actions` and `coactions` share one sweep (`_family_sweep`).
 
+A process loads only the layers its subcommand runs.  This module imports
+what start-up and argument parsing need (`algebras`, `exact_arith`,
+`hopf_core`, and through them `expr` and `qcomb`); each handler imports its
+own layer (`families`, `classify`, `duality`, `reference_tables`) when it
+starts.  Without a bytecode cache every process compiles each module it
+imports, so `validate` no longer pays for the classifier.
+
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, 2 for usage or input errors, and 3 when the classifier does not
 support the input (e.g. a search beyond its branch limit).  When the
@@ -29,33 +36,16 @@ import os
 import sys
 from math import isqrt
 
+from . import qcomb
 from .algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
 )
-from .classify import (
-    ClassificationError, SolverUnsupported, classify_base_field_actions,
-)
-from .duality import (
-    check_character_sum, nichols_from_dual, nichols_to_dual, taft_from_dual,
-    taft_to_dual, transport, verify_inverse_pair,
-)
 from .exact_arith import CycNumber, Rational, divisors, zeta_pow
-from .families import (
-    NotADivisor, dual_group_action_families, group_action_families,
-    nichols_action_families, nichols_coaction_families,
-    nichols_counit_action, nichols_global_coaction,
-    nichols_parametric_action, nichols_parametric_coaction,
-    taft_action_families, taft_coaction_families, taft_parametric_action,
-    taft_parametric_coaction, taft_subgroup_action, taft_subgroup_coaction,
-    verify_partial_action, verify_partial_coaction,
-)
 from .hopf_core import (
     MAX_DIM, MAX_ORDER, HopfFormatError, HopfValidationError, from_json_dict,
     to_json_dict, validate_all,
 )
-from .qcomb import PASCAL_VARIANTS, check_identity, check_pascal, generic_q
-from .reference_tables import reference_checks
 
 _BUILDERS = {
     "taft": taft,
@@ -83,15 +73,17 @@ _CLASSIFY_RANGE = {
 }
 _DUALITY_RANGE = {"taft": (2, 6), "nichols": (2, 5)}
 
+# The listing functions of ``families``, by name: a handler looks each up
+# on the module when it runs, so that layer loads only when a sweep needs it.
 _ACTION_LISTS = {
-    "taft": taft_action_families,
-    "nichols": nichols_action_families,
-    "group": group_action_families,
-    "dualgroup": dual_group_action_families,
+    "taft": "taft_action_families",
+    "nichols": "nichols_action_families",
+    "group": "group_action_families",
+    "dualgroup": "dual_group_action_families",
 }
 _COACTION_LISTS = {
-    "taft": taft_coaction_families,
-    "nichols": nichols_coaction_families,
+    "taft": "taft_coaction_families",
+    "nichols": "nichols_coaction_families",
 }
 
 
@@ -150,6 +142,7 @@ def cmd_validate(args) -> int:
 
 
 def _reference_section(results, lines) -> bool:
+    from .reference_tables import reference_checks
     ok = True
     for name, diffs in reference_checks():
         results.append({"table": name, "mismatches": diffs})
@@ -162,10 +155,9 @@ def _reference_section(results, lines) -> bool:
     return ok
 
 
-def _family_sweep(args, kind, listings, verify) -> int:
+def _family_sweep(args, kind, listing, verify) -> int:
     """Verify every ``kind`` family of the swept orders, plain and
     symmetric."""
-    listing = listings[args.algebra]
     results, lines, ok = [], [], True
     for n in _orders(args, _FAMILY_RANGE):
         fams = listing(n)
@@ -198,18 +190,24 @@ def _family_sweep(args, kind, listings, verify) -> int:
 
 
 def cmd_actions(args) -> int:
-    return _family_sweep(args, "action", _ACTION_LISTS, verify_partial_action)
+    from . import families
+    return _family_sweep(args, "action",
+                         getattr(families, _ACTION_LISTS[args.algebra]),
+                         families.verify_partial_action)
 
 
 def cmd_coactions(args) -> int:
-    return _family_sweep(args, "coaction", _COACTION_LISTS,
-                         verify_partial_coaction)
+    from . import families
+    return _family_sweep(args, "coaction",
+                         getattr(families, _COACTION_LISTS[args.algebra]),
+                         families.verify_partial_coaction)
 
 
 def cmd_classify(args) -> int:
     """Classify every swept order.  At the first order the solver does not
     support, stop: report the reason, and the orders already classified
     under "results" when there are any, and exit 3."""
+    from .classify import SolverUnsupported, classify_base_field_actions
     build = _BUILDERS[args.algebra]
     results, lines, unsupported = [], [], None
     for n in _orders(args, _CLASSIFY_RANGE):
@@ -250,6 +248,10 @@ def cmd_classify(args) -> int:
 
 
 def _taft_transport_pairs(n):
+    from .families import (
+        taft_parametric_action, taft_parametric_coaction,
+        taft_subgroup_action, taft_subgroup_coaction,
+    )
     pairs = []
     for k in divisors(n):
         if k < n:
@@ -260,11 +262,19 @@ def _taft_transport_pairs(n):
 
 
 def _nichols_transport_pairs(n):
+    from .families import (
+        nichols_counit_action, nichols_global_coaction,
+        nichols_parametric_action, nichols_parametric_coaction,
+    )
     return [(nichols_counit_action(n), nichols_global_coaction(n)),
             (nichols_parametric_action(n), nichols_parametric_coaction(n))]
 
 
 def cmd_duality(args) -> int:
+    from .duality import (
+        nichols_from_dual, nichols_to_dual, taft_from_dual, taft_to_dual,
+        transport, verify_inverse_pair,
+    )
     results, lines, ok = [], [], True
     for n in _orders(args, _DUALITY_RANGE):
         if args.algebra == "taft":
@@ -313,16 +323,18 @@ def cmd_duality(args) -> int:
 def _identity_verdict(item):
     kind = item[0]
     if kind == "charsum":
+        # a few dozen per sweep; the q instances below import nothing
+        from .duality import check_character_sum
         return check_character_sum(*item[1:])
     _, name, indices, q = item
     if kind == "pascal":
-        return check_pascal(name, *indices, q)
-    return check_identity(name, indices, q)
+        return qcomb.check_pascal(name, *indices, q)
+    return qcomb.check_identity(name, indices, q)
 
 
 def _sweep_qs(root_cap: int) -> list:
     """The q specs of the sweep, the generic q first."""
-    qs = [generic_q()]
+    qs = [qcomb.generic_q()]
     qs += [CycNumber.from_rational(1, Rational(a, b))
            for a, b in ((2, 1), (3, 1), (5, 7))]
     qs += [zeta_pow(m, 1) for m in range(2, root_cap + 1)]
@@ -332,7 +344,7 @@ def _sweep_qs(root_cap: int) -> list:
 def _q_instances(max_index: int) -> list:
     """Every instance of the q-identities, as (kind, name, indices)."""
     out = []
-    for variant in PASCAL_VARIANTS:
+    for variant in qcomb.PASCAL_VARIANTS:
         for i in range(1, max_index + 5):
             for s in range(-2, max_index + 7):
                 out.append(("pascal", variant, (i, s)))
@@ -529,6 +541,17 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_failures() -> tuple:
+    """The exceptions that mean a mathematical check failed (exit 1).  A
+    ``ClassificationError`` exists only once ``classify`` is loaded, so the
+    classifier's class is read from the loaded modules and no other
+    subcommand loads that layer to map its exceptions."""
+    classify = sys.modules.get(__package__ + ".classify")
+    if classify is None:
+        return (HopfValidationError,)
+    return (HopfValidationError, classify.ClassificationError)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -540,11 +563,10 @@ def main(argv=None) -> int:
         # nowhere instead of raising a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InvalidOrder, NotADivisor, HopfFormatError, UsageError,
-            OSError) as exc:
+    except (InvalidOrder, HopfFormatError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (HopfValidationError, ClassificationError) as exc:
+    except _check_failures() as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

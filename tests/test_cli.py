@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from partial_hopf import classify, cli, exact_arith, qcomb, reference_tables
+from partial_hopf import (
+    classify, cli, exact_arith, families, qcomb, reference_tables,
+)
 from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
@@ -218,7 +220,7 @@ def test_failing_family_exits_1(monkeypatch, capsys, kind, lists, listing,
     only family, the sweep exits 1, counts the checks of both reports, and
     lists the plain report's failures before the symmetric report's."""
     fam = _double_unit_value(listing(3)[-1])
-    monkeypatch.setitem(lists, "taft", lambda n: [fam])
+    monkeypatch.setattr(families, lists["taft"], lambda n: [fam])
     code, out, err = run(capsys, kind + "s", "taft", "3", "--output",
                          "json")
     assert code == 1 and err == ""
@@ -246,7 +248,7 @@ def test_classify_exit_code_separates_limits_from_failures(
     def raising(H):
         raise exc
 
-    monkeypatch.setattr(cli, "classify_base_field_actions", raising)
+    monkeypatch.setattr(classify, "classify_base_field_actions", raising)
     code, out, err = run(capsys, "classify", "taft", "2", "--output", "json")
     assert code == want
     if want == 3:
@@ -391,7 +393,8 @@ def test_identity_sweep_work_counts(monkeypatch):
     monkeypatch.setattr(exact_arith.ParamPoly, "__mul__", poly_mul)
     monkeypatch.setattr(exact_arith.ParamPoly, "__rmul__", poly_mul)
     for name in ("check_pascal", "check_identity"):
-        monkeypatch.setattr(cli, name, counted("check", getattr(cli, name)))
+        monkeypatch.setattr(qcomb, name,
+                            counted("check", getattr(qcomb, name)))
     counts, failures = run_identity_sweep(5, 6)
     assert failures == []
     assert calls == {"cyc_mul": 56871, "poly_mul": 4504, "check": 12042}
@@ -812,15 +815,90 @@ def test_jobs_changes_no_output(capsys, jobs):
     assert run(capsys, *argv, "--jobs", jobs) == (0, out, "")
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # a fresh interpreter: the sweep runs in one process
+def fresh_python(code, *args, stdin=None):
+    """Run ``code`` in a fresh interpreter with the package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sys, partial_hopf.cli; "
-         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        check=True)
-    assert probe.stdout.strip() == "[]"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], input=stdin,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+
+
+# Runs ``import partial_hopf.cli`` without arguments, else the subcommand
+# as the console script does; its last stderr line is the exit code, the
+# ``partial_hopf`` modules loaded besides ``cli``, and any multiprocessing
+# module loaded.
+_FOOTPRINT_PROBE = """\
+import json, runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("partial_hopf.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import partial_hopf.cli
+mods = [m.split(".")[1] for m in sys.modules if m.startswith("partial_hopf.")]
+print(json.dumps([code, sorted(set(mods) - {"cli"}),
+                  sorted(m for m in sys.modules if "multiprocessing" in m)]),
+      file=sys.stderr)
+"""
+START_UP_LAYERS = ["algebras", "exact_arith", "expr", "hopf_core", "qcomb"]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    pytest.param((), [], id="import-cli"),
+    pytest.param(("validate", "taft", "2"), [], id="validate"),
+    pytest.param(("export", "taft", "2"), [], id="export"),
+    pytest.param(("import", "-"), [], id="import"),
+    pytest.param(("actions", "taft", "2"), ["families"], id="actions"),
+    pytest.param(("actions", "taft", "2", "--paper-examples"),
+                 ["families", "reference_tables"],
+                 id="actions-paper-examples"),
+    pytest.param(("coactions", "taft", "2"), ["families"], id="coactions"),
+    pytest.param(("classify", "taft", "2"), ["classify", "families"],
+                 id="classify"),
+    pytest.param(("duality", "taft", "2"), ["duality", "families"],
+                 id="duality"),
+    pytest.param(("identities", "--n", "1", "--max", "1"),
+                 ["duality", "families"], id="identities"),
+])
+def test_a_process_loads_only_its_layers(argv, layers):
+    """A fresh process loads the start-up layers and its subcommand's own,
+    and no multiprocessing (the identity sweep runs in one process).  The
+    empty argv is ``import partial_hopf.cli`` alone; ``import -`` reads
+    taft(2) from stdin."""
+    stdin = json.dumps(to_json_dict(taft(2)))
+    probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
+    code, loaded, multiprocessing = json.loads(
+        probe.stderr.splitlines()[-1])
+    assert code == 0, probe.stderr
+    assert loaded == sorted(START_UP_LAYERS + layers)
+    assert multiprocessing == []
+
+
+def test_an_error_exit_loads_no_further_layer():
+    """Mapping an exception to its exit code loads no layer: an order
+    beyond the builder (exit 2) and an import that fails the axioms
+    (exit 1) leave only the start-up layers loaded."""
+    doc = to_json_dict(taft(2))
+    doc["antipode"] = [["1" if i == j else "0" for j in range(doc["dim"])]
+                       for i in range(doc["dim"])]
+    for argv, stdin, want in ((("validate", "taft", "99"), None, 2),
+                              (("import", "-"), json.dumps(doc), 1)):
+        probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
+        code, loaded, _ = json.loads(probe.stderr.splitlines()[-1])
+        assert (code, loaded) == (want, START_UP_LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in Path(cli.__file__).parent.glob("*.py")
+    if p.stem != "__init__"))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    """The package's ``__init__`` imports no layer, so an import cycle
+    between two layers shows here as an ImportError."""
+    probe = fresh_python("import partial_hopf.%s" % module)
+    assert probe.returncode == 0, probe.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,15 +3,20 @@ every function the package defines is named somewhere.
 
 ``from .x import name`` in a module of ``partial_hopf`` must be followed by
 a use of ``name`` in that module; an import nothing uses keeps a deleted
-helper's callers looking alive.  ``__init__.py`` is exempt, because it
-imports to re-export.  A function or method defined under ``src/`` (other
-than a dunder) must be named by some ``Name`` or ``Attribute`` node under
-``src/``, ``tests/`` or ``bench/``; one that nothing names is dead code.
-``partial_hopf.__all__`` lists exactly the names ``__init__.py`` imports,
-so a re-export of a deleted name cannot linger there.  Checked with
-``ast``, so no linter is needed.
+helper's callers looking alive.  A function or method defined under
+``src/`` (other than a dunder) must be named by some ``Name`` or
+``Attribute`` node under ``src/``, ``tests/`` or ``bench/``; one that
+nothing names is dead code.  Checked with ``ast``, so no linter is needed.
+
+The package exports lazily from one table, ``partial_hopf._EXPORTS``
+(module -> names).  ``__all__`` is exactly the table's names, each listed
+once; each name resolves to the object its home module binds, which
+defines it when it is the package's own; ``import *`` binds exactly
+``__all__``; and a name outside the table is an ``AttributeError``, so a
+re-export of a deleted name cannot linger.
 """
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -81,10 +86,35 @@ def test_every_defined_function_is_named():
     assert unreferenced_functions(defining, list(sources.values())) == []
 
 
-def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    imported = [alias.asname or alias.name
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names]
-    assert sorted(partial_hopf.__all__) == sorted(imported)
+def test_all_lists_each_exported_name_once():
+    listed = [name for names in partial_hopf._EXPORTS.values()
+              for name in names]
+    assert len(listed) == len(set(listed))
+    assert partial_hopf.__all__ == sorted(listed)
+    assert set(partial_hopf.__all__) <= set(dir(partial_hopf))
+
+
+@pytest.mark.parametrize("module,names", partial_hopf._EXPORTS.items(),
+                         ids=list(partial_hopf._EXPORTS))
+def test_each_export_is_its_home_module_binding(module, names):
+    home = import_module("partial_hopf." + module)
+    for name in names:
+        obj = getattr(partial_hopf, name)
+        assert obj is getattr(home, name), name
+        defined_in = getattr(obj, "__module__", "")
+        if defined_in.startswith("partial_hopf"):
+            assert defined_in == home.__name__, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from partial_hopf import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == partial_hopf.__all__
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_mul", "invert_morphism"])
+def test_an_unknown_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(partial_hopf, name)
+    assert not hasattr(partial_hopf, name)
