@@ -301,18 +301,27 @@ class CycNumber:
 
 
 def _mul(a: CycNumber, b: CycNumber) -> CycNumber:
-    """Product of two values of the same order: integer convolution of the
-    numerators, then one fold of the powers >= phi through ``_fold_table``."""
+    """Product of two values of the same order.  A factor exactly 1 returns
+    the other operand (values are never mutated), and any other rational
+    factor p/q only scales the other's numerators by p and its denominator
+    by q.  Otherwise: integer convolution of the numerators over the
+    nonzero terms of b, then one fold of the powers >= phi through
+    ``_fold_table``."""
     x, y = a.num, b.num
+    if not any(y[1:]):
+        a, b, x, y = b, a, y, x
+    if not any(x[1:]):
+        p, q = x[0], a.den
+        if q == 1 and p == 1:
+            return b
+        return _cyc(b.order, tuple([p * v for v in y]), q * b.den)
     phi = len(x)
-    if phi == 1:
-        return _cyc(a.order, (x[0] * y[0],), a.den * b.den)
+    terms = [(j, yj) for j, yj in enumerate(y) if yj]
     acc = [0] * (2 * phi - 1)
     for i, xi in enumerate(x):
         if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    acc[i + j] += xi * yj
+            for j, yj in terms:
+                acc[i + j] += xi * yj
     for row, c in zip(_fold_table(a.order), acc[phi:]):
         if c:
             for k, r in row:
@@ -545,8 +554,14 @@ class ParamPoly:
             return NotImplemented
         if len(o.terms) == 1 and () in o.terms:
             return self._scaled(o.terms[()])
-        if len(self.terms) == 1 and () in self.terms:
-            return o._scaled(self.terms[()])
+        if len(self.terms) == 1:
+            if () in self.terms:
+                return o._scaled(self.terms[()])
+            if len(o.terms) == 1:
+                # monomial times monomial: one product, nonzero in a field
+                (m1, c1), = self.terms.items()
+                (m2, c2), = o.terms.items()
+                return _poly(self.order, {_mono_mul(m1, m2): c1 * c2})
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
@@ -586,22 +601,7 @@ class ParamPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- evaluation and substitution ---------------------------------------
-
-    def eval(self, assignment: dict) -> CycNumber:
-        """Full evaluation; every parameter appearing must be assigned."""
-        total = CycNumber.zero(self.order)
-        for m, c in self.terms.items():
-            acc = c
-            for name, e in m:
-                if name not in assignment:
-                    raise LookupError("no value for parameter %r" % name)
-                v = assignment[name]
-                if not isinstance(v, CycNumber):
-                    v = CycNumber.from_rational(self.order, v)
-                acc = acc * v ** e
-            total = total + acc
-        return total
+    # -- substitution -----------------------------------------------------
 
     def subs(self, name: str, value) -> "ParamPoly":
         """Substitute one parameter by a polynomial (or scalar) value."""

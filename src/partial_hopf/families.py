@@ -16,15 +16,22 @@ All verifiers sweep every ordered basis pair (resp. the full tensor
 identity) and compare exact polynomials in any free parameters, so a pass
 is a proof for all parameter values, not a sampled check.  The coaction
 sides are built on the sparse kernel of hopf_core, and every check is
-reported through ``Report.expect`` or ``_compare``.
+reported through ``Report.expect`` or ``_compare``, except the rows of the
+action verifier below.
 
 Each verifier checks a law and its symmetric form in one sweep and returns
-both reports, (plain, symmetric).  The action verifier builds lam(1), the
-table of lam on products ``on[b][y] = lam(e_b e_y)`` (its nonzero entries
-only) and each product lam(h) lam(y) once.  Per h it scales c lam(h_1) and
-c lam(h_2) once, over the terms c h_1 (x) h_2 of Delta(h), so the residuals
-of (A) and (B) share their left side and each costs one product per
-coproduct term.  The coaction verifier builds eps(z), Delta(z), z (x) 1,
+both reports, (plain, symmetric).  The action verifier builds lam(1) and
+the table of lam on products ``on[b][y] = lam(e_b e_y)`` (its nonzero
+entries only) once, then checks each h as one row over y.  The left row
+y -> lam(h) lam(y) is built over the support of lam and shared by (A) and
+(B).  Per term c h_1 (x) h_2 of Delta(h), the (A) row adds the row on[h_2]
+scaled by c lam(h_1), and the (B) row adds on[h_1] scaled by c lam(h_2).
+Both sides are sparse dicts keyed by y, so a row costs one product per
+entry it adds, and a row that holds is one dict equality once the
+cancelled entries are dropped; it counts as dim checks.  A row that
+differs is swept in index order and reports each y whose residual
+lam(h) lam(y) - rhs is nonzero, as a per-pair check against 0 would.
+The coaction verifier builds eps(z), Delta(z), z (x) 1,
 z (x) z and z^2 - z once; only the two tensor products differ.  The
 classifier keeps ``instance_residual``, which evaluates one (h, y) instance
 of (A) on its own, since its unknowns change between evaluations.
@@ -118,28 +125,34 @@ def verify_partial_action(H: HopfData, values) -> tuple:
     for rep in (plain, sym):
         rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
     on = _on_products(H, values)
+    support = [(y, ly) for y, ly in enumerate(values) if ly]
     for h in range(H.dim):
         lh = values[h]
-        # (c lam(h_1), on[h_2]) for (A) and (c lam(h_2), on[h_1]) for (B),
-        # over the terms c h_1 (x) h_2 of Delta(h); zero lam(h_i) dropped
-        left, right = [], []
+        lhs = {y: lh * ly for y, ly in support} if lh else {}
+        # the rows y -> sum c lam(h_1) lam(h_2 y) of (A) and
+        # y -> sum c lam(h_2) lam(h_1 y) of (B), over the terms
+        # c h_1 (x) h_2 of Delta(h); zero lam(h_i) dropped
+        left: dict = {}
+        right: dict = {}
         for (a, b), c in H.comult[h]:
             if values[a]:
-                left.append((values[a] * c, on[b]))
+                s = values[a] * c
+                for y, p in on[b].items():
+                    _cdict_add(left, y, s * p)
             if values[b]:
-                right.append((values[b] * c, on[a]))
-        checks = ((plain, "partial_action", left),
-                  (sym, "symmetric_action", right))
-        for y in range(H.dim):
-            ly = values[y]
-            lhs = lh * ly if lh and ly else zero
-            for rep, which, scaled in checks:
-                rhs = zero
-                for s, row in scaled:
-                    p = row.get(y)
-                    if p is not None:
-                        rhs = rhs + s * p
-                rep.expect(which, (H.basis[h], H.basis[y]), lhs - rhs, zero)
+                s = values[b] * c
+                for y, p in on[a].items():
+                    _cdict_add(right, y, s * p)
+        for rep, which, rhs in ((plain, "partial_action", left),
+                                (sym, "symmetric_action", right)):
+            rep.count(H.dim)
+            if lhs == {y: v for y, v in rhs.items() if v}:
+                continue
+            for y in range(H.dim):
+                diff = lhs.get(y, zero) - rhs.get(y, zero)
+                if diff:
+                    rep.fail(which, (H.basis[h], H.basis[y]), diff.render(),
+                             "0")
     return plain, sym
 
 

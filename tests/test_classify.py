@@ -164,7 +164,7 @@ def test_branch_limit(monkeypatch):
             _trivial_grouplikes(group_algebra_cyclic(6)))
 
 
-def test_stuck_solver_is_unsupported(monkeypatch):
+def test_stuck_solver_reports_pending_instances(monkeypatch):
     """With no split rule the solver stops with the instances still open;
     it reports them and raises SolverUnsupported instead of guessing."""
     monkeypatch.setattr(classify, "_find_split", lambda poly: None)

@@ -262,6 +262,34 @@ def test_integer_core_matches_fraction_reference(data):
         assert ref_mul(n, inv.coords, ca) == one
 
 
+def shortcut_coord_tuples(order):
+    """0, 1, -1, another rational, or a single term c*zeta^k: the factors
+    that the product takes without a convolution."""
+    phi = euler_phi(order)
+    rational = (st.sampled_from([0, 1, -1]) | rationals).map(
+        lambda c: (c,) + (0,) * (phi - 1))
+    single = st.tuples(rationals, st.integers(0, phi - 1)).map(
+        lambda t: tuple(t[0] if k == t[1] else 0 for k in range(phi)))
+    return rational | single
+
+
+@pytest.mark.parametrize("n", DIFF_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shortcut_factors_match_fraction_reference(n, data):
+    """A product with a rational or single-term factor, in either order,
+    equals the reference product and is in normal form."""
+    dense = st.tuples(*[st.sampled_from([0, 0, 1, -1]) | rationals]
+                      * euler_phi(n))
+    ca = data.draw(shortcut_coord_tuples(n))
+    cb = data.draw(dense | shortcut_coord_tuples(n))
+    a, b = CycNumber(n, ca), CycNumber(n, cb)
+    for x, y, cx, cy in ((a, b, ca, cb), (b, a, cb, ca)):
+        got = x * y
+        assert got.coords == ref_mul(n, cx, cy)
+        assert_normal_form(got)
+
+
 def test_constructor_checks_coordinate_count():
     with pytest.raises(ValueError):
         CycNumber(5, (1, 2))
@@ -333,15 +361,32 @@ def test_binomial_expansion():
     assert (1 + a) ** 2 == 1 + 2 * a + a * a
 
 
+def evaluate(p, assignment: dict) -> CycNumber:
+    """Full evaluation of the ParamPoly ``p``; every parameter appearing must
+    be assigned a CycNumber or a rational."""
+    total = CycNumber.zero(p.order)
+    for m, c in p.terms.items():
+        acc = c
+        for name, e in m:
+            if name not in assignment:
+                raise LookupError("no value for parameter %r" % name)
+            v = assignment[name]
+            if not isinstance(v, CycNumber):
+                v = CycNumber.from_rational(p.order, v)
+            acc = acc * v ** e
+        total = total + acc
+    return total
+
+
 def test_eval_alpha_squared_at_zeta4():
     a = ParamPoly.var(4, "a")
-    assert (a * a).eval({"a": zeta_pow(4, 1)}) == -1
+    assert evaluate(a * a, {"a": zeta_pow(4, 1)}) == -1
 
 
 def test_eval_missing_parameter():
     a = ParamPoly.var(4, "a")
     with pytest.raises(LookupError):
-        a.eval({})
+        evaluate(a, {})
 
 
 def test_subs_partial():
@@ -375,7 +420,10 @@ def poly_strategy(order):
         st.tuples(st.sampled_from("abc"), st.integers(1, 3)),
         max_size=2).map(lambda ps: tuple(sorted(dict(ps).items())))
     term = st.tuples(mono, cyc_numbers(order))
-    return st.lists(term, max_size=4).map(
+    # a lone term also reaches the monomial-times-monomial product
+    terms = st.lists(term, max_size=4) | st.lists(term, min_size=1,
+                                                  max_size=1)
+    return terms.map(
         lambda ts: sum((ParamPoly(order, {m: c}) for m, c in ts),
                        ParamPoly.zero(order)))
 
@@ -393,8 +441,8 @@ def poly_pair_with_point(draw):
 @given(poly_pair_with_point())
 def test_eval_is_ring_homomorphism(data):
     p, q, point = data
-    assert (p + q).eval(point) == p.eval(point) + q.eval(point)
-    assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+    assert evaluate(p + q, point) == evaluate(p, point) + evaluate(q, point)
+    assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)
 
 
 @settings(max_examples=50, deadline=None)

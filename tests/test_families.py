@@ -1,6 +1,8 @@
 """Partial action/coaction families: verification, hand values, negatives."""
 import pytest
 
+from partial_hopf import exact_arith
+from partial_hopf.classify import classify_base_field_actions
 from partial_hopf.exact_arith import ParamPoly, Rational
 from partial_hopf.expr import parse_poly
 from partial_hopf.algebras import (
@@ -265,3 +267,48 @@ def test_wrongly_scaled_average_fails_counit_normalization():
     z = _group_average(H, (0, 2, 4), 2)
     for rep in verify_partial_coaction(H, z):
         assert any(f.check == "counit_normalization" for f in rep.failures)
+
+
+# -- the work of the action verifier ------------------------------------------
+
+def _counted(monkeypatch):
+    """Counters of exact_arith._mul and of ParamPoly products."""
+    calls = {"cyc": 0, "poly": 0}
+    mul, poly_mul = exact_arith._mul, ParamPoly.__mul__
+
+    def cyc_counted(a, b):
+        calls["cyc"] += 1
+        return mul(a, b)
+
+    def poly_counted(self, other):
+        calls["poly"] += 1
+        return poly_mul(self, other)
+
+    monkeypatch.setattr(exact_arith, "_mul", cyc_counted)
+    monkeypatch.setattr(ParamPoly, "__mul__", poly_counted)
+    monkeypatch.setattr(ParamPoly, "__rmul__", poly_counted)
+    return calls
+
+
+@pytest.mark.parametrize("build,n,cyc,poly,checks", [
+    (taft_parametric_action, 8, 10885, 10885, 8194),
+    (nichols_parametric_action, 5, 550, 550, 2050)])
+def test_action_verifier_makes_the_same_products(monkeypatch, build, n, cyc,
+                                                 poly, checks):
+    """Scalar and polynomial products and checks of one verifier call on a
+    built family: the row-at-a-time sweep makes the products of the
+    per-pair sweep, one check per ordered basis pair and law plus the two
+    unit checks."""
+    fam = build(n)
+    calls = _counted(monkeypatch)
+    reps = verify_partial_action(fam.algebra, fam.values)
+    assert all(r.ok for r in reps)
+    assert (calls["cyc"], calls["poly"]) == (cyc, poly)
+    assert sum(r.checks_run for r in reps) == checks
+
+
+def test_classifier_makes_the_same_products(monkeypatch):
+    H = taft(7)
+    calls = _counted(monkeypatch)
+    assert classify_base_field_actions(H).count() == 2
+    assert (calls["cyc"], calls["poly"]) == (14723, 14546)

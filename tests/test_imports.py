@@ -6,7 +6,9 @@ a use of ``name`` in that module; an import nothing uses keeps a deleted
 helper's callers looking alive.  A function or method defined under
 ``src/`` (other than a dunder) must be named by some ``Name`` or
 ``Attribute`` node under ``src/``, ``tests/`` or ``bench/``; one that
-nothing names is dead code.  Checked with ``ast``, so no linter is needed.
+nothing names is dead code.  A test module defines each top-level function
+and class once: a second ``def`` of a name replaces the first, which
+pytest then never collects.  Checked with ``ast``, so no linter is needed.
 
 The package exports lazily from one table, ``partial_hopf._EXPORTS``
 (module -> names).  ``__all__`` is exactly the table's names, each listed
@@ -84,6 +86,27 @@ def test_every_defined_function_is_named():
     defining = [text for path, text in sources.items()
                 if path.is_relative_to(ROOT / "src")]
     assert unreferenced_functions(defining, list(sources.values())) == []
+
+
+def repeated_top_level_names(source: str) -> list:
+    """The names that two or more top-level functions or classes of
+    ``source`` define, in order of first definition."""
+    names = [node.name for node in ast.parse(source).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))]
+    return sorted({n for n in names if names.count(n) > 1}, key=names.index)
+
+
+def test_detects_a_repeated_top_level_name():
+    src = "def t():\n    pass\nclass C:\n    def m(self):\n        pass\n" \
+          "    def m(self):\n        pass\ndef t():\n    pass\n"
+    assert repeated_top_level_names(src) == ["t"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_test_module_defines_a_name_twice(path):
+    assert repeated_top_level_names(path.read_text()) == []
 
 
 def test_all_lists_each_exported_name_once():
