@@ -20,7 +20,7 @@ _EXPORTS = {
     "classify": (
         "BranchLimitExceeded", "ClassificationError", "ClassifiedActions",
         "NonCyclicGrouplikes", "SolverUnsupported",
-        "classify_base_field_actions", "family_count",
+        "classify_base_field_actions",
     ),
     "duality": (
         "HopfMorphism", "check_character_sum", "compose", "is_identity",
@@ -34,17 +34,15 @@ _EXPORTS = {
     ),
     "expr": ("parse_poly",),
     "families": (
-        "Family", "NotADivisor", "action_consequence_checks",
-        "convolution_idempotent", "dual_group_action_families",
+        "Family", "NotADivisor", "dual_group_action_families",
         "group_action_families", "instance_residual",
         "nichols_action_families", "nichols_coaction_families",
         "nichols_counit_action", "nichols_global_coaction",
         "nichols_parametric_action", "nichols_parametric_coaction",
-        "special_value_checks", "taft_action_families",
-        "taft_coaction_families", "taft_parametric_action",
-        "taft_parametric_coaction", "taft_subgroup_action",
-        "taft_subgroup_coaction", "verify_partial_action",
-        "verify_partial_coaction",
+        "taft_action_families", "taft_coaction_families",
+        "taft_parametric_action", "taft_parametric_coaction",
+        "taft_subgroup_action", "taft_subgroup_coaction",
+        "verify_partial_action", "verify_partial_coaction",
     ),
     "hopf_core": (
         "HopfData", "HopfFormatError", "HopfValidationError", "Report",

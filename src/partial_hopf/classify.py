@@ -72,12 +72,6 @@ class BranchLimitExceeded(SolverUnsupported):
 BRANCH_LIMIT = 64
 
 
-def family_count(m: int) -> int:
-    """Number of classified action families when G(H) is cyclic of order m:
-    one per subgroup, i.e. one per divisor."""
-    return len(divisors(m))
-
-
 def _uname(i: int) -> str:
     return "u%d" % i
 

@@ -12,29 +12,44 @@ element z with eps(z) = 1 and
     (C)   z (x) z  =  (z (x) 1) Delta(z)
     (D)   z (x) z  =  Delta(z) (z (x) 1)                      ["symmetric"]
 
-All verifiers sweep every ordered basis pair (resp. the full tensor
-identity) and compare exact polynomials in any free parameters, so a pass
-is a proof for all parameter values, not a sampled check.  The coaction
-sides are built on the sparse kernel of hopf_core, and every check is
-reported through ``Report.expect`` or ``_compare``, except the rows of the
-action verifier below.
+Both verifiers sweep every ordered basis pair and compare exact
+polynomials in any free parameters, so a pass is a proof for all parameter
+values, not a sampled check.  They share one evaluation of the laws,
+``_action_rows``, and each returns two reports, (plain, symmetric).
 
-Each verifier checks a law and its symmetric form in one sweep and returns
-both reports, (plain, symmetric).  The action verifier builds lam(1) and
-the table of lam on products ``on[b][y] = lam(e_b e_y)`` (its nonzero
-entries only) once, then checks each h as one row over y.  The left row
-y -> lam(h) lam(y) is built over the support of lam and shared by (A) and
-(B).  Per term c h_1 (x) h_2 of Delta(h), the (A) row adds the row on[h_2]
-scaled by c lam(h_1), and the (B) row adds on[h_1] scaled by c lam(h_2).
-Both sides are sparse dicts keyed by y, so a row costs one product per
-entry it adds, and a row that holds is one dict equality once the
-cancelled entries are dropped; it counts as dim checks.  A row that
-differs is swept in index order and reports each y whose residual
-lam(h) lam(y) - rhs is nonzero, as a per-pair check against 0 would.
-The coaction verifier builds eps(z), Delta(z), z (x) 1,
-z (x) z and z^2 - z once; only the two tensor products differ.  The
-classifier keeps ``instance_residual``, which evaluates one (h, y) instance
-of (A) on its own, since its unknowns change between evaluations.
+``_action_rows`` builds the table of lam on products ``on[b][y] =
+lam(e_b e_y)`` (its nonzero entries only) once, then yields each h as one
+row over y per side.  The row y -> lam(h) lam(y) is built over the support
+of lam and shared by (A) and (B).  Per term c h_1 (x) h_2 of Delta(h), the
+(A) row adds the row on[h_2] scaled by c lam(h_1), and the (B) row adds
+on[h_1] scaled by c lam(h_2).  All are sparse dicts keyed by y, so a row
+costs one product per entry it adds.  The action verifier checks lam(1) = 1
+and then each row: one that holds is one dict equality once the cancelled
+entries are dropped, and counts as dim checks; one that differs is swept in
+index order and reports each y whose residual lam(h) lam(y) - rhs is
+nonzero, as a per-pair check against 0 would.
+
+The coaction verifier runs the same rows on H* = ``dual_hopf(H)`` for
+lam(f) = f(z), whose values on the dual basis e^i are the coordinates z_i.
+Then (C) is (A) on H* and (D) is (B), entry by entry:
+
+    lam(e^h) lam(e^y)                 = z_h z_y,
+    lam(e^b e^y)                      = Delta(z)_(b,y)    (m of H* is Delta^T),
+    sum c lam(e^a) lam(e^b e^y)       = sum_(a,b) m_(a,b)^h z_a Delta(z)_(b,y)
+                                      = ((z (x) 1) Delta(z))_(h,y),
+
+where Delta(e^h) = sum m_(a,b)^h e^a (x) e^b (Delta of H* is m^T); the last
+step is (z (x) 1) Delta(z) = sum z_a Delta(z)_(b,j) e_a e_b (x) 1 e_j with
+1 e_j = e_j.  The same steps with e_j 1 = e_j turn the (B) row into the
+(h, y) coefficient of Delta(z) (z (x) 1).  So the (h, y) entry of lhs - left
+is the e_h (x) e_y coefficient of the residual of (C), and that of
+lhs - right the one of (D).  The one precondition is the unit law of H,
+1 y = y = y 1, which ``validate_all`` checks; the unit of H* is eps, so
+lam(1) = 1 is eps(z) = 1.  The coaction verifier gathers each law's
+entries into one residual dict and compares it with 0 as one check, next
+to eps(z) = 1 and z^2 = z.  The classifier keeps ``instance_residual``,
+which evaluates one (h, y) instance of (A) on its own, since its unknowns
+change between evaluations.
 
 lam and z are each given by their dim coordinates in the basis of H, and a
 ``Family`` is that coordinate tuple with a name and its parameters; the
@@ -51,8 +66,8 @@ from .exact_arith import (
     CycNumber, ParamPoly, Rational, cyc_invert, divisors, zeta_pow,
 )
 from .hopf_core import (
-    HopfData, Report, _cdict_add, _cdict_str, _compare, _pair, dual_hopf,
-    sparse, tensor_mul, vec_map, vec_mul,
+    HopfData, Report, _cdict_add, _compare, _pair, dual_hopf, sparse,
+    vec_mul,
 )
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
@@ -113,25 +128,16 @@ def _on_products(H: HopfData, values) -> list:
     return on
 
 
-def verify_partial_action(H: HopfData, values) -> tuple:
-    """Exact verification of (A) and of (B) over every ordered basis pair;
-    ``values`` are the dim coordinates lam(e_i).  Returns the two reports,
-    (plain, symmetric)."""
-    _require_dim(H, values)
-    zero = ParamPoly.zero(H.order)
-    unit = _pair(values, H.unit, zero)
-    plain = Report("partial_action(%s)" % H.name)
-    sym = Report("symmetric_action(%s)" % H.name)
-    for rep in (plain, sym):
-        rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
+def _action_rows(H: HopfData, values):
+    """Per basis index h, (h, lhs, left, right): the rows over y of
+    lam(h) lam(y) and of the right sides of (A) and (B), for the functional
+    with the dim coordinates ``values``.  Each is a sparse dict keyed by y;
+    entries that cancel stay in left and right as zeros."""
     on = _on_products(H, values)
     support = [(y, ly) for y, ly in enumerate(values) if ly]
     for h in range(H.dim):
         lh = values[h]
         lhs = {y: lh * ly for y, ly in support} if lh else {}
-        # the rows y -> sum c lam(h_1) lam(h_2 y) of (A) and
-        # y -> sum c lam(h_2) lam(h_1 y) of (B), over the terms
-        # c h_1 (x) h_2 of Delta(h); zero lam(h_i) dropped
         left: dict = {}
         right: dict = {}
         for (a, b), c in H.comult[h]:
@@ -143,6 +149,21 @@ def verify_partial_action(H: HopfData, values) -> tuple:
                 s = values[b] * c
                 for y, p in on[a].items():
                     _cdict_add(right, y, s * p)
+        yield h, lhs, left, right
+
+
+def verify_partial_action(H: HopfData, values) -> tuple:
+    """Exact verification of (A) and of (B) over every ordered basis pair;
+    ``values`` are the dim coordinates lam(e_i).  Returns the two reports,
+    (plain, symmetric)."""
+    _require_dim(H, values)
+    zero = ParamPoly.zero(H.order)
+    unit = _pair(values, H.unit, zero)
+    plain = Report("partial_action(%s)" % H.name)
+    sym = Report("symmetric_action(%s)" % H.name)
+    for rep in (plain, sym):
+        rep.expect("unital", ("1",), unit, ParamPoly.one(H.order))
+    for h, lhs, left, right in _action_rows(H, values):
         for rep, which, rhs in ((plain, "partial_action", left),
                                 (sym, "symmetric_action", right)):
             rep.count(H.dim)
@@ -158,27 +179,32 @@ def verify_partial_action(H: HopfData, values) -> tuple:
 
 def verify_partial_coaction(H: HopfData, values) -> tuple:
     """Exact verification of (C) and of (D) for the element z with the dim
-    coordinates ``values``; each report also checks z^2 = z, which the
-    coaction law forces.  Both sides are built on the sparse kernel.
-    Returns the two reports, (plain, symmetric)."""
+    coordinates ``values``, as (A) and (B) of lam(f) = f(z) on H*: the
+    (h, y) entries of lhs - left and lhs - right of ``_action_rows`` on
+    ``dual_hopf(H)`` are the e_h (x) e_y coefficients of the residuals of
+    (C) and (D), given the unit law of H (see the module docstring).  Each
+    residual is one check against 0; each report also checks eps(z) = 1
+    and z^2 = z, which the coaction law forces.  Returns the two reports,
+    (plain, symmetric)."""
     _require_dim(H, values)
-    eps = _pair(values, enumerate(H.counit), ParamPoly.zero(H.order))
+    zero = ParamPoly.zero(H.order)
+    eps = _pair(values, enumerate(H.counit), zero)
     u = sparse(values)
-    dz = vec_map(H.comult, u.items())
-    z1 = {(i, j): a * b for i, a in u.items() for j, b in H.unit}
-    zz = {(i, j): a * b for i, a in u.items() for j, b in u.items()}
     idem = vec_mul(H.mult, u, u)
     for i, a in u.items():
         _cdict_add(idem, i, -a)
+    residuals = ({}, {})
+    for h, lhs, left, right in _action_rows(dual_hopf(H), values):
+        for diff, rhs in zip(residuals, (left, right)):
+            if lhs != rhs:
+                for y in lhs.keys() | rhs.keys():
+                    diff[h, y] = lhs.get(y, zero) - rhs.get(y, zero)
     reps = []
-    for which, s, t in (("partial_coaction", z1, dz),
-                        ("symmetric_coaction", dz, z1)):
+    for which, diff in zip(("partial_coaction", "symmetric_coaction"),
+                           residuals):
         rep = Report("%s(%s)" % (which, H.name))
         rep.expect("counit_normalization", ("eps(z)",), eps,
                    ParamPoly.one(H.order))
-        diff = dict(zz)
-        for key, c in tensor_mul(H.mult, s, t).items():
-            _cdict_add(diff, key, -c)
         _compare(rep, which, ("z",), diff, {}, H)
         _compare(rep, "idempotent", ("z^2 - z",), idem, {}, H)
         reps.append(rep)
@@ -363,78 +389,3 @@ def group_action_families(n: int) -> list:
 
 def dual_group_action_families(n: int) -> list:
     return [dual_group_subgroup_action(n, d) for d in divisors(n)]
-
-
-# ---------------------------------------------------------------------------
-# closed-form special values and structural consequences
-# ---------------------------------------------------------------------------
-
-def special_value_checks(n: int) -> Report:
-    """Closed-form values of the parametric action on taft(n), checked
-    symbolically: power row, antidiagonal, last group row, top x-degree."""
-    rep = Report("special_values(taft(%d))" % n)
-    fam = taft_parametric_action(n)
-    f = fam.values
-    q = zeta_pow(n, 1)
-    a = ParamPoly.var(n, fam.params[0])
-
-    for j in range(n):
-        rep.expect("power_row", ("x^%d" % j,), f[j], a ** j)
-
-    for i in range(1, n):
-        c = q ** (i * (i + 1) // 2)
-        rep.expect("antidiagonal", (i,), f[((n - i) % n) * n + i],
-                   a ** i * (-c if i % 2 else c))
-
-    from .qcomb import q_number
-    for j in range(n):
-        rep.expect("last_group_row", (j,), f[(n - 1) * n + j],
-                   a ** j * (-(q * q_number(j, q))))
-
-    for i in range(n):
-        rep.expect("top_x_degree", (i,), f[i * n + (n - 1)],
-                   a ** (n - 1))
-    return rep
-
-
-def action_consequence_checks(fam: Family) -> Report:
-    """Structural consequences every partial action obeys, checked on a
-    family's exact values:
-
-      (i)   lam(v) = 1 for a declared group-like v, a basis index or a
-            group-like vector, forces lam(v u) = lam(u) for all u;
-      (ii)  a (g,h)-skew-primitive x with lam(g) = lam(h) has lam(x) = 0;
-      (iii) lam(x) = 0 and lam(h) = 1 force lam(x u) = 0 for all u.
-
-    A basis group-like is named by its label, a vector by its terms.
-    """
-    H, f = fam.algebra, fam.values
-    rep = Report("consequences(%s/%s)" % (H.name, fam.name))
-    one = ParamPoly.one(H.order)
-    zero = ParamPoly.zero(H.order)
-    on = _on_products(H, f)
-    declared = [(H.basis[g], {g: H.one_scalar()}) for g in H.grouplikes]
-    declared += [(_cdict_str(v, H), v)
-                 for v in map(sparse, H.grouplike_vectors)]
-    for label, v in declared:
-        if _pair(f, v.items(), zero) != one:
-            continue
-        for u in range(H.dim):
-            # col[i] = lam(e_i e_u)
-            col = [row.get(u, zero) for row in on]
-            rep.expect("translation_invariance", (label, H.basis[u]),
-                       _pair(col, v.items(), zero), f[u])
-    for (x, g, h) in H.skew_primitives:
-        if f[g] == f[h]:
-            rep.expect("skew_vanishing", (H.basis[x],), f[x], zero)
-        if f[x].is_zero() and f[h] == one:
-            for u in range(H.dim):
-                rep.expect("skew_annihilation", (H.basis[x], H.basis[u]),
-                           on[x].get(u, zero), zero)
-    return rep
-
-
-def convolution_idempotent(fam: Family) -> bool:
-    """lam * lam = lam in the convolution algebra, exactly in parameters."""
-    u = sparse(fam.values)
-    return vec_mul(dual_hopf(fam.algebra).mult, u, u) == u

@@ -9,15 +9,19 @@ from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
 from partial_hopf.families import (
-    Family, NotADivisor, action_consequence_checks, convolution_idempotent,
-    dual_group_action_families, dual_group_subgroup_action,
+    Family, NotADivisor, dual_group_action_families,
+    dual_group_subgroup_action,
     group_action_families, group_subgroup_action, instance_residual,
     nichols_action_families, nichols_coaction_families,
     nichols_counit_action, nichols_parametric_action,
-    nichols_parametric_coaction,
-    special_value_checks, taft_action_families, taft_coaction_families,
-    taft_parametric_action, taft_parametric_coaction, taft_subgroup_action,
-    taft_subgroup_coaction, verify_partial_action, verify_partial_coaction,
+    nichols_parametric_coaction, taft_action_families,
+    taft_coaction_families, taft_parametric_action, taft_parametric_coaction,
+    taft_subgroup_action, taft_subgroup_coaction, verify_partial_action,
+    verify_partial_coaction,
+)
+
+from family_checks import (
+    action_consequence_checks, convolution_idempotent, special_value_checks,
 )
 
 

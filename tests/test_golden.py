@@ -39,14 +39,15 @@ from unittest import mock
 
 import pytest
 
-from partial_hopf import families
 from partial_hopf.cli import _identity_verdict, identity_sweep_items, main
 from partial_hopf.families import (
-    action_consequence_checks, nichols_action_families,
-    nichols_coaction_families, special_value_checks, taft_action_families,
+    nichols_action_families, nichols_coaction_families, taft_action_families,
     taft_coaction_families, taft_parametric_action, verify_partial_action,
     verify_partial_coaction,
 )
+
+import family_checks
+from family_checks import action_consequence_checks, special_value_checks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,7 +145,7 @@ def family_failure_reports() -> dict:
     fam = taft_parametric_action(3)
     for i in range(fam.algebra.dim):
         faulted = dataclasses.replace(fam, values=_perturbed(fam.values, i))
-        with mock.patch.object(families, "taft_parametric_action",
+        with mock.patch.object(family_checks, "taft_parametric_action",
                                lambda n: faulted):
             rep = special_value_checks(3)
         out["special_values taft(3) parametric[%d]" % i] = _report(rep)
