@@ -29,7 +29,7 @@ _EXPORTS = {
         "verify_inverse_pair",
     ),
     "exact_arith": (
-        "CycNumber", "OrderMismatch", "ParamPoly", "Rational", "cyc_invert",
+        "CycNumber", "OrderMismatch", "ParamPoly", "cyc_invert",
         "cyclotomic_polynomial", "divisors", "euler_phi", "zeta_pow",
     ),
     "expr": ("parse_poly",),

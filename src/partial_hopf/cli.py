@@ -41,7 +41,7 @@ from .algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
 )
-from .exact_arith import CycNumber, Rational, divisors, zeta_pow
+from .exact_arith import CycNumber, divisors, zeta_pow
 from .hopf_core import (
     MAX_DIM, MAX_ORDER, HopfFormatError, HopfValidationError, from_json_dict,
     to_json_dict, validate_all,
@@ -335,7 +335,7 @@ def _identity_verdict(item):
 def _sweep_qs(root_cap: int) -> list:
     """The q specs of the sweep, the generic q first."""
     qs = [qcomb.generic_q()]
-    qs += [CycNumber.from_rational(1, Rational(a, b))
+    qs += [CycNumber.from_rational(1, a, b)
            for a, b in ((2, 1), (3, 1), (5, 7))]
     qs += [zeta_pow(m, 1) for m in range(2, root_cap + 1)]
     return qs

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_arith import (
-    CycNumber, ParamPoly, Rational, _conjugate, _cyc, cyc_invert, zeta_pow,
+    CycNumber, ParamPoly, _conjugate, _cyc, cyc_invert, zeta_pow,
 )
 from .hopf_core import (
     HopfData, Report, _compare, _pair, _transpose, dense, sparse, tensor_map,
@@ -239,14 +239,14 @@ def check_character_sum(n: int, k: int, l: int) -> Verdict:
     the scalar identity behind subgroup transport (requires n = k l)."""
     if k * l != n:
         raise ValueError("need n = k*l, got %d != %d*%d" % (n, k, l))
-    inv_n = CycNumber.from_rational(n, Rational(1) / n)
+    inv_n = CycNumber.from_rational(n, 1, n)
     lhs = []
     for t in range(n):
         acc = CycNumber.zero(n)
         for i in range(l):
             acc = acc + zeta_pow(n, i * k * t)
         lhs.append(inv_n * acc)
-    lval = CycNumber.from_rational(n, Rational(l) / n)
+    lval = CycNumber.from_rational(n, l, n)
     rhs = [lval if t % l == 0 else CycNumber.zero(n) for t in range(n)]
     ok = lhs == rhs
     text = _g_vector(lhs)

@@ -1,14 +1,16 @@
 """Exact scalar arithmetic for the Hopf-algebra engine.
 
-Three layers, all exact:
+Two scalar types, both exact and both on plain Python integers:
 
-  * ``Rational``  -- arbitrary-precision rationals (``fractions.Fraction``).
   * ``CycNumber`` -- elements of Q(zeta_n), stored in canonical coordinates
     modulo the n-th cyclotomic polynomial: phi(n) integer numerators over
     one positive common denominator, reduced so that equal values have
     equal fields.  Sums, products, inverses and the reduction modulo Phi_n
-    run on plain Python integers.  The powers of zeta_n come from one
-    table per order, which the product's fold and the conjugates read.
+    run on integers.  The powers of zeta_n come from one table per order,
+    which the product's fold and the conjugates read.  A rational p/q is
+    the CycNumber ``from_rational(n, p, q)``; a plain int operand stands
+    for itself.  ``coords`` is the one view of a value as
+    ``fractions.Fraction`` coordinates, for readers outside the arithmetic.
   * ``ParamPoly`` -- sparse multivariate polynomials over CycNumber carrying
     free symbolic parameters, so that "for all alpha" claims are discharged
     as exact polynomial identities rather than by sampling.
@@ -18,13 +20,8 @@ beyond the standard library.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
-
-Rational = Fraction
-
-_RAT_TYPES = (int, Fraction)
+from math import gcd
 
 
 class OrderMismatch(ValueError):
@@ -120,27 +117,17 @@ class CycNumber:
     The value is (num[0] + num[1]*zeta + ... ) / den with phi(order) integer
     numerators ``num`` and an integer ``den`` > 0, reduced so that
     gcd(den, *num) == 1.  The normal form is unique: two values are equal
-    iff their orders and their (num, den) fields are identical.
-    ``coords`` gives the same coordinates as Fractions.
+    iff their orders and their (num, den) fields are identical.  Values are
+    built by ``_cyc`` and the constructors below, never from outside data.
     """
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coords):
-        """Build from phi(order) rational coordinates; coords[k] is the
-        coefficient of zeta^k."""
-        fracs = [Fraction(c) for c in coords]
-        if len(fracs) != euler_phi(order):
-            raise ValueError("Q(zeta_%d) takes %d coordinates, got %d"
-                             % (order, euler_phi(order), len(fracs)))
-        den = lcm(*(f.denominator for f in fracs))
-        self.order = order
-        self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        self.den = den
-
     @property
     def coords(self) -> tuple:
-        """coords[k] is the coefficient of zeta^k, as a Fraction."""
+        """coords[k] is the coefficient of zeta^k, as a Fraction.  This is
+        the package's one Fraction, so only its readers load ``fractions``."""
+        from fractions import Fraction
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
 
@@ -155,12 +142,13 @@ class CycNumber:
         return _one(order)
 
     @staticmethod
-    def from_rational(order: int, value) -> "CycNumber":
-        if type(value) is int:
-            p, q = value, 1
-        else:
-            value = Fraction(value)
-            p, q = value.numerator, value.denominator
+    def from_rational(order: int, p: int, q: int = 1) -> "CycNumber":
+        """The rational p/q in Q(zeta_order), from integers p and q > 0."""
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise TypeError("a rational is two integers, got %r and %r"
+                            % (p, q))
+        if q < 1:
+            raise ValueError("denominator must be positive, got %d" % q)
         return _cyc(order, (p,) + (0,) * (euler_phi(order) - 1), q)
 
     # -- predicates ------------------------------------------------------
@@ -171,11 +159,6 @@ class CycNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not a rational value: %r" % (self,))
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
@@ -184,7 +167,7 @@ class CycNumber:
                 raise OrderMismatch(
                     "orders %d and %d" % (self.order, other.order))
             return other
-        if isinstance(other, _RAT_TYPES):
+        if isinstance(other, int):
             return CycNumber.from_rational(self.order, other)
         return None
 
@@ -255,18 +238,15 @@ class CycNumber:
         if isinstance(other, int):
             return (self.den == 1 and self.num[0] == other
                     and self.is_rational())
-        if isinstance(other, Fraction):
-            return (self.num[0] == other.numerator
-                    and self.den == other.denominator and self.is_rational())
         return NotImplemented
 
     def __hash__(self):
-        # a rational value hashes as the int or Fraction it compares equal to
-        if not self.is_rational():
-            return hash((self.order, self.num, self.den))
-        if self.den == 1:
+        # equal values hash equally: an integer value compares equal to its
+        # int (above), so it hashes as that int; any other value equals only
+        # the CycNumber with its normal form
+        if self.den == 1 and self.is_rational():
             return hash(self.num[0])
-        return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __bool__(self):
         return any(self.num)
@@ -440,16 +420,12 @@ class ParamPoly:
     The arithmetic keeps that invariant without rebuilding: a sum copies one
     term dict and deletes a monomial only when its coefficients cancel, a
     product accumulates and drops the zero sums once, and a product by a
-    nonzero scalar (a CycNumber, a rational or a constant polynomial) scales
+    nonzero scalar (a CycNumber, an int or a constant polynomial) scales
     each coefficient and needs no test at all, because Q(zeta_n) is a field.
     Every coefficient product is a ``CycNumber`` product.
     """
 
     __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: dict):
-        self.order = order
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
     # -- constructors ---------------------------------------------------
 
@@ -459,6 +435,7 @@ class ParamPoly:
 
     @staticmethod
     def const(order: int, value) -> "ParamPoly":
+        """The constant ``value``, a CycNumber of this order or an int."""
         if isinstance(value, CycNumber):
             if value.order != order:
                 raise OrderMismatch("orders %d and %d" % (order, value.order))
@@ -509,7 +486,7 @@ class ParamPoly:
                 raise OrderMismatch(
                     "orders %d and %d" % (self.order, other.order))
             return other
-        if isinstance(other, (CycNumber,) + _RAT_TYPES):
+        if isinstance(other, (CycNumber, int)):
             return ParamPoly.const(self.order, other)
         return None
 
@@ -586,7 +563,7 @@ class ParamPoly:
         return _power(self, e)
 
     def __eq__(self, other):
-        if isinstance(other, (CycNumber,) + _RAT_TYPES):
+        if isinstance(other, (CycNumber, int)):
             other = ParamPoly.const(self.order, other)
         if not isinstance(other, ParamPoly):
             return NotImplemented

@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_arith import (
-    CycNumber, ParamPoly, Rational, cyc_invert, divisors, zeta_pow,
+    CycNumber, ParamPoly, cyc_invert, divisors, zeta_pow,
 )
 from .hopf_core import (
     HopfData, Report, _cdict_add, _compare, _pair, dual_hopf, sparse,
@@ -132,7 +132,8 @@ def _action_rows(H: HopfData, values):
     """Per basis index h, (h, lhs, left, right): the rows over y of
     lam(h) lam(y) and of the right sides of (A) and (B), for the functional
     with the dim coordinates ``values``.  Each is a sparse dict keyed by y;
-    entries that cancel stay in left and right as zeros."""
+    entries that cancel stay in left and right as zeros.  A term of Delta(h)
+    whose row on[b] (or on[a]) is empty adds nothing and is not scaled."""
     on = _on_products(H, values)
     support = [(y, ly) for y, ly in enumerate(values) if ly]
     for h in range(H.dim):
@@ -141,11 +142,11 @@ def _action_rows(H: HopfData, values):
         left: dict = {}
         right: dict = {}
         for (a, b), c in H.comult[h]:
-            if values[a]:
+            if values[a] and on[b]:
                 s = values[a] * c
                 for y, p in on[b].items():
                     _cdict_add(left, y, s * p)
-            if values[b]:
+            if values[b] and on[a]:
                 s = values[b] * c
                 for y, p in on[a].items():
                     _cdict_add(right, y, s * p)
@@ -272,7 +273,7 @@ def taft_parametric_coaction(n: int) -> Family:
     double sum with inverse q-factorial coefficients."""
     H = taft(n)
     q = zeta_pow(n, 1)
-    inv_n = CycNumber.from_rational(n, Rational(1) / n)
+    inv_n = CycNumber.from_rational(n, 1, n)
     coords = [ParamPoly.zero(n)] * H.dim
     for k in range(n):
         coords[k * n] = ParamPoly.const(n, inv_n)
@@ -297,7 +298,7 @@ def taft_subgroup_coaction(n: int, k: int) -> Family:
     _require_divisor(n, k)
     return _on_basis(taft(n), "global" if k == n else "subgroup<g^%d>" % k,
                      range(0, n * n, k * n),
-                     ParamPoly.const(n, Rational(k, n)))
+                     ParamPoly.const(n, CycNumber.from_rational(n, k, n)))
 
 
 def nichols_parametric_action(n: int) -> Family:
@@ -322,7 +323,7 @@ def nichols_counit_action(n: int) -> Family:
 def nichols_parametric_coaction(n: int) -> Family:
     """z = (1+g)/2 - sum a_i g x_i."""
     H = nichols(n)
-    half = ParamPoly.const(H.order, Rational(1) / 2)
+    half = ParamPoly.const(H.order, CycNumber.from_rational(H.order, 1, 2))
     coords = [ParamPoly.zero(H.order)] * H.dim
     coords[0] = half
     coords[1] = half
@@ -352,7 +353,8 @@ def dual_group_subgroup_action(n: int, d: int) -> Family:
     H = dual_group_algebra_cyclic(n)
     _require_divisor(n, d)
     return _on_basis(H, "uniform" if d == 1 else "subgroup<g^%d>*" % d,
-                     range(0, n, d), ParamPoly.const(H.order, Rational(d, n)))
+                     range(0, n, d), ParamPoly.const(
+                         H.order, CycNumber.from_rational(H.order, d, n)))
 
 
 # canonical listings -------------------------------------------------------

@@ -30,9 +30,9 @@ binomial factor, before any product, and ``check_pascal`` adds its
 q-power term only ``if second``/``if first``.  Equality at the generic q
 is equality in Q[q], and a homomorphism maps it to equality at every q
 spec.  So an instance that passes at the generic q and fails at some spec
-shows a fault in that spec's arithmetic (Fraction, or CycNumber in
-Q(zeta_n)), not in the identity; the identity sweep checks every spec for
-that reason.
+shows a fault in that spec's arithmetic (a CycNumber: of order 1 for a
+rational q, in Q(zeta_n) for a root), not in the identity; the identity
+sweep checks every spec for that reason.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def q_label(q) -> str:
     if isinstance(q, ParamPoly):
         return "generic"
     if q.is_rational():
-        return "q=%s" % q.coords[0]
+        return "q=%s" % q.render()
     return "q=zeta_%d" % q.order
 
 

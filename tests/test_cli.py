@@ -826,8 +826,8 @@ def fresh_python(code, *args, stdin=None):
 
 # Runs ``import partial_hopf.cli`` without arguments, else the subcommand
 # as the console script does; its last stderr line is the exit code, the
-# ``partial_hopf`` modules loaded besides ``cli``, and any multiprocessing
-# module loaded.
+# ``partial_hopf`` modules loaded besides ``cli``, and any multiprocessing,
+# ``fractions`` or ``decimal`` module loaded.
 _FOOTPRINT_PROBE = """\
 import json, runpy, sys
 code = 0
@@ -840,7 +840,8 @@ else:
     import partial_hopf.cli
 mods = [m.split(".")[1] for m in sys.modules if m.startswith("partial_hopf.")]
 print(json.dumps([code, sorted(set(mods) - {"cli"}),
-                  sorted(m for m in sys.modules if "multiprocessing" in m)]),
+                  sorted(m for m in sys.modules if "multiprocessing" in m
+                         or m in ("fractions", "decimal"))]),
       file=sys.stderr)
 """
 START_UP_LAYERS = ["algebras", "exact_arith", "expr", "hopf_core", "qcomb"]
@@ -865,30 +866,31 @@ START_UP_LAYERS = ["algebras", "exact_arith", "expr", "hopf_core", "qcomb"]
 ])
 def test_a_process_loads_only_its_layers(argv, layers):
     """A fresh process loads the start-up layers and its subcommand's own,
-    and no multiprocessing (the identity sweep runs in one process).  The
+    no multiprocessing (the identity sweep runs in one process), and no
+    ``fractions`` or ``decimal`` (every scalar is built from integers).  The
     empty argv is ``import partial_hopf.cli`` alone; ``import -`` reads
     taft(2) from stdin."""
     stdin = json.dumps(to_json_dict(taft(2)))
     probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
-    code, loaded, multiprocessing = json.loads(
-        probe.stderr.splitlines()[-1])
+    code, loaded, unwanted = json.loads(probe.stderr.splitlines()[-1])
     assert code == 0, probe.stderr
     assert loaded == sorted(START_UP_LAYERS + layers)
-    assert multiprocessing == []
+    assert unwanted == []
 
 
 def test_an_error_exit_loads_no_further_layer():
     """Mapping an exception to its exit code loads no layer: an order
     beyond the builder (exit 2) and an import that fails the axioms
-    (exit 1) leave only the start-up layers loaded."""
+    (exit 1) leave only the start-up layers loaded, and no module the probe
+    lists as unwanted."""
     doc = to_json_dict(taft(2))
     doc["antipode"] = [["1" if i == j else "0" for j in range(doc["dim"])]
                        for i in range(doc["dim"])]
     for argv, stdin, want in ((("validate", "taft", "99"), None, 2),
                               (("import", "-"), json.dumps(doc), 1)):
         probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
-        code, loaded, _ = json.loads(probe.stderr.splitlines()[-1])
-        assert (code, loaded) == (want, START_UP_LAYERS)
+        code, loaded, unwanted = json.loads(probe.stderr.splitlines()[-1])
+        assert (code, loaded, unwanted) == (want, START_UP_LAYERS, [])
 
 
 @pytest.mark.parametrize("module", sorted(

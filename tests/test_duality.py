@@ -19,7 +19,7 @@ from partial_hopf.duality import (
     nichols_from_dual, nichols_to_dual, taft_dual, taft_from_dual,
     taft_to_dual, transport, verify_hopf_morphism, verify_inverse_pair,
 )
-from partial_hopf.exact_arith import Rational, cyc_invert, zeta_pow
+from partial_hopf.exact_arith import cyc_invert, zeta_pow
 from partial_hopf.qcomb import q_factorial
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,7 +44,7 @@ def test_taft_iso_is_hopf_morphism(n):
 def taft_from_dual_closed_form(n, i, j):
     """(g^i x^j)* |-> (1/n) ((j)!_q)^(-1) q^(ij + j(j-1)/2)
     sum_k q^(k(i+j)) g^k x^j, as the row of taft_from_dual(n)."""
-    c = (CycNumber.from_rational(n, Rational(1, n))
+    c = (CycNumber.from_rational(n, 1, n)
          * cyc_invert(q_factorial(j, zeta_pow(n, 1)))
          * zeta_pow(n, i * j + j * (j - 1) // 2))
     return tuple((k * n + j, c * zeta_pow(n, k * (i + j))) for k in range(n))
@@ -77,7 +77,7 @@ def conjugate(c):
     """The complex conjugate of c, summed power by power: zeta^i -> zeta^-i."""
     n = c.order
     return sum((x * zeta_pow(n, -i) for i, x in enumerate(c.num) if x),
-               CycNumber.zero(n)) * Rational(1, c.den)
+               CycNumber.zero(n)) * CycNumber.from_rational(n, 1, c.den)
 
 
 @pytest.mark.parametrize("build,n", [(taft_to_dual, n) for n in range(2, 9)]

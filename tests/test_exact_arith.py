@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_hopf.exact_arith import (
-    CycNumber, OrderMismatch, ParamPoly, Rational,
+    CycNumber, OrderMismatch, ParamPoly,
     cyc_invert, cyclotomic_polynomial, divisors, euler_phi, zeta_pow,
 )
 from partial_hopf import expr
@@ -20,6 +20,8 @@ from partial_hopf.expr import (
     parse_scalar,
 )
 from partial_hopf.hopf_core import to_json_dict
+
+from fraction_scalars import const, cyc, fraction, poly, rat
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
@@ -81,7 +83,7 @@ def test_zeta4_squares_to_minus_one():
 
 def test_zeta3_canonical_coords():
     # zeta_3^2 = -1 - zeta_3 after reduction mod 1 + x + x^2
-    assert zeta_pow(3, 2).coords == (Rational(-1), Rational(-1))
+    assert zeta_pow(3, 2).coords == (Fraction(-1), Fraction(-1))
 
 
 @pytest.mark.parametrize("n", ORDERS + [15, 16, 60, 97, 105, 128])
@@ -138,10 +140,10 @@ def test_invert_roots_of_unity_and_their_multiples(n):
     # one nonzero coordinate c*zeta^k inverts to zeta^-k / c; a power zeta^k
     # with several coordinates in normal form takes the norm path
     for k in range(n):
-        for c in (1, -1, Rational(3, 2)):
-            x = c * zeta_pow(n, k)
+        for c in (1, -1, Fraction(3, 2)):
+            x = rat(n, c) * zeta_pow(n, k)
             inv = cyc_invert(x)
-            assert inv == zeta_pow(n, -k) * (1 / Rational(c))
+            assert inv == zeta_pow(n, -k) * rat(n, 1 / c)
             assert x * inv == 1
 
 
@@ -166,12 +168,12 @@ def test_order_mismatch_raises_on_every_operation(op, orders):
 
 
 rationals = st.tuples(st.integers(-9, 9), st.integers(1, 7)).map(
-    lambda t: Rational(t[0]) / Rational(t[1]))
+    lambda t: Fraction(t[0], t[1]))
 
 
 def cyc_numbers(order):
     return st.tuples(*[rationals] * euler_phi(order)).map(
-        lambda t: CycNumber(order, t))
+        lambda t: cyc(order, t))
 
 
 @st.composite
@@ -246,7 +248,7 @@ def assert_normal_form(x):
 @given(order_and_two_coord_tuples())
 def test_integer_core_matches_fraction_reference(data):
     n, ca, cb = data
-    a, b = CycNumber(n, ca), CycNumber(n, cb)
+    a, b = cyc(n, ca), cyc(n, cb)
     assert a.coords == tuple(Fraction(c) for c in ca)
     assert (a + b).coords == tuple(x + y for x, y in zip(ca, cb))
     assert (a - b).coords == tuple(x - y for x, y in zip(ca, cb))
@@ -283,16 +285,43 @@ def test_shortcut_factors_match_fraction_reference(n, data):
                       * euler_phi(n))
     ca = data.draw(shortcut_coord_tuples(n))
     cb = data.draw(dense | shortcut_coord_tuples(n))
-    a, b = CycNumber(n, ca), CycNumber(n, cb)
+    a, b = cyc(n, ca), cyc(n, cb)
     for x, y, cx, cy in ((a, b, ca, cb), (b, a, cb, ca)):
         got = x * y
         assert got.coords == ref_mul(n, cx, cy)
         assert_normal_form(got)
 
 
-def test_constructor_checks_coordinate_count():
-    with pytest.raises(ValueError):
-        CycNumber(5, (1, 2))
+def test_scalars_are_built_from_integers_only():
+    # no constructor takes outside coordinates, and a rational is two ints
+    with pytest.raises(TypeError):
+        CycNumber(5, (1, 2, 3, 4))
+    with pytest.raises(TypeError):
+        ParamPoly(5, {})
+    for p, q in ((Fraction(1, 2), 1), (1, Fraction(2)), (0.5, 1), (1, 2.0)):
+        with pytest.raises(TypeError):
+            CycNumber.from_rational(5, p, q)
+        with pytest.raises(TypeError):
+            ParamPoly.const(5, p / q)
+    for q in (0, -2):
+        with pytest.raises(ValueError):
+            CycNumber.from_rational(5, 1, q)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 12, 60])
+def test_from_rational_is_the_fraction_reference(order):
+    # p/q built from two integers has the normal form of the value built
+    # from the Fraction p/q as its constant coordinate
+    zeros = (0,) * (euler_phi(order) - 1)
+    for p in range(-6, 7):
+        for q in range(1, 9):
+            got = CycNumber.from_rational(order, p, q)
+            want = cyc(order, (Fraction(p, q),) + zeros)
+            assert (got.order, got.num, got.den) == (
+                want.order, want.num, want.den)
+            assert got.coords == want.coords
+            assert got == rat(order, Fraction(p, q))
+            assert_normal_form(got)
 
 
 def test_high_power_of_zeta_needs_no_recursion():
@@ -304,19 +333,21 @@ def test_high_power_of_zeta_needs_no_recursion():
 
 def test_equal_values_have_identical_fields():
     z = zeta_pow(6, 1)
-    half = CycNumber.from_rational(6, Rational(1, 2))
+    half = CycNumber.from_rational(6, 1, 2)
     paths = [
         (1 + z) / 2,
         half + half * z,
-        CycNumber(6, (Rational(1, 2), Rational(1, 2))),
-        CycNumber(6, (Rational(3, 6), Rational(2, 4))),
+        cyc(6, (Fraction(1, 2), Fraction(1, 2))),
+        cyc(6, (Fraction(3, 6), Fraction(2, 4))),
+        CycNumber.from_rational(6, 3, 6) * (1 + z),
         parse_scalar("(1+z)/2", 6),
         (z * z + 2 * z + 1) / (2 * (1 + z)),
         ((1 + z) * 3 / 6 * z) * zeta_pow(6, -1),
     ]
     for x in paths:
         assert (x.num, x.den) == ((1, 1), 2)
-    zeros = [z - z, (z / 3) * 0, CycNumber(6, (Rational(0, 5), 0)),
+    zeros = [z - z, (z / 3) * 0, cyc(6, (Fraction(0, 5), 0)),
+             CycNumber.from_rational(6, 0, 5),
              CycNumber.zero(6)]
     for x in zeros:
         assert (x.num, x.den) == ((0, 0), 1)
@@ -333,17 +364,60 @@ def test_division_round_trip_restores_fields(data):
 
 # -- equality and hashing agree ----------------------------------------------
 
-@pytest.mark.parametrize("value", [3, -1, 0, Rational(3, 4), Rational(-5, 2)])
+@pytest.mark.parametrize("value", [3, -1, 0, Fraction(3, 4),
+                                   Fraction(-5, 2)])
 @pytest.mark.parametrize("order", [1, 4, 5])
 def test_rational_values_hash_like_their_scalars(order, value):
-    c = CycNumber.from_rational(order, value)
-    p = ParamPoly.const(order, value)
-    assert c == value and p == value and p == c
-    assert hash(c) == hash(value)
-    assert hash(p) == hash(value) == hash(c)
-    assert len({c, value}) == 1
-    assert len({p, value}) == 1
-    assert len({p, c, value}) == 1
+    # an int is a scalar operand and equals its value; a Fraction is not
+    c = rat(order, value)
+    p = const(order, value)
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1
+    if type(value) is int:
+        assert c == value and p == value
+        assert hash(c) == hash(value) == hash(p)
+        assert len({p, c, value}) == 1
+    else:
+        assert c != value and p != value and value != c and value != p
+        assert len({p, c, value}) == 2
+
+
+scalar_pairs = st.sampled_from([1, 2, 3, 4, 6]).flatmap(
+    lambda order: st.tuples(st.just(order), cyc_numbers(order),
+                            cyc_numbers(order)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs, st.integers(-3, 3))
+def test_equal_scalars_hash_equally(data, k):
+    # every value equal to another hashes like it: a CycNumber, the constant
+    # ParamPoly of it, the same value reached by arithmetic, and the int it
+    # equals when it is one
+    order, a, b = data
+    for x in (a, b, rat(order, k)):
+        same = [x, ParamPoly.const(order, x), (x + b) - b, (x * 3) / 3]
+        if x.den == 1 and x.is_rational():
+            same.append(x.num[0])
+        for y in same:
+            assert x == y and y == x and hash(x) == hash(y)
+        assert len(set(same)) == 1
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), Fraction(3), 0.5, 2.0],
+                         ids=["fraction", "integral_fraction", "float",
+                              "integral_float"])
+def test_fraction_and_float_are_not_scalar_operands(other):
+    z = zeta_pow(4, 1)
+    for x in (CycNumber.from_rational(4, 1, 2), CycNumber.from_rational(4, 3),
+              z, ParamPoly.const(4, CycNumber.from_rational(4, 1, 2)),
+              ParamPoly.var(4, "a")):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert x != other and other != x
+        assert not x == other
 
 
 def test_constant_poly_hashes_like_its_coefficient():
@@ -424,7 +498,7 @@ def poly_strategy(order):
     terms = st.lists(term, max_size=4) | st.lists(term, min_size=1,
                                                   max_size=1)
     return terms.map(
-        lambda ts: sum((ParamPoly(order, {m: c}) for m, c in ts),
+        lambda ts: sum((poly(order, {m: c}) for m, c in ts),
                        ParamPoly.zero(order)))
 
 
@@ -455,11 +529,11 @@ def test_render_parse_round_trip(data):
 # -- expression parser ------------------------------------------------------
 
 def test_parse_scalar_examples():
-    assert parse_scalar("(1+z)/2", 2) == CycNumber.from_rational(2, Rational(0))
+    assert parse_scalar("(1+z)/2", 2) == CycNumber.from_rational(2, 0)
     # over order 2, z = zeta_2 = -1, so (1+z)/2 = 0
     assert parse_scalar("(1+z)/2", 4) == (1 + zeta_pow(4, 1)) / 2
     assert parse_scalar("z^-1", 4) == zeta_pow(4, -1)
-    assert parse_scalar("3/4", 1).rational_value() == Rational(3) / 4
+    assert fraction(parse_scalar("3/4", 1)) == Fraction(3, 4)
 
 
 def test_parse_rejects_unknown_parameter():
@@ -522,7 +596,7 @@ def test_oversized_powers_fail_before_computing(powers, text, computed):
 def test_powers_at_the_limits_parse():
     assert parse_scalar("z^%d" % MAX_EXPONENT, 4) == 1
     assert parse_scalar("2^%d" % MAX_EXPONENT, 1) == 2 ** MAX_EXPONENT
-    assert parse_scalar("2^-3", 1) == Rational(1, 8)
+    assert parse_scalar("2^-3", 1) == CycNumber.from_rational(1, 1, 8)
 
 
 def test_power_bound_scales_with_the_order():
@@ -565,7 +639,7 @@ def test_division_bound_is_the_power_bound(inversions):
             "inverse too large: about 262144 bits, limit 65536")
     assert len(inversions) == 2
     # a single term inverts to a single term, at any order
-    assert parse_scalar("1/3", 1024) == Rational(1, 3)
+    assert parse_scalar("1/3", 1024) == CycNumber.from_rational(1024, 1, 3)
     assert parse_scalar("z^-1", 1024) == zeta_pow(1024, -1)
     assert parse_scalar("(3*z)^-1", 1024) == zeta_pow(1024, -1) / 3
     assert parse_scalar("1/(900*z^511)", 1024) == zeta_pow(1024, -511) / 900
@@ -583,7 +657,7 @@ def test_import_refuses_a_large_division_at_once(tmp_path, capsys,
                                                  inversions, coeffs):
     """A unit (D)/(D), with D of degree 32 at order 1024: each division once
     ran for many seconds and then imported as valid."""
-    D = CycNumber(1024, coeffs + [0] * (euler_phi(1024) - len(coeffs)))
+    D = cyc(1024, coeffs + [0] * (euler_phi(1024) - len(coeffs)))
     doc = to_json_dict(group_algebra_cyclic(1))
     doc["order"] = 1024
     doc["unit"] = ["(%s)/(%s)" % (D.render(), D.render())]
@@ -624,16 +698,18 @@ def test_long_sign_chains_parse_iteratively():
 @pytest.mark.parametrize("call,exc,message", [
     (lambda: cyclotomic_polynomial(0), ValueError,
      "order must be a positive integer"),
-    (lambda: zeta_pow(3, 1).rational_value(), ValueError,
-     "not a rational value: CycNumber(3, z)"),
+    (lambda: CycNumber.from_rational(3, 1, 0), ValueError,
+     "denominator must be positive, got 0"),
+    (lambda: CycNumber.from_rational(3, Fraction(1, 2)), TypeError,
+     "a rational is two integers, got Fraction(1, 2) and 1"),
     (lambda: ParamPoly.var(3, "a", -1), ValueError,
      "parameter powers must be nonnegative"),
     (lambda: ParamPoly.var(3, "a").constant_value(), ValueError,
      "polynomial is not constant: a"),
     (lambda: ParamPoly.var(3, "a").subs("a", "b"), TypeError,
      "cannot substitute 'b'"),
-], ids=["cyclotomic_polynomial", "rational_value", "var", "constant_value",
-        "subs"])
+], ids=["cyclotomic_polynomial", "from_rational", "from_fraction", "var",
+        "constant_value", "subs"])
 def test_refusals(call, exc, message):
     with pytest.raises(exc) as info:
         call()

@@ -19,7 +19,7 @@ from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, nichols_dual,
     taft, taft_dual,
 )
-from partial_hopf.exact_arith import ParamPoly, Rational, zeta_pow
+from partial_hopf.exact_arith import CycNumber, ParamPoly, zeta_pow
 from partial_hopf.families import (
     dual_group_action_families, group_action_families,
     group_subgroup_action, instance_residual, nichols_action_families,
@@ -201,8 +201,8 @@ def _random_coords(rng, H):
         if pick < 3:
             out.append(zero)
         elif pick == 3:
-            out.append(ParamPoly.const(H.order, Rational(rng.randint(-3, 3),
-                                                        rng.randint(1, 3))))
+            out.append(ParamPoly.const(H.order, CycNumber.from_rational(
+                H.order, rng.randint(-3, 3), rng.randint(1, 3))))
         elif pick == 4:
             out.append(ParamPoly.const(
                 H.order, zeta_pow(H.order, rng.randrange(H.order))))

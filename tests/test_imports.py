@@ -136,7 +136,8 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == partial_hopf.__all__
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "_mul", "invert_morphism"])
+@pytest.mark.parametrize("name", ["no_such_name", "_mul", "invert_morphism",
+                                  "Rational"])
 def test_an_unknown_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(partial_hopf, name)

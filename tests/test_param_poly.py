@@ -17,6 +17,8 @@ from partial_hopf.exact_arith import (
     CycNumber, OrderMismatch, ParamPoly, _mono_mul, zeta_pow,
 )
 
+from fraction_scalars import poly, rat
+
 
 # -- the earlier implementation, on term dicts ------------------------------
 
@@ -26,7 +28,7 @@ def _filtered(terms):
 
 def _const(order, value):
     if not isinstance(value, CycNumber):
-        value = CycNumber.from_rational(order, value)
+        value = rat(order, value)
     return _filtered({(): value})
 
 
@@ -92,8 +94,7 @@ MONOS = ((), (("a", 1),), (("b", 1),), (("a", 1), ("b", 1)), (("a", 2),),
 
 def _scalar(rng, order):
     r = rng.choice((1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)))
-    return CycNumber.from_rational(order, r) * zeta_pow(
-        order, rng.randrange(order))
+    return rat(order, r) * zeta_pow(order, rng.randrange(order))
 
 
 def _poly(rng, order, like=None):
@@ -106,7 +107,7 @@ def _poly(rng, order, like=None):
         for m, c in like.terms.items():
             if rng.random() < 0.5:
                 terms[m] = -c if rng.random() < 0.5 else c
-    return ParamPoly(order, terms)
+    return poly(order, terms)
 
 
 def _scalars(rng, order):
@@ -114,7 +115,7 @@ def _scalars(rng, order):
     yield _scalar(rng, order)
     yield 0
     yield rng.choice((1, -1, 3))
-    yield Fraction(-2, 3)
+    yield rat(order, Fraction(-2, 3))
     yield ParamPoly.zero(order)
     yield ParamPoly.const(order, _scalar(rng, order))
 

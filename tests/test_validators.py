@@ -31,6 +31,8 @@ from partial_hopf.hopf_core import (
     validate_metadata, vec_mul,
 )
 
+from fraction_scalars import cyc, rat
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -261,8 +263,12 @@ def rescaled(H: HopfData, seed: int) -> HopfData:
     r = [Fraction(1) if i in fixed
          else Fraction(rng.choice(nonzero), rng.randint(1, 7))
          for i in range(dim)]
-    mult = {(perm[i], perm[j]): tuple((perm[k], c * (r[i] * r[j] / r[k]))
-                                      for k, c in row)
+
+    def scale(f):
+        return rat(H.order, f)
+
+    mult = {(perm[i], perm[j]):
+            tuple((perm[k], c * scale(r[i] * r[j] / r[k])) for k, c in row)
             for (i, j), row in H.mult.items()}
     comult = [()] * dim
     antipode = [()] * dim
@@ -271,17 +277,18 @@ def rescaled(H: HopfData, seed: int) -> HopfData:
     degrees = [None] * dim
     for i in range(dim):
         comult[perm[i]] = tuple(
-            ((perm[j], perm[k]), c * (r[i] / (r[j] * r[k])))
+            ((perm[j], perm[k]), c * scale(r[i] / (r[j] * r[k])))
             for (j, k), c in H.comult[i])
-        antipode[perm[i]] = tuple((perm[j], c * (r[i] / r[j]))
+        antipode[perm[i]] = tuple((perm[j], c * scale(r[i] / r[j]))
                                   for j, c in H.antipode[i])
         basis[perm[i]] = H.basis[i]
-        counit[perm[i]] = H.counit[i] * r[i]
+        counit[perm[i]] = H.counit[i] * scale(r[i])
         degrees[perm[i]] = H.degree(i)
     assert not H.grouplike_vectors
     return HopfData(
         name="rescaled " + H.name, dim=dim, order=H.order, basis=tuple(basis),
-        mult=mult, unit=tuple((perm[i], c / r[i]) for i, c in H.unit),
+        mult=mult, unit=tuple((perm[i], c * scale(1 / r[i]))
+                              for i, c in H.unit),
         comult=tuple(comult), counit=tuple(counit), antipode=tuple(antipode),
         grouplikes=tuple(perm[g] for g in H.grouplikes),
         skew_primitives=tuple((perm[x], perm[g], perm[h])
@@ -371,12 +378,10 @@ def _scalar(rng, order):
     if roll < 0.1:
         return CycNumber.zero(order)
     if roll < 0.55:
-        return CycNumber.from_rational(
-            order, rng.choice((1, -1, 2, -3, Fraction(1, 2))))
+        return rat(order, rng.choice((1, -1, 2, -3, Fraction(1, 2))))
     if roll < 0.8:
         return zeta_pow(order, rng.randrange(order)) * rng.choice((1, -1))
-    return CycNumber(order, [rng.randint(-2, 2)
-                             for _ in range(euler_phi(order))])
+    return cyc(order, [rng.randint(-2, 2) for _ in range(euler_phi(order))])
 
 
 def _terms(rng, order, key):
