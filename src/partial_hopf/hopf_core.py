@@ -128,14 +128,15 @@ def dense(u: dict, dim: int, zero) -> tuple:
 
 def _pair(values, terms, zero):
     """The linear form with ``values`` on the basis at sum c e_i, over the
-    (i, c) in ``terms``: sum values[i] c, ``zero`` when empty.  A zero value
-    or coefficient costs no product."""
-    out = zero
+    (i, c) in ``terms``: sum values[i] c, ``zero`` when no term is nonzero.
+    A zero value or coefficient costs no product, and the sum starts from
+    its first product, so one term costs no addition."""
+    out = None
     for i, c in terms:
         v = values[i]
         if v and c:
-            out = out + v * c
-    return out
+            out = v * c if out is None else out + v * c
+    return zero if out is None else out
 
 
 def vec_mul(mult: dict, u: dict, v: dict) -> dict:

@@ -15,6 +15,12 @@ recurrence is the definition; agreement with the factorial quotient
 (n choose k) at a primitive n-th root for 0 < k < n are verified
 properties, not assumptions.
 
+Every value at a q is read from the one table of that q (``_QTable``),
+found once per call by the type and value of q: its powers of q, its rows
+of q-binomials, its q-numbers and q-factorials, each built once from the
+one before.  The checks index the table; the public functions below read
+the same table, so the recurrence has one home.
+
 Why an instance that holds at the generic q holds at every q.  Both sides
 of every ``check_pascal`` and ``check_identity`` instance are built from q
 by ring operations alone: sums, products, integer multiples and
@@ -24,15 +30,17 @@ multiplying both sides with the opposite nonnegative one, and
 nonzero, so s >= 0.  Both sides are therefore the values of two
 polynomials in Q[q] at the q given, and each q spec (a rational, or a
 root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
-skips drop only terms that are zero at that q, so they do not change a
-side's value: a ``check_identity`` sum skips a term at its first zero
-binomial factor, before any product, and ``check_pascal`` adds its
-q-power term only ``if second``/``if first``.  Equality at the generic q
-is equality in Q[q], and a homomorphism maps it to equality at every q
-spec.  So an instance that passes at the generic q and fails at some spec
-shows a fault in that spec's arithmetic (a CycNumber: of order 1 for a
-rational q, in Q(zeta_n) for a root), not in the identity; the identity
-sweep checks every spec for that reason.
+skips drop only terms and products that are zero at that q, so they do
+not change a side's value: a ``check_identity`` sum skips a term at its
+first zero binomial factor, before any product; a product of two sides,
+or of a q-power and a side, with a zero factor is not made and is zero;
+``check_pascal`` adds its q-power term only ``if second``/``if first``;
+and the recurrence adds q^l (m-1 l) only where (m-1 l) is nonzero.
+Equality at the generic q is equality in Q[q], and a homomorphism maps it
+to equality at every q spec.  So an instance that passes at the generic q
+and fails at some spec shows a fault in that spec's arithmetic (a
+CycNumber: of order 1 for a rational q, in Q(zeta_n) for a root), not in
+the identity; the identity sweep checks every spec for that reason.
 """
 from __future__ import annotations
 
@@ -55,41 +63,107 @@ def generic_q() -> ParamPoly:
     return ParamPoly.var(1, "q")
 
 
-def zero_like(q):
-    return type(q).zero(q.order)
-
-
-def one_like(q):
-    return type(q).one(q.order)
-
-
-@lru_cache(maxsize=None)
-def q_label(q) -> str:
-    """Short human-readable description of a q scalar for reports."""
+def _label(q) -> str:
     if isinstance(q, ParamPoly):
-        return "generic"
+        if not q.is_constant():
+            return "generic"
+        q = q.constant_value()
     if q.is_rational():
         return "q=%s" % q.render()
     return "q=zeta_%d" % q.order
 
 
-@lru_cache(maxsize=None)
+def _pascal_row(prev: list, powers: list) -> list:
+    """Row m of the Gaussian binomials from row m - 1 by the q-Pascal
+    recurrence (m l) = (m-1 l-1) + q^l (m-1 l); ``powers`` holds q^l for
+    every l < m.  A zero (m-1 l) costs no product."""
+    row = [prev[0]]
+    for l in range(1, len(prev)):
+        b = prev[l]
+        row.append(prev[l - 1] + powers[l] * b if b else prev[l - 1])
+    row.append(prev[-1])
+    return row
+
+
+class _QTable:
+    """What the package reads of one q, each value built once: ``zero``,
+    ``one`` and ``label``; ``powers[e]`` = q^e, each from the one before by
+    one product; ``rows[m][l]`` = (m choose l) for 0 <= l <= m, each row
+    from the one before by ``_pascal_row``; ``numbers[m]`` = (m)_q and
+    ``factorials[m]`` = (m)_q!, each from the one before.  ``power``,
+    ``binomial``, ``number`` and ``factorial`` grow their list as far as
+    the index asked for and read it there."""
+
+    __slots__ = ("q", "zero", "one", "label", "powers", "rows", "numbers",
+                 "factorials")
+
+    def __init__(self, q):
+        self.q = q
+        self.zero = type(q).zero(q.order)
+        self.one = type(q).one(q.order)
+        self.label = _label(q)
+        self.powers = [self.one, q]
+        self.rows = [[self.one]]
+        self.numbers = [self.zero]
+        self.factorials = [self.one]
+
+    def power(self, e: int):
+        """q ** e for e >= 0."""
+        powers = self.powers
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.q)
+        return powers[e]
+
+    def binomial(self, m: int, l: int):
+        """(m choose l), zero outside 0 <= l <= m."""
+        if not 0 <= l <= m:
+            return self.zero
+        rows = self.rows
+        if len(rows) <= m:
+            self.power(m - 1)
+            while len(rows) <= m:
+                rows.append(_pascal_row(rows[-1], self.powers))
+        return rows[m][l]
+
+    def number(self, m: int):
+        numbers = self.numbers
+        while len(numbers) <= m:
+            numbers.append(numbers[-1] + self.power(len(numbers) - 1))
+        return numbers[m]
+
+    def factorial(self, m: int):
+        facts = self.factorials
+        while len(facts) <= m:
+            facts.append(facts[-1] * self.number(len(facts)))
+        return facts[m]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _table(q) -> _QTable:
+    """The one table of q.  Keyed on the type of q as well as its value: a
+    constant ParamPoly equals, and hashes like, the CycNumber it holds."""
+    return _QTable(q)
+
+
+def q_label(q) -> str:
+    """Short human-readable description of a q scalar for reports: the
+    value of a rational, the order of a root of unity, or "generic" for a
+    polynomial in q.  A constant ParamPoly is labelled by its value."""
+    return _table(q).label
+
+
 def q_number(m: int, q):
     """(m)_q = 1 + q + ... + q^(m-1); (0)_q = 0."""
     if m < 0:
         raise PreconditionViolated("q-number of negative index %d" % m)
-    acc = zero_like(q)
-    for k in range(m):
-        acc = acc + _q_pow(k, q)
-    return acc
+    return _table(q).number(m)
 
 
-@lru_cache(maxsize=None)
 def q_factorial(m: int, q):
     """(m)_q! = (m)_q (m-1)_q ... (1)_q; (0)_q! = 1."""
     if m < 0:
         raise PreconditionViolated("q-factorial of negative index %d" % m)
-    return one_like(q) if m == 0 else q_factorial(m - 1, q) * q_number(m, q)
+    return _table(q).factorial(m)
 
 
 def q_binomial(m: int, l: int, q):
@@ -97,25 +171,10 @@ def q_binomial(m: int, l: int, q):
 
     Zero outside 0 <= l <= m.  At any q this equals the specialization of
     the generic Gaussian binomial polynomial, which is what every identity
-    in this package is stated for.  The trivial cases return before the
-    memo, so only 0 < l < m pays for hashing q.
+    in this package is stated for.  The value is read from the table of q,
+    whose rows hold every binomial up to m once one of them is asked for.
     """
-    if l < 0 or l > m:
-        return zero_like(q)
-    if l == 0 or l == m:
-        return one_like(q)
-    return _q_binomial(m, l, q)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial(m: int, l: int, q):
-    return q_binomial(m - 1, l - 1, q) + _q_pow(l, q) * q_binomial(m - 1, l, q)
-
-
-@lru_cache(maxsize=None)
-def _q_pow(e: int, q):
-    """q ** e for e >= 0, computed once per (e, q)."""
-    return q ** e
+    return _table(q).binomial(m, l)
 
 
 @dataclass(frozen=True)
@@ -135,11 +194,11 @@ class Verdict:
             self.name, self.indices, self.q_desc, mark, self.lhs, self.rhs)
 
 
-def _verdict(name, indices, q, lhs, rhs) -> Verdict:
+def _verdict(name, indices, label, lhs, rhs) -> Verdict:
     # equal canonical forms render identically, so a pass renders one side
     ok = lhs == rhs
     text = lhs.render()
-    return Verdict(name, tuple(indices), q_label(q), ok, text,
+    return Verdict(name, tuple(indices), label, ok, text,
                    text if ok else rhs.render())
 
 
@@ -156,20 +215,22 @@ def check_pascal(variant: str, i: int, s: int, q) -> Verdict:
         raise PreconditionViolated("unknown Pascal variant %r" % variant)
     if i < 1:
         raise PreconditionViolated("Pascal check needs i >= 1")
+    qt = _table(q)
+    binom = qt.binomial
     # the binomial multiplied by the q-power is nonzero only inside its
     # range, where that power is nonnegative
-    lhs = q_binomial(i, s, q)
+    lhs = binom(i, s)
     if variant == "a":
-        second = q_binomial(i - 1, s, q)
-        rhs = q_binomial(i - 1, s - 1, q)
+        second = binom(i - 1, s)
+        rhs = binom(i - 1, s - 1)
         if second:
-            rhs = rhs + _q_pow(s, q) * second
+            rhs = rhs + qt.power(s) * second
     else:
-        first = q_binomial(i - 1, s - 1, q)
-        rhs = q_binomial(i - 1, s, q)
+        first = binom(i - 1, s - 1)
+        rhs = binom(i - 1, s)
         if first:
-            rhs = rhs + _q_pow(i - s, q) * first
-    return _verdict("pascal_" + variant, (i, s), q, lhs, rhs)
+            rhs = rhs + qt.power(i - s) * first
+    return _verdict("pascal_" + variant, (i, s), qt.label, lhs, rhs)
 
 
 IDENTITY_ARITY = {
@@ -196,7 +257,8 @@ def check_identity(name: str, indices, q) -> Verdict:
                                                            ==  (t s)
 
     Negative q-powers are cleared by multiplying both sides with the same
-    nonnegative q-power, so generic-q checks compare plain polynomials.
+    nonnegative q-power, so generic-q checks compare plain polynomials.  A
+    product with a zero factor is not made: its value, zero, is taken.
     """
     indices = tuple(indices)
     arity = IDENTITY_ARITY.get(name)
@@ -205,64 +267,72 @@ def check_identity(name: str, indices, q) -> Verdict:
     if len(indices) != arity:
         raise ArityMismatch(
             "%s expects %d indices, got %d" % (name, arity, len(indices)))
-    if any(ix < 0 for ix in indices):
+    if min(indices) < 0:
         raise PreconditionViolated("indices must be nonnegative: %r" % (indices,))
+
+    qt = _table(q)
+    binom, power, zero = qt.binomial, qt.power, qt.zero
 
     if name == "alternating_vandermonde":
         i, t, k = indices
-        acc = zero_like(q)
+        acc = zero
         for s in range(i + 1):
-            first = q_binomial(i, s, q)
-            second = first and q_binomial(i + t - s, i + k, q)
+            first = binom(i, s)
+            second = first and binom(i + t - s, i + k)
             if not second:
                 continue
             term = first * second
-            term = term * _q_pow(s * k + s * (s + 1) // 2, q)
+            term = term * power(s * k + s * (s + 1) // 2)
             acc = acc - term if s % 2 else acc + term
-        return _verdict(name, indices, q, acc, q_binomial(t, k, q))
+        return _verdict(name, indices, qt.label, acc, binom(t, k))
 
     if name == "trinomial_revision":
         j, i, l = indices
         if not (l <= i <= j):
             raise PreconditionViolated(
                 "trinomial_revision needs l <= i <= j, got %r" % (indices,))
-        lhs = q_binomial(j, l, q) * q_binomial(j - l, i - l, q)
-        rhs = q_binomial(j, i, q) * q_binomial(i, l, q)
-        return _verdict(name, indices, q, lhs, rhs)
+        return _verdict(name, indices, qt.label,
+                        _product(binom(j, l), binom(j - l, i - l), zero),
+                        _product(binom(j, i), binom(i, l), zero))
 
     if name == "four_index_inversion":
         i, j, t, s = indices
-        acc = zero_like(q)
-        for l in range(j + 1):
-            # (l i) first: it is zero whenever l < i
-            third = q_binomial(l, i, q)
-            first = third and q_binomial(j, l, q)
-            second = first and q_binomial(j + t - l, i + s - l, q)
+        acc = zero
+        # (l i) is zero for l < i, so the sum starts at l = i
+        for l in range(i, j + 1):
+            third = binom(l, i)
+            first = third and binom(j, l)
+            second = first and binom(j + t - l, i + s - l)
             if not second:
                 continue
             term = first * second * third
             d = i - l
-            term = term * _q_pow(d * (d + 1) // 2, q)
+            term = term * power(d * (d + 1) // 2)
             acc = acc - term if d % 2 else acc + term
-        rhs = q_binomial(j, i, q) * q_binomial(t, s, q)
+        rhs = _product(binom(j, i), binom(t, s), zero)
         shift = s * (i - j)
         if shift >= 0:
-            lhs = _q_pow(shift, q) * acc
+            lhs = _product(power(shift), acc, zero)
         else:
             lhs = acc
-            rhs = _q_pow(-shift, q) * rhs
-        return _verdict(name, indices, q, lhs, rhs)
+            rhs = _product(power(-shift), rhs, zero)
+        return _verdict(name, indices, qt.label, lhs, rhs)
 
     # binomial_inversion
     j, t, s = indices
-    acc = zero_like(q)
+    acc = zero
     for l in range(j + 1):
-        first = q_binomial(j, l, q)
-        second = first and q_binomial(j + t - l, s - l, q)
+        first = binom(j, l)
+        second = first and binom(j + t - l, s - l)
         if not second:
             continue
         term = first * second
-        term = term * _q_pow(l * (l - 1) // 2, q)
+        term = term * power(l * (l - 1) // 2)
         acc = acc - term if l % 2 else acc + term
-    rhs = _q_pow(s * j, q) * q_binomial(t, s, q)
-    return _verdict(name, indices, q, acc, rhs)
+    return _verdict(name, indices, qt.label, acc,
+                    _product(power(s * j), binom(t, s), zero))
+
+
+def _product(a, b, zero):
+    """a * b, or ``zero`` without a product when a factor is zero."""
+    return a * b if a and b else zero

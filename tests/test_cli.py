@@ -307,24 +307,25 @@ def tally_every_item(max_index, root_cap):
 
 @contextlib.contextmanager
 def _wrong_binomial(monkeypatch):
-    """q_binomial off by q at (3 choose 1): every q-identity that meets that
-    binomial, in an instance or inside a recurrence, fails at the generic q
-    and at most specializations.  The recurrence memo is cleared around the
-    block, so no wrong value outlives it; the memo of q-powers holds no
-    binomial."""
-    right = qcomb.q_binomial
+    """(3 choose 1) off by q in the q-Pascal recurrence: every q-identity
+    that meets that binomial, in an instance or through a later row built
+    from it, fails at the generic q and at most specializations.  The q
+    tables are cleared around the block, so no wrong value outlives it."""
+    right = qcomb._pascal_row
 
-    def wrong(m, l, q):
-        value = right(m, l, q)
-        return value + q if (m, l) == (3, 1) else value
+    def wrong(prev, powers):
+        row = right(prev, powers)
+        if len(row) == 4:
+            row[1] = row[1] + powers[1]
+        return row
 
-    qcomb._q_binomial.cache_clear()
+    qcomb._table.cache_clear()
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(qcomb, "q_binomial", wrong)
+            mp.setattr(qcomb, "_pascal_row", wrong)
             yield
     finally:
-        qcomb._q_binomial.cache_clear()
+        qcomb._table.cache_clear()
 
 
 @pytest.fixture
@@ -333,7 +334,7 @@ def wrong_binomial(monkeypatch):
         yield
 
 
-@pytest.mark.parametrize("max_index,root_cap", [(3, 3), (5, 6)])
+@pytest.mark.parametrize("max_index,root_cap", [(3, 3), (5, 6), (6, 8)])
 def test_identity_sweep_equals_the_tally_of_every_item(max_index, root_cap):
     got = run_identity_sweep(max_index, root_cap)
     assert got == tally_every_item(max_index, root_cap)
@@ -368,17 +369,21 @@ def test_no_wrong_value_outlives_a_wrong_binomial(monkeypatch):
 
 
 def test_identity_sweep_work_counts(monkeypatch):
-    """Scalar products of ``identities --n 6 --max 5`` from cold memos.
+    """Scalar products of ``identities --n 6 --max 5`` from cold q tables.
 
     A term of a ``check_identity`` sum is skipped at its first zero
     binomial and each power of q is computed once per q, which took the
     counts from 104,521 ``_mul`` and 9,380 ``ParamPoly.__mul__`` calls to
-    the numbers below.  Each q instance is still checked once under each q
-    spec, as the benchmark's traced count of checks assumes.
+    56,871 and 4,504.  Three changes took them to the numbers below:
+    a product of two sides, or of a q-power and a side, with a zero factor
+    is not made (7,817 ``_mul`` and 850 ``ParamPoly.__mul__`` calls); each
+    power of q is the one before times q, one product, instead of a binary
+    power, and the binomials fill whole rows (174 and 26); and the q-Pascal
+    recurrence makes no product by a zero binomial (65 ``_mul``).  Each q
+    instance is still checked once under each q spec, as the benchmark's
+    traced count of checks assumes.
     """
-    for memo in (qcomb._q_binomial, qcomb._q_pow, qcomb.q_number,
-                 qcomb.q_factorial):
-        memo.cache_clear()
+    qcomb._table.cache_clear()
     calls = dict.fromkeys(("cyc_mul", "poly_mul", "check"), 0)
 
     def counted(key, fn):
@@ -397,9 +402,20 @@ def test_identity_sweep_work_counts(monkeypatch):
                             counted("check", getattr(qcomb, name)))
     counts, failures = run_identity_sweep(5, 6)
     assert failures == []
-    assert calls == {"cyc_mul": 56871, "poly_mul": 4504, "check": 12042}
+    assert calls == {"cyc_mul": 48815, "poly_mul": 3628, "check": 12042}
     assert sum(total for name, (total, _) in counts.items()
                if name != "character_sum") == 12042
+
+
+def test_identity_sweep_builds_one_table_per_q_spec():
+    """Every check at a q reads the one table of that q: a sweep from cold
+    builds one table per q spec and fetches it once per check."""
+    qcomb._table.cache_clear()
+    run_identity_sweep(5, 6)
+    info = qcomb._table.cache_info()
+    assert info.misses == info.currsize == len(cli._sweep_qs(6)) == 9
+    # one fetch per check
+    assert info.hits + info.misses == 12042
 
 
 @pytest.mark.parametrize("binomial", ["right", "wrong"])

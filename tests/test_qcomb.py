@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from partial_hopf import qcomb
 from partial_hopf.exact_arith import (
     CycNumber, ParamPoly, cyc_invert, zeta_pow,
 )
 from partial_hopf.qcomb import (
     ArityMismatch, PreconditionViolated,
     check_identity, check_pascal, generic_q,
-    q_binomial, q_factorial, q_number,
+    q_binomial, q_factorial, q_label, q_number,
 )
 
 from fraction_scalars import fraction
@@ -157,6 +158,27 @@ def test_identity_small_sweeps(q):
         for t in range(0, 4):
             for s in range(0, 4):
                 assert check_identity("binomial_inversion", (j, t, s), q).ok
+
+
+@pytest.mark.parametrize("poly_first", [True, False])
+def test_equal_scalars_of_two_types_keep_their_tables(poly_first):
+    """The constant ParamPoly 2 equals the CycNumber 2 and hashes like it,
+    yet each q reads its own table: a value has the type of its q, and a
+    constant polynomial is labelled by its value, in either order."""
+    two_poly = ParamPoly.const(1, 2)
+    two_cyc = CycNumber.from_rational(1, 2)
+    assert two_poly == two_cyc and hash(two_poly) == hash(two_cyc)
+    qs = [two_poly, two_cyc] if poly_first else [two_cyc, two_poly]
+    qcomb._table.cache_clear()
+    try:
+        for q in qs:
+            value = q_binomial(3, 1, q)
+            assert type(value) is type(q) and value == 7
+            assert type(q_factorial(3, q)) is type(q)
+            assert q_label(q) == "q=2"
+    finally:
+        qcomb._table.cache_clear()
+    assert q_label(GQ) == "generic"
 
 
 def test_q_pow_concrete_negative():
