@@ -42,7 +42,7 @@ used for the hand-built families before it is returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .exact_arith import CycNumber, ParamPoly, cyc_invert, divisors
 from .hopf_core import (
@@ -86,11 +86,11 @@ def _grouplike_vectors(H: HopfData) -> list:
             + [sparse(vec) for vec in H.grouplike_vectors])
 
 
-@dataclass(frozen=True)
-class GrouplikeStructure:
-    vectors: tuple      # sparse coordinate dicts, one per group element
-    table: tuple        # table[a][b] = index of product
-    subgroups: tuple    # (d, mask) per divisor d of |G|: bits of gen^k, d | k
+# vectors: sparse coordinate dicts, one per group element
+# table: table[a][b] = index of product
+# subgroups: (d, mask) per divisor d of |G|: bits of gen^k, d | k
+GrouplikeStructure = namedtuple("GrouplikeStructure",
+                                "vectors table subgroups")
 
 
 def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
@@ -166,20 +166,23 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
 # solver state
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _State:
-    values: list                # ParamPoly per basis index
-    pending: list               # (h, y) instances not yet known satisfied
-    extra: list                 # additional polynomial constraints == 0
-    trace: list = field(default_factory=list)
-    label: str = ""
+    # values: ParamPoly per basis index; pending: (h, y) instances not yet
+    # known satisfied; extra: additional polynomial constraints == 0
+    __slots__ = ("values", "pending", "extra", "trace", "label")
+
+    def __init__(self, values: list, pending: list, extra: list,
+                 trace=None, label: str = ""):
+        self.values = values
+        self.pending = pending
+        self.extra = extra
+        self.trace = [] if trace is None else trace
+        self.label = label
 
 
-@dataclass(frozen=True)
-class ClassifiedActions:
-    algebra: HopfData
-    families: tuple
-    branches_explored: int
+class ClassifiedActions(namedtuple("ClassifiedActions",
+                                   "algebra families branches_explored")):
+    __slots__ = ()
 
     def count(self) -> int:
         return len(self.families)
@@ -369,6 +372,6 @@ def classify_base_field_actions(H: HopfData) -> ClassifiedActions:
 
     ranked = sorted(solutions.items(),
                     key=lambda ks: (len(ks[1].params), ks[0]))
-    families = tuple(replace(s, name="family%d" % (i + 1))
+    families = tuple(s._replace(name="family%d" % (i + 1))
                      for i, (_, s) in enumerate(ranked))
     return ClassifiedActions(H, families, explored)

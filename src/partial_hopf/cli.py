@@ -14,10 +14,13 @@ Subcommands:
 
 A process loads only the layers its subcommand runs.  This module imports
 what start-up and argument parsing need (`algebras`, `exact_arith`,
-`hopf_core`, and through them `expr` and `qcomb`); each handler imports its
-own layer (`families`, `classify`, `duality`, `reference_tables`) when it
-starts.  Without a bytecode cache every process compiles each module it
-imports, so `validate` no longer pays for the classifier.
+`hopf_core`, and through them `qcomb`); each handler imports its own layer
+(`families`, `classify`, `duality`, `reference_tables`) when it starts, and
+only `import` and `--paper-examples` load the expression parser `expr`.
+Without a bytecode cache every process compiles each module it imports, so
+`validate` no longer pays for the classifier.  The package's records are
+namedtuples and `__slots__` classes, so no process imports `dataclasses`
+(and through it `inspect`) or `typing`.
 
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, 2 for usage or input errors, and 3 when the classifier does not

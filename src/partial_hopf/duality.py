@@ -23,30 +23,27 @@ map whose rows are not orthogonal gets a wrong inverse and is refused.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exact_arith import (
     CycNumber, ParamPoly, _conjugate, _cyc, cyc_invert, zeta_pow,
 )
 from .hopf_core import (
-    HopfData, Report, _compare, _pair, _transpose, dense, sparse, tensor_map,
-    vec_map, vec_mul,
+    Report, _compare, _pair, _transpose, dense, sparse, tensor_map, vec_map,
+    vec_mul,
 )
 from .algebras import nichols, nichols_dual, taft, taft_dual
 from .families import Family
 from .qcomb import Verdict, q_factorial
 
 
-@dataclass(frozen=True)
-class HopfMorphism:
-    """Linear map e_i -> sum c e_j over the (j, c) in rows[i]: the sorted
-    nonzero coordinates of each source basis vector's image."""
+class HopfMorphism(namedtuple("HopfMorphism", "source target rows")):
+    """Linear map e_i -> sum c e_j over the (j, c) in rows[i], from the
+    HopfData ``source`` to ``target``: the sorted nonzero coordinates of
+    each source basis vector's image."""
 
-    source: HopfData
-    target: HopfData
-    rows: tuple
+    __slots__ = ()
 
     def apply(self, values, zero) -> tuple:
         """The image of the source coordinates ``values``, as target
@@ -122,15 +119,12 @@ def verify_hopf_morphism(phi: HopfMorphism) -> Report:
     return rep
 
 
-class PairReport(NamedTuple):
+class PairReport(namedtuple("PairReport", "phi psi round_trip derived")):
     """The verdicts on an inverse pair phi: S -> T, psi: T -> S.  When
     ``derived`` is true, psi's report was derived from phi's and the round
     trips, with no sweep of its own (see ``verify_inverse_pair``)."""
 
-    phi: Report
-    psi: Report
-    round_trip: bool
-    derived: bool
+    __slots__ = ()
 
 
 def verify_inverse_pair(phi: HopfMorphism, psi: HopfMorphism) -> PairReport:
@@ -245,7 +239,8 @@ def check_character_sum(n: int, k: int, l: int) -> Verdict:
         acc = CycNumber.zero(n)
         for i in range(l):
             acc = acc + zeta_pow(n, i * k * t)
-        lhs.append(inv_n * acc)
+        # a vanishing sum stays zero: no product by 1/n
+        lhs.append(inv_n * acc if acc else acc)
     lval = CycNumber.from_rational(n, l, n)
     rhs = [lval if t % l == 0 else CycNumber.zero(n) for t in range(n)]
     ok = lhs == rhs

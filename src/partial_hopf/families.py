@@ -60,7 +60,7 @@ module) and returns the same records, its derivation in ``trace``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact_arith import (
     CycNumber, ParamPoly, cyc_invert, divisors, zeta_pow,
@@ -216,18 +216,15 @@ def verify_partial_coaction(H: HopfData, values) -> tuple:
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name algebra params values trace",
+                        defaults=((),))):
     """A (possibly parametric) family of partial actions or coactions on the
     base field: ``values`` holds the dim coordinates, ParamPoly in
     ``params``, of the functional lam (an action) or of the element z (a
-    coaction) in the basis of ``algebra``."""
+    coaction) in the basis of ``algebra``; ``trace`` is the classifier's
+    derivation, empty when hand-built."""
 
-    name: str
-    algebra: HopfData
-    params: tuple
-    values: tuple
-    trace: tuple = ()   # the classifier's derivation; empty when hand-built
+    __slots__ = ()
 
 
 def _on_basis(H: HopfData, name: str, indices, value) -> Family:

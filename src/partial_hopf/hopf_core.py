@@ -47,14 +47,15 @@ turns such a tuple into a kernel vector and ``dense`` turns one back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exact_arith import CycNumber
-from .expr import parse_scalar
 
 
-@dataclass(frozen=True, eq=False)
-class HopfData:
+class HopfData(namedtuple("HopfData", (
+        "name", "dim", "order", "basis", "mult", "unit", "comult", "counit",
+        "antipode", "grouplikes", "grouplike_vectors", "skew_primitives",
+        "basis_degrees"), defaults=((), (), (), ()))):
     """Structure constants of one finite-dimensional Hopf algebra.
 
     mult[(i, j)]   -> tuple of (k, c):       e_i e_j = sum c . e_k
@@ -70,21 +71,20 @@ class HopfData:
                       all zero
     Every structure row is (key, c) pairs, so Delta is ``vec_map`` over
     comult, and m, Delta and S each transpose by one ``_transpose``.
+    The record is read-only and equal only to itself: the builders are
+    cached and share their algebras, which key other caches by identity.
     """
 
-    name: str
-    dim: int
-    order: int
-    basis: tuple
-    mult: dict
-    unit: tuple
-    comult: tuple
-    counit: tuple
-    antipode: tuple
-    grouplikes: tuple = ()
-    grouplike_vectors: tuple = ()
-    skew_primitives: tuple = ()
-    basis_degrees: tuple = ()
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    # identity, not tuple equality: no copy and no plain tuple of the same
+    # fields equals an algebra
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
     def zero_scalar(self) -> CycNumber:
         return CycNumber.zero(self.order)
@@ -205,22 +205,20 @@ def tensor_map(rows, terms) -> dict:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckFailure:
-    check: str
-    where: tuple
-    lhs: str
-    rhs: str
+class CheckFailure(namedtuple("CheckFailure", "check where lhs rhs")):
+    __slots__ = ()
 
     def __str__(self):
         return "%s at %s: %s != %s" % (self.check, self.where, self.lhs, self.rhs)
 
 
-@dataclass
 class Report:
-    subject: str
-    checks_run: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("subject", "checks_run", "failures")
+
+    def __init__(self, subject: str, checks_run: int = 0, failures=None):
+        self.subject = subject
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -744,6 +742,9 @@ def from_json_dict(data: dict) -> HopfData:
     parser refuses (see the limits in ``expr``); HopfValidationError when
     the axioms fail on well-formed data.
     """
+    # the only caller of the parser here, so no other command loads it
+    from .expr import parse_scalar
+
     try:
         dim = _json(data["dim"], int, "dim")
         order = _json(data["order"], int, "order")

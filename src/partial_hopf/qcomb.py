@@ -44,7 +44,7 @@ the identity; the identity sweep checks every spec for that reason.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .exact_arith import ParamPoly
@@ -177,16 +177,10 @@ def q_binomial(m: int, l: int, q):
     return _table(q).binomial(m, l)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "name indices q_desc ok lhs rhs")):
     """Outcome of one identity instance: exact equality or not."""
 
-    name: str
-    indices: tuple
-    q_desc: str
-    ok: bool
-    lhs: str
-    rhs: str
+    __slots__ = ()
 
     def __str__(self):
         mark = "ok" if self.ok else "FAIL"

@@ -1,5 +1,4 @@
 """Constraint-propagation classifier: counts, exact family match, audits."""
-import dataclasses
 
 import pytest
 
@@ -66,7 +65,7 @@ def test_dual_group_algebra_classification(n):
 def _trivial_grouplikes(H):
     """H with only 1 declared group-like: the support branch is the single
     branch lam(1) = 1, so the solver runs without prebranching."""
-    return dataclasses.replace(H, grouplikes=(0,))
+    return H._replace(grouplikes=(0,))
 
 
 def test_split_rule_without_prebranching():
@@ -176,7 +175,7 @@ def test_stuck_solver_reports_pending_instances(monkeypatch):
 def _double_unit_value(fam):
     """``fam`` with its coordinate 0, lam(1), doubled."""
     v = fam.values
-    return dataclasses.replace(fam, values=(v[0] + v[0],) + v[1:])
+    return fam._replace(values=(v[0] + v[0],) + v[1:])
 
 
 def test_invalid_solution_is_refused(monkeypatch):
@@ -197,7 +196,7 @@ def test_invalid_solution_is_refused(monkeypatch):
 
 def test_unclosed_grouplike_metadata_rejected():
     H = taft(3)
-    bad = dataclasses.replace(H, grouplikes=(0, 3))  # {1, g} without g^2
+    bad = H._replace(grouplikes=(0, 3))  # {1, g} without g^2
     with pytest.raises(ClassificationError) as exc:
         classify_base_field_actions(bad)
     assert not isinstance(exc.value, SolverUnsupported)
@@ -212,13 +211,13 @@ def test_duplicated_grouplike_declaration_is_unsupported(H, twice):
     g = H.grouplikes
     g = (0,) + g if twice == "unit" else g + g[-1:]
     with pytest.raises(NonCyclicGrouplikes, match="not cyclic"):
-        classify_base_field_actions(dataclasses.replace(H, grouplikes=g))
+        classify_base_field_actions(H._replace(grouplikes=g))
 
 
 def test_unit_missing_from_the_grouplikes_is_a_failure():
     """kC_3 declaring only g: the unit 1 is a group-like of H but not among
     the declared ones, so the branching cannot start from it."""
-    bad = dataclasses.replace(group_algebra_cyclic(3), grouplikes=(1,))
+    bad = group_algebra_cyclic(3)._replace(grouplikes=(1,))
     with pytest.raises(ClassificationError,
                        match="unit is not among the group-likes") as exc:
         classify_base_field_actions(bad)
@@ -258,7 +257,7 @@ def test_grouplike_table_that_is_not_z_mod_m_is_a_failure():
     mult[(1, 1)] = ((0, CycNumber.one(H.order)),)
     with pytest.raises(ClassificationError, match="do not multiply as Z/3") \
             as exc:
-        classify_base_field_actions(dataclasses.replace(H, mult=mult))
+        classify_base_field_actions(H._replace(mult=mult))
     assert not isinstance(exc.value, SolverUnsupported)
 
 

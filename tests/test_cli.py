@@ -1,6 +1,5 @@
 """Exit codes, output schemas and round trips of the command-line tool."""
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -179,8 +178,9 @@ def test_classify_stuck_solver_exits_3(monkeypatch, capsys):
     # kC_5 with only 1 declared group-like and no split rule: the solver
     # stops with every instance but those of h = 1 still open
     monkeypatch.setattr(classify, "_find_split", lambda poly: None)
-    monkeypatch.setitem(cli._BUILDERS, "group", lambda n: dataclasses.replace(
-        group_algebra_cyclic(n), grouplikes=(0,)))
+    monkeypatch.setitem(cli._BUILDERS, "group",
+                        lambda n: group_algebra_cyclic(n)._replace(
+                            grouplikes=(0,)))
     code, out, err = run(capsys, "classify", "group", "5", "--output", "json")
     assert code == 3 and err == ""
     doc = json.loads(out)
@@ -194,7 +194,7 @@ def _double_unit_value(fam):
     """``fam`` with its coordinate 0 (lam(1), or the 1-coordinate of z)
     doubled."""
     v = fam.values
-    return dataclasses.replace(fam, values=(v[0] + v[0],) + v[1:])
+    return fam._replace(values=(v[0] + v[0],) + v[1:])
 
 
 def test_classify_invalid_solution_exits_1(monkeypatch, capsys):
@@ -379,7 +379,9 @@ def test_identity_sweep_work_counts(monkeypatch):
     is not made (7,817 ``_mul`` and 850 ``ParamPoly.__mul__`` calls); each
     power of q is the one before times q, one product, instead of a binary
     power, and the binomials fill whole rows (174 and 26); and the q-Pascal
-    recurrence makes no product by a zero binomial (65 ``_mul``).  Each q
+    recurrence makes no product by a zero binomial (65 ``_mul``).  A
+    character sum that vanishes is not scaled by 1/n (83 ``_mul``, the
+    only products with a zero operand left in the sweep).  Each q
     instance is still checked once under each q spec, as the benchmark's
     traced count of checks assumes.
     """
@@ -402,7 +404,7 @@ def test_identity_sweep_work_counts(monkeypatch):
                             counted("check", getattr(qcomb, name)))
     counts, failures = run_identity_sweep(5, 6)
     assert failures == []
-    assert calls == {"cyc_mul": 48815, "poly_mul": 3628, "check": 12042}
+    assert calls == {"cyc_mul": 48732, "poly_mul": 3628, "check": 12042}
     assert sum(total for name, (total, _) in counts.items()
                if name != "character_sum") == 12042
 
@@ -832,10 +834,12 @@ def test_jobs_changes_no_output(capsys, jobs):
 
 
 def fresh_python(code, *args, stdin=None):
-    """Run ``code`` in a fresh interpreter with the package on its path."""
+    """Run ``code`` in a fresh interpreter with the package on its path,
+    under ``-S``: no ``site`` hook (a ``.pth`` file) imports a module on
+    the package's behalf."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c", code, *args], input=stdin,
+        [sys.executable, "-S", "-c", code, *args], input=stdin,
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=60)
 
@@ -843,7 +847,8 @@ def fresh_python(code, *args, stdin=None):
 # Runs ``import partial_hopf.cli`` without arguments, else the subcommand
 # as the console script does; its last stderr line is the exit code, the
 # ``partial_hopf`` modules loaded besides ``cli``, and any multiprocessing,
-# ``fractions`` or ``decimal`` module loaded.
+# ``fractions``, ``decimal``, ``dataclasses``, ``inspect`` or ``typing``
+# module loaded.
 _FOOTPRINT_PROBE = """\
 import json, runpy, sys
 code = 0
@@ -857,20 +862,21 @@ else:
 mods = [m.split(".")[1] for m in sys.modules if m.startswith("partial_hopf.")]
 print(json.dumps([code, sorted(set(mods) - {"cli"}),
                   sorted(m for m in sys.modules if "multiprocessing" in m
-                         or m in ("fractions", "decimal"))]),
+                         or m in ("fractions", "decimal", "dataclasses",
+                                  "inspect", "typing"))]),
       file=sys.stderr)
 """
-START_UP_LAYERS = ["algebras", "exact_arith", "expr", "hopf_core", "qcomb"]
+START_UP_LAYERS = ["algebras", "exact_arith", "hopf_core", "qcomb"]
 
 
 @pytest.mark.parametrize("argv,layers", [
     pytest.param((), [], id="import-cli"),
     pytest.param(("validate", "taft", "2"), [], id="validate"),
     pytest.param(("export", "taft", "2"), [], id="export"),
-    pytest.param(("import", "-"), [], id="import"),
+    pytest.param(("import", "-"), ["expr"], id="import"),
     pytest.param(("actions", "taft", "2"), ["families"], id="actions"),
     pytest.param(("actions", "taft", "2", "--paper-examples"),
-                 ["families", "reference_tables"],
+                 ["expr", "families", "reference_tables"],
                  id="actions-paper-examples"),
     pytest.param(("coactions", "taft", "2"), ["families"], id="coactions"),
     pytest.param(("classify", "taft", "2"), ["classify", "families"],
@@ -882,9 +888,12 @@ START_UP_LAYERS = ["algebras", "exact_arith", "expr", "hopf_core", "qcomb"]
 ])
 def test_a_process_loads_only_its_layers(argv, layers):
     """A fresh process loads the start-up layers and its subcommand's own,
-    no multiprocessing (the identity sweep runs in one process), and no
-    ``fractions`` or ``decimal`` (every scalar is built from integers).  The
-    empty argv is ``import partial_hopf.cli`` alone; ``import -`` reads
+    no multiprocessing (the identity sweep runs in one process), no
+    ``fractions`` or ``decimal`` (every scalar is built from integers), and
+    no ``dataclasses``, ``inspect`` or ``typing`` (the records are
+    namedtuples and ``__slots__`` classes).  Only ``import`` and
+    ``--paper-examples`` parse expressions, so only they load ``expr``.
+    The empty argv is ``import partial_hopf.cli`` alone; ``import -`` reads
     taft(2) from stdin."""
     stdin = json.dumps(to_json_dict(taft(2)))
     probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
@@ -896,17 +905,19 @@ def test_a_process_loads_only_its_layers(argv, layers):
 
 def test_an_error_exit_loads_no_further_layer():
     """Mapping an exception to its exit code loads no layer: an order
-    beyond the builder (exit 2) and an import that fails the axioms
-    (exit 1) leave only the start-up layers loaded, and no module the probe
-    lists as unwanted."""
+    beyond the builder (exit 2) leaves only the start-up layers loaded, an
+    import that fails the axioms (exit 1) only those and the parser it
+    read with, and neither loads a module the probe lists as unwanted."""
     doc = to_json_dict(taft(2))
     doc["antipode"] = [["1" if i == j else "0" for j in range(doc["dim"])]
                        for i in range(doc["dim"])]
-    for argv, stdin, want in ((("validate", "taft", "99"), None, 2),
-                              (("import", "-"), json.dumps(doc), 1)):
+    for argv, stdin, want, layers in (
+            (("validate", "taft", "99"), None, 2, []),
+            (("import", "-"), json.dumps(doc), 1, ["expr"])):
         probe = fresh_python(_FOOTPRINT_PROBE, *argv, stdin=stdin)
         code, loaded, unwanted = json.loads(probe.stderr.splitlines()[-1])
-        assert (code, loaded, unwanted) == (want, START_UP_LAYERS, [])
+        assert (code, loaded, unwanted) == (
+            want, sorted(START_UP_LAYERS + layers), [])
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -28,6 +28,23 @@ from family_checks import (
 from fraction_scalars import const
 
 
+def test_families_are_equal_by_their_five_fields():
+    """A Family equals, and hashes as, any family with the same five
+    fields, differs when any one of them differs, and is read-only."""
+    fam = taft_parametric_action(2)
+    twin = Family(fam.name, fam.algebra, fam.params, fam.values, fam.trace)
+    assert twin is not fam and twin == fam and hash(twin) == hash(fam)
+    for field, value in (("name", "other"),
+                         ("algebra", fam.algebra._replace()),
+                         ("params", ("b",)), ("values", fam.values[::-1]),
+                         ("trace", ("step",))):
+        assert fam._replace(**{field: value}) != fam, field
+    for field in ("name", "values", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fam, field, ())
+    assert fam.name == "parametric"
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_taft_action_families_verify(n):
     fams = taft_action_families(n)

@@ -32,7 +32,6 @@ structure row and its order.  Any change to a verdict, a check count, a
 family, a failure text or a rendered scalar shows up here as a byte
 difference.
 """
-import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -139,12 +138,12 @@ def family_failure_reports() -> dict:
                     if kind == "action":
                         entry["consequences"] = _report(
                             action_consequence_checks(
-                                dataclasses.replace(fam, values=y)))
+                                fam._replace(values=y)))
                     out["%s %s %s[%d]" % (kind, H.name, fam.name, i)] = entry
     out["special_values taft(3)"] = _report(special_value_checks(3))
     fam = taft_parametric_action(3)
     for i in range(fam.algebra.dim):
-        faulted = dataclasses.replace(fam, values=_perturbed(fam.values, i))
+        faulted = fam._replace(values=_perturbed(fam.values, i))
         with mock.patch.object(family_checks, "taft_parametric_action",
                                lambda n: faulted):
             rep = special_value_checks(3)

@@ -17,7 +17,6 @@ enumerates all 2^m subsets of G(H) and keeps those that contain 1 and are
 closed under product.  The classifier derives the same list from the Z/m
 check and the divisors of m; the tests below compare the two.
 """
-import dataclasses
 
 import pytest
 
@@ -116,14 +115,13 @@ def _faults(H):
     for i, row in enumerate(H.comult):
         for t in range(len(row)):
             comult = H.comult[:i] + (_bump(row, t, 1),) + H.comult[i + 1:]
-            yield "comult[%d][%d]" % (i, t), dataclasses.replace(
-                H, comult=comult)
+            yield "comult[%d][%d]" % (i, t), H._replace(comult=comult)
     for key in sorted(H.mult):
         row = H.mult[key]
         for t in range(len(row)):
             mult = dict(H.mult)
             mult[key] = _bump(row, t, 1)
-            yield "mult[%s][%d]" % (key, t), dataclasses.replace(H, mult=mult)
+            yield "mult[%s][%d]" % (key, t), H._replace(mult=mult)
 
 
 # faults per algebra: (faults, faults whose group-likes still form a group,

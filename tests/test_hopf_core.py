@@ -1,10 +1,9 @@
 """Structure-constant engine: validators, duals, convolution, JSON."""
-import dataclasses
 import random
 
 import pytest
 
-from partial_hopf import hopf_core
+from partial_hopf import expr, hopf_core
 from partial_hopf.exact_arith import CycNumber, OrderMismatch, ParamPoly
 from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, nichols_dual,
@@ -19,6 +18,29 @@ from partial_hopf.hopf_core import (
     sparse, tensor_mul, to_json_dict, validate_all, validate_antipode,
     validate_bialgebra, vec_map, vec_mul,
 )
+
+
+def test_an_algebra_is_equal_only_to_itself():
+    """HopfData compares and hashes by identity, and is read-only: the
+    builders are cached and share their algebras, and caches such as
+    ``dual_hopf`` are keyed on them."""
+    H = taft(2)
+    twin = H._replace()
+    assert tuple(twin) == tuple(H)
+    assert H == H and twin != H and not twin == H and H != tuple(H)
+    assert hash(H) == object.__hash__(H)
+    assert len({H, twin, taft(2)}) == 2
+    for field, value in (("dim", 3), ("grouplikes", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(H, field, value)
+    assert H.dim == 4 and H.grouplikes == (0, 2)
+
+
+def test_reports_never_share_a_failure_list():
+    first, second = hopf_core.Report("first"), hopf_core.Report("second")
+    first.fail("check", (), "1", "0")
+    assert first.failures is not second.failures
+    assert (first.ok, second.ok, second.failures) == (False, True, [])
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -46,8 +68,7 @@ def test_validate_all_dual_of_taft3():
 def test_identity_antipode_rejected():
     H = taft(4)
     one = CycNumber.one(H.order)
-    bad = dataclasses.replace(
-        H, antipode=tuple(((i, one),) for i in range(H.dim)))
+    bad = H._replace(antipode=tuple(((i, one),) for i in range(H.dim)))
     rep = validate_antipode(bad)
     assert not rep.ok
     # the skew-primitive x (index 1) must be among the failures
@@ -58,7 +79,7 @@ def test_broken_product_rejected():
     H = taft(3)
     mult = dict(H.mult)
     mult[(3, 3)] = ((0, CycNumber.one(3)),)  # g*g = 1 is false in taft(3)
-    bad = dataclasses.replace(H, mult=mult)
+    bad = H._replace(mult=mult)
     rep = validate_bialgebra(bad)
     assert not rep.ok
 
@@ -68,7 +89,7 @@ def test_broken_comult_fails_counit_law():
     comult = list(H.comult)
     one = CycNumber.one(3)
     comult[1] = (((1, 0), one),)  # Delta(x) = x (x) 1 drops the g (x) x term
-    bad = dataclasses.replace(H, comult=tuple(comult))
+    bad = H._replace(comult=tuple(comult))
     rep = validate_bialgebra(bad)
     assert any(f.check == "counit_left" for f in rep.failures)
 
@@ -205,13 +226,13 @@ def test_import_parses_each_distinct_coefficient_once(monkeypatch):
     strings = ([row[3] for row in d["mult"] + d["comult"]] + d["unit"]
                + d["counit"] + [s for row in d["antipode"] for s in row])
     parsed = []
-    parse = hopf_core.parse_scalar
+    parse = expr.parse_scalar
 
     def counted(s, order):
         parsed.append(s)
         return parse(s, order)
 
-    monkeypatch.setattr(hopf_core, "parse_scalar", counted)
+    monkeypatch.setattr(expr, "parse_scalar", counted)
     assert to_json_dict(from_json_dict(d)) == d
     assert len(strings) > 10 * len(set(strings))
     assert sorted(parsed) == sorted(set(strings))

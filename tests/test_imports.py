@@ -8,7 +8,10 @@ helper's callers looking alive.  A function or method defined under
 ``Attribute`` node under ``src/``, ``tests/`` or ``bench/``; one that
 nothing names is dead code.  A test module defines each top-level function
 and class once: a second ``def`` of a name replaces the first, which
-pytest then never collects.  Checked with ``ast``, so no linter is needed.
+pytest then never collects.  No package module imports ``dataclasses`` or
+``typing``: every CLI process imports the package, and ``dataclasses``
+alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize`` at start-up.
+Checked with ``ast``, so no linter is needed.
 
 The package exports lazily from one table, ``partial_hopf._EXPORTS``
 (module -> names).  ``__all__`` is exactly the table's names, each listed
@@ -107,6 +110,35 @@ def test_detects_a_repeated_top_level_name():
                          ids=lambda p: p.name)
 def test_no_test_module_defines_a_name_twice(path):
     assert repeated_top_level_names(path.read_text()) == []
+
+
+# modules no package module may import, for their cost at start-up
+REFUSED_IMPORTS = frozenset(("dataclasses", "typing"))
+
+
+def refused_imports(source: str) -> list:
+    """The absolute imports of ``source``, ``import`` and ``from``, whose
+    top-level module is in REFUSED_IMPORTS."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names
+            if name.partition(".")[0] in REFUSED_IMPORTS]
+
+
+def test_detects_a_refused_import():
+    src = "import os, typing\nfrom dataclasses import field\n" \
+          "from .typing import x\ndef f():\n    import dataclasses\n"
+    assert refused_imports(src) == ["typing", "dataclasses", "dataclasses"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_typing(path):
+    assert refused_imports(path.read_text()) == []
 
 
 def test_all_lists_each_exported_name_once():

@@ -11,7 +11,6 @@ included.  Its scalar products and the certificates are pinned.
 
 The golden files were captured from the per-tuple implementation.
 """
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -221,26 +220,26 @@ def perturbations(H: HopfData):
                 mult = dict(H.mult)
                 mult[key] = row[:t] + ((k, c + c),) + row[t + 1:]
                 yield ("mult%s[%d]" % (key, t),
-                       dataclasses.replace(H, mult=mult))
+                       H._replace(mult=mult))
     for i, row in enumerate(H.comult):
         for t, (jk, c) in enumerate(row):
             if c:
                 comult = list(H.comult)
                 comult[i] = row[:t] + ((jk, c + c),) + row[t + 1:]
                 yield ("comult[%d][%d]" % (i, t),
-                       dataclasses.replace(H, comult=tuple(comult)))
+                       H._replace(comult=tuple(comult)))
     for i, row in enumerate(H.antipode):
         for t, (j, c) in enumerate(row):
             if c:
                 antipode = list(H.antipode)
                 antipode[i] = row[:t] + ((j, c + c),) + row[t + 1:]
                 yield ("antipode[%d][%d]" % (i, t),
-                       dataclasses.replace(H, antipode=tuple(antipode)))
+                       H._replace(antipode=tuple(antipode)))
     for i in range(H.dim):
         counit = list(H.counit)
         counit[i] = counit[i] + 1
         yield ("counit[%d]" % i,
-               dataclasses.replace(H, counit=tuple(counit)))
+               H._replace(counit=tuple(counit)))
 
 
 # -- isomorphic copies with non-unit denominators ---------------------------
@@ -519,7 +518,7 @@ def rebased_products(H: HopfData) -> HopfData:
             row = tuple(sorted((t, c) for t, c in acc.items() if c))
             if row:
                 mult[(a, b)] = row
-    return dataclasses.replace(H, name="rebased " + H.name, mult=mult)
+    return H._replace(name="rebased " + H.name, mult=mult)
 
 
 def rebased_taft(n):
@@ -592,7 +591,7 @@ def test_rescaled_copies_keep_the_generator_count(build):
 # -- declared group-like vectors --------------------------------------------
 
 def _with_characters(H, vectors):
-    return dataclasses.replace(H, grouplike_vectors=tuple(
+    return H._replace(grouplike_vectors=tuple(
         tuple(vec) for vec in vectors))
 
 
