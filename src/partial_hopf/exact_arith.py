@@ -6,14 +6,18 @@ Two scalar types, both exact and both on plain Python integers:
     modulo the n-th cyclotomic polynomial: phi(n) integer numerators over
     one positive common denominator, reduced so that equal values have
     equal fields.  Sums, products, inverses and the reduction modulo Phi_n
-    run on integers.  The powers of zeta_n come from one table per order,
-    which the product's fold and the conjugates read.  A rational p/q is
-    the CycNumber ``from_rational(n, p, q)``; a plain int operand stands
-    for itself.  ``coords`` is the one view of a value as
-    ``fractions.Fraction`` coordinates, for readers outside the arithmetic.
+    run on integers; at phi = 1 a product is one integer product.  The
+    powers of zeta_n come from one table per order, which the product's
+    fold and the conjugates read.  A rational p/q is the CycNumber
+    ``from_rational(n, p, q)``; a plain int operand stands for itself.
+    ``coords`` is the one view of a value as ``fractions.Fraction``
+    coordinates, for readers outside the arithmetic.
   * ``ParamPoly`` -- sparse multivariate polynomials over CycNumber carrying
     free symbolic parameters, so that "for all alpha" claims are discharged
-    as exact polynomial identities rather than by sampling.
+    as exact polynomial identities rather than by sampling.  A product of
+    two polynomials in one shared parameter with integer coefficients at
+    phi = 1, as at the generic q of ``qcomb``, adds exponents directly,
+    accumulates plain ints and builds each result coefficient once.
 
 No floating point appears anywhere in this package, and it needs nothing
 beyond the standard library.
@@ -176,10 +180,11 @@ class CycNumber:
              else self._coerce(other))
         if o is None:
             return NotImplemented
+        # the constant coordinate decides most zero tests without a scan
         a, b = self.num, o.num
-        if not any(b):
+        if not (b[0] or any(b)):
             return self
-        if not any(a):
+        if not (a[0] or any(a)):
             return o
         ad, bd = self.den, o.den
         if ad == bd:
@@ -197,7 +202,7 @@ class CycNumber:
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
-        if not any(b):
+        if not (b[0] or any(b)):
             return self
         ad, bd = self.den, o.den
         if ad == bd:
@@ -249,7 +254,8 @@ class CycNumber:
         return hash((self.order, self.num, self.den))
 
     def __bool__(self):
-        return any(self.num)
+        num = self.num
+        return num[0] != 0 or any(num)
 
     # -- display ----------------------------------------------------------
 
@@ -281,13 +287,15 @@ class CycNumber:
 
 
 def _mul(a: CycNumber, b: CycNumber) -> CycNumber:
-    """Product of two values of the same order.  A factor exactly 1 returns
-    the other operand (values are never mutated), and any other rational
-    factor p/q only scales the other's numerators by p and its denominator
-    by q.  Otherwise: integer convolution of the numerators over the
-    nonzero terms of b, then one fold of the powers >= phi through
-    ``_fold_table``."""
+    """Product of two values of the same order.  At phi = 1 it is one
+    integer product.  Otherwise a factor exactly 1 returns the other operand
+    (values are never mutated), and any other rational factor p/q only
+    scales the other's numerators by p and its denominator by q; the rest
+    is an integer convolution of the numerators over the nonzero terms of
+    b, then one fold of the powers >= phi through ``_fold_table``."""
     x, y = a.num, b.num
+    if len(x) == 1:
+        return _cyc(a.order, (x[0] * y[0],), a.den * b.den)
     if not any(y[1:]):
         a, b, x, y = b, a, y, x
     if not any(x[1:]):
@@ -408,6 +416,31 @@ def _poly(order: int, terms: dict) -> "ParamPoly":
     return p
 
 
+def _int_exponents(terms: dict, name: str):
+    """The pairs (e, k) of a polynomial in ``name`` alone with integer
+    coefficients k, its constant term at e = 0, or None when a monomial
+    holds another parameter or a coefficient has a denominator."""
+    out = []
+    for m, c in terms.items():
+        if (m and (len(m) != 1 or m[0][0] != name)) or c.den != 1:
+            return None
+        out.append((m[0][1] if m else 0, c.num[0]))
+    return out
+
+
+def _one_var_mul(order: int, name: str, a: list, b: list) -> "ParamPoly":
+    """The product of two polynomials in ``name`` alone at phi = 1, as
+    ``_int_exponents`` pairs: exponents add with no ``_mono_mul``, the
+    integers accumulate, and each result coefficient is built once."""
+    acc: dict = {}
+    for e1, x in a:
+        for e2, y in b:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + x * y
+    return _poly(order, {((name, e),) if e else (): _cyc(order, (v,), 1)
+                         for e, v in acc.items() if v})
+
+
 class ParamPoly:
     """Sparse multivariate polynomial over Q(zeta_order).
 
@@ -422,7 +455,9 @@ class ParamPoly:
     product accumulates and drops the zero sums once, and a product by a
     nonzero scalar (a CycNumber, an int or a constant polynomial) scales
     each coefficient and needs no test at all, because Q(zeta_n) is a field.
-    Every coefficient product is a ``CycNumber`` product.
+    Every coefficient product is a ``CycNumber`` product, except in a
+    product of two polynomials in one parameter with integer coefficients
+    at phi = 1, which multiplies the integers (``_one_var_mul``).
     """
 
     __slots__ = ("order", "terms")
@@ -492,10 +527,15 @@ class ParamPoly:
 
     def _sum(self, other, negate: bool):
         """self + other, or self - other when ``negate``: one copy of the
-        term dict, a monomial deleted only when it cancels."""
+        term dict, a monomial deleted only when it cancels.  A zero side
+        returns the other operand."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms and not negate:
+            return o
         terms = dict(self.terms)
         for m, c in o.terms.items():
             prev = terms.get(m)
@@ -529,6 +569,10 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not o.terms:
+            return o
         if len(o.terms) == 1 and () in o.terms:
             return self._scaled(o.terms[()])
         if len(self.terms) == 1:
@@ -539,6 +583,12 @@ class ParamPoly:
                 (m1, c1), = self.terms.items()
                 (m2, c2), = o.terms.items()
                 return _poly(self.order, {_mono_mul(m1, m2): c1 * c2})
+        mono = next(m for m in self.terms if m)
+        if len(mono) == 1 and self.order <= 2:  # phi(1) = phi(2) = 1
+            a = _int_exponents(self.terms, mono[0][0])
+            b = a and _int_exponents(o.terms, mono[0][0])
+            if b:
+                return _one_var_mul(self.order, mono[0][0], a, b)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():

@@ -48,6 +48,7 @@ turns such a tuple into a kernel vector and ``dense`` turns one back.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .exact_arith import CycNumber
 
@@ -633,8 +634,12 @@ def _transpose(rows) -> dict:
     return {key2: tuple(v) for key2, v in out.items()}
 
 
+@lru_cache(maxsize=None)
 def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
     """The dual Hopf algebra on the dual basis, by transposing m, Delta, S.
+
+    Built once per algebra: ``HopfData`` hashes by identity, so the cache
+    key is H itself, and every caller shares the one read-only record.
 
     The product of functionals is the transpose of comult, so the dual's
     product table is the convolution product of H*; the coproduct is the

@@ -368,6 +368,33 @@ def test_no_wrong_value_outlives_a_wrong_binomial(monkeypatch):
     assert run_identity_sweep(3, 3)[1] == []
 
 
+def test_a_one_variable_product_that_drops_its_top_term_fails(monkeypatch):
+    """Fault injection in the one-variable product: with its top-degree
+    term dropped, the sweep reports failures at the generic q, which alone
+    multiplies polynomials, and at no concrete q.  The q tables are
+    cleared around the fault, so no wrong value outlives it."""
+    right = exact_arith._one_var_mul
+    dropped = [0]
+
+    def wrong(order, name, a, b):
+        terms = dict(right(order, name, a, b).terms)
+        del terms[max(terms)]
+        dropped[0] += 1
+        return exact_arith._poly(order, terms)
+
+    qcomb._table.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(exact_arith, "_one_var_mul", wrong)
+            counts, failures = run_identity_sweep(3, 3)
+    finally:
+        qcomb._table.cache_clear()
+    assert dropped[0] and failures
+    assert all("@ generic" in f for f in failures)
+    assert sum(bad for _, bad in counts.values()) == len(failures)
+    assert run_identity_sweep(3, 3)[1] == []
+
+
 def test_identity_sweep_work_counts(monkeypatch):
     """Scalar products of ``identities --n 6 --max 5`` from cold q tables.
 
@@ -381,9 +408,13 @@ def test_identity_sweep_work_counts(monkeypatch):
     power, and the binomials fill whole rows (174 and 26); and the q-Pascal
     recurrence makes no product by a zero binomial (65 ``_mul``).  A
     character sum that vanishes is not scaled by 1/n (83 ``_mul``, the
-    only products with a zero operand left in the sweep).  Each q
-    instance is still checked once under each q spec, as the benchmark's
-    traced count of checks assumes.
+    only products with a zero operand left in the sweep).  A product of
+    two polynomials in q alone with integer coefficients, which is every
+    product of two non-constant polynomials at the generic q, accumulates
+    its coefficients as ints and makes no ``_mul`` (48,732 -> 34,396; the
+    ``ParamPoly.__mul__`` calls are unchanged).  Each q instance is still
+    checked once under each q spec, as the benchmark's traced count of
+    checks assumes.
     """
     qcomb._table.cache_clear()
     calls = dict.fromkeys(("cyc_mul", "poly_mul", "check"), 0)
@@ -404,7 +435,7 @@ def test_identity_sweep_work_counts(monkeypatch):
                             counted("check", getattr(qcomb, name)))
     counts, failures = run_identity_sweep(5, 6)
     assert failures == []
-    assert calls == {"cyc_mul": 48732, "poly_mul": 3628, "check": 12042}
+    assert calls == {"cyc_mul": 34396, "poly_mul": 3628, "check": 12042}
     assert sum(total for name, (total, _) in counts.items()
                if name != "character_sum") == 12042
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_hopf.exact_arith import (
-    CycNumber, OrderMismatch, ParamPoly,
+    CycNumber, OrderMismatch, ParamPoly, _mul,
     cyc_invert, cyclotomic_polynomial, divisors, euler_phi, zeta_pow,
 )
 from partial_hopf import expr
@@ -290,6 +290,27 @@ def test_shortcut_factors_match_fraction_reference(n, data):
         got = x * y
         assert got.coords == ref_mul(n, cx, cy)
         assert_normal_form(got)
+
+
+PHI_ONE_VALUES = [0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4),
+                  Fraction(10 ** 20 + 1, 6), Fraction(-6, 10 ** 20 + 1)]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_phi_one_multiplication_matches_the_fraction_reference(order):
+    """At phi = 1 a product is one integer product over the product of the
+    denominators, reduced: it equals the Fraction product, in normal form,
+    with fields identical to the reference value's, for 0, +-1 and
+    values with denominators."""
+    for x in PHI_ONE_VALUES:
+        for y in PHI_ONE_VALUES:
+            a, b = rat(order, x), rat(order, y)
+            want = rat(order, Fraction(x) * Fraction(y))
+            for got in (_mul(a, b), a * b, b * a):
+                assert fraction(got) == Fraction(x) * Fraction(y)
+                assert (got.order, got.num, got.den) == (
+                    order, want.num, want.den)
+                assert_normal_form(got)
 
 
 def test_scalars_are_built_from_integers_only():

@@ -36,6 +36,22 @@ def test_an_algebra_is_equal_only_to_itself():
     assert H.dim == 4 and H.grouplikes == (0, 2)
 
 
+def test_the_dual_is_built_once_per_algebra():
+    """``dual_hopf`` is cached on the algebra: the same H gives the same
+    dual record, an equal copy of H its own, and verifying coactions on H
+    builds no second dual."""
+    H = taft(3)
+    D = dual_hopf(H)
+    assert dual_hopf(H) is D
+    assert dual_hopf(H._replace()) is not D
+    assert dual_hopf(D) is dual_hopf(D)
+    built = dual_hopf.cache_info().misses
+    z = (CycNumber.one(3),) + (CycNumber.zero(3),) * (H.dim - 1)
+    for _ in range(2):
+        assert all(r.ok for r in verify_partial_coaction(H, z))
+    assert dual_hopf.cache_info().misses == built
+
+
 def test_reports_never_share_a_failure_list():
     first, second = hopf_core.Report("first"), hopf_core.Report("second")
     first.fail("check", (), "1", "0")

@@ -205,3 +205,109 @@ def test_power_products(monkeypatch, e):
     calls = _counted_products(monkeypatch)
     assert (a ** e).terms == {(("a", e),) if e else (): slow}
     assert calls[0] == want
+
+
+# -- polynomials in one variable ----------------------------------------------
+
+def _one_var(rng, order, name, kind):
+    """A random polynomial in ``name`` alone with up to 5 of the exponents
+    0..5, so zero and constants come up too.  ``kind`` picks the
+    coefficients: "int" (small, one of them large), "rational" (a
+    denominator > 1 is likely) or "field" (any value of Q(zeta_order))."""
+    terms = {}
+    for e in rng.sample(range(6), rng.randrange(6)):
+        if kind == "int":
+            c = rat(order, rng.choice((1, -1, 2, -3, 10 ** 20)))
+        elif kind == "rational":
+            c = rat(order, Fraction(rng.choice((1, -1, 3, -5)),
+                                    rng.choice((1, 2, 6))))
+        else:
+            c = _scalar(rng, order) + _scalar(rng, order)
+        terms[((name, e),) if e else ()] = c
+    return poly(order, terms)
+
+
+def _merges(p, r):
+    """The ``_mono_mul`` calls of p * r: none by zero or a constant, one for
+    two single terms, and otherwise one per pair of terms unless every
+    coefficient is an integer at phi = 1 (the one-variable path)."""
+    if not p.terms or not r.terms or () in p.terms and len(p.terms) == 1 \
+            or () in r.terms and len(r.terms) == 1:
+        return 0
+    if len(p.terms) == len(r.terms) == 1:
+        return 1
+    coeffs = list(p.terms.values()) + list(r.terms.values())
+    if p.order <= 2 and all(c.den == 1 for c in coeffs):
+        return 0
+    return len(p.terms) * len(r.terms)
+
+
+def _counted(monkeypatch, name):
+    calls = [0]
+    fn = getattr(exact_arith, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(exact_arith, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("order,kind", [(1, "int"), (1, "rational"),
+                                        (2, "int"), (2, "rational"),
+                                        (5, "int"), (5, "field")])
+@pytest.mark.parametrize("seed", range(8))
+def test_one_variable_multiplication_matches_the_rebuilding_implementation(
+        monkeypatch, seed, order, kind):
+    """Products of polynomials in q alone, zero and constants included,
+    give the old term dicts; a cancelling sum of coefficient products
+    leaves no term.  Only integer coefficients at phi = 1 skip the
+    monomial merges: every other product takes the general loop."""
+    rng = random.Random(seed)
+    merges = _counted(monkeypatch, "_mono_mul")
+    want_merges = 0
+    for _ in range(25):
+        p = _one_var(rng, order, "q", kind)
+        r = _one_var(rng, order, "q", kind)
+        before = (dict(p.terms), dict(r.terms))
+        _check(p * r, old_mul(order, p.terms, r.terms), order)
+        _check(r * p, old_mul(order, r.terms, p.terms), order)
+        _check(p * p, old_mul(order, p.terms, p.terms), order)
+        want_merges += 2 * _merges(p, r) + _merges(p, p)
+        assert (dict(p.terms), dict(r.terms)) == before
+    assert merges[0] == want_merges
+
+
+def test_integer_one_variable_products_make_no_scalar_product(monkeypatch):
+    q = ParamPoly.var(1, "q")
+    p, r = 1 + 2 * q - q ** 3, q - 1 + q ** 2
+    # (1 + q)(1 - q): the q terms cancel and leave no zero coefficient
+    plus, minus, want = q + 1, -q + 1, -q ** 2 + 1
+    products = _counted(monkeypatch, "_mul")
+    got = p * r
+    assert (plus * minus).terms == want.terms
+    assert products[0] == 0
+    assert got.terms == old_mul(1, p.terms, r.terms)
+
+
+@pytest.mark.parametrize("order,kind", [(1, "int"), (1, "rational"),
+                                        (5, "field")])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_variable_multiplication_takes_the_general_path(
+        monkeypatch, seed, order, kind):
+    """A polynomial in q times one in t, or in q and t, merges monomials and
+    equals the old product."""
+    rng = random.Random(seed)
+    merges = _counted(monkeypatch, "_mono_mul")
+    for _ in range(25):
+        p = _one_var(rng, order, "q", kind)
+        for r in (_one_var(rng, order, "t", kind),
+                  _one_var(rng, order, "q", kind) + ParamPoly.var(order, "t")):
+            _check(p * r, old_mul(order, p.terms, r.terms), order)
+            _check(r * p, old_mul(order, r.terms, p.terms), order)
+    q, t = ParamPoly.var(order, "q"), ParamPoly.var(order, "t")
+    merges[0] = 0
+    got = (q + 1) * (t + q)
+    assert merges[0] == 4
+    assert got.terms == old_mul(order, (q + 1).terms, (t + q).terms)
