@@ -87,14 +87,13 @@ def _grouplike_vectors(H: HopfData) -> list:
 
 
 # vectors: sparse coordinate dicts, one per group element
-# table: table[a][b] = index of product
 # subgroups: (d, mask) per divisor d of |G|: bits of gen^k, d | k
-GrouplikeStructure = namedtuple("GrouplikeStructure",
-                                "vectors table subgroups")
+GrouplikeStructure = namedtuple("GrouplikeStructure", "vectors subgroups")
 
 
 def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
-    """Product table, cyclic structure and subgroups of G(H).
+    """The group-like vectors and the subgroups of G(H), from its product
+    table, which the generator search alone reads.
 
     The table is read off the kernel, each product found in a dict keyed
     by its sorted items (the first of equal declarations wins); a
@@ -134,7 +133,6 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
                     "group-likes of %s are not closed under product" % H.name)
             row.append(c)
         table.append(tuple(row))
-    table = tuple(table)
 
     gen = None
     for cand in range(m):
@@ -159,7 +157,7 @@ def _analyze_grouplikes(H: HopfData) -> GrouplikeStructure:
             "group-likes of %s do not multiply as Z/%d" % (H.name, m))
     subgroups = tuple((d, sum(1 << power[k] for k in range(0, m, d)))
                       for d in divisors(m))
-    return GrouplikeStructure(tuple(G), table, subgroups)
+    return GrouplikeStructure(tuple(G), subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +170,11 @@ class _State:
     __slots__ = ("values", "pending", "extra", "trace", "label")
 
     def __init__(self, values: list, pending: list, extra: list,
-                 trace=None, label: str = ""):
+                 trace: list, label: str):
         self.values = values
         self.pending = pending
         self.extra = extra
-        self.trace = [] if trace is None else trace
+        self.trace = trace
         self.label = label
 
 

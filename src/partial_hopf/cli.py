@@ -10,13 +10,19 @@ Subcommands:
   export      write a built-in algebra in the JSON interchange format
   import      read a JSON algebra back and validate it
 
-`actions` and `coactions` share one sweep (`_family_sweep`).
+`actions` and `coactions` have one handler, `cmd_families`; the parser sets
+its `kind`.  `duality` pairs each action family with its coaction by the
+order of the two `families` listings (`_transport_pairs`), and the
+identity sweep tallies the verdicts of one generator, `identity_verdicts`.
 
 A process loads only the layers its subcommand runs.  This module imports
 what start-up and argument parsing need (`algebras`, `exact_arith`,
 `hopf_core`, and through them `qcomb`); each handler imports its own layer
 (`families`, `classify`, `duality`, `reference_tables`) when it starts, and
 only `import` and `--paper-examples` load the expression parser `expr`.
+A handler reads each layer function off its module when it runs, never at
+import, so a wrapper bound onto the module later (a test's counter, the
+benchmark's tracer) sees every call.
 Without a bytecode cache every process compiles each module it imports, so
 `validate` no longer pays for the classifier.  The package's records are
 namedtuples and `__slots__` classes, so no process imports `dataclasses`
@@ -158,14 +164,18 @@ def _reference_section(results, lines) -> bool:
     return ok
 
 
-def _family_sweep(args, kind, listing, verify) -> int:
-    """Verify every ``kind`` family of the swept orders, plain and
+def cmd_families(args) -> int:
+    """Verify every ``args.kind`` family of the swept orders, plain and
     symmetric."""
+    from . import families
+    lists = _ACTION_LISTS if args.kind == "action" else _COACTION_LISTS
+    listing = getattr(families, lists[args.algebra])
+    verify = getattr(families, "verify_partial_" + args.kind)
     results, lines, ok = [], [], True
     for n in _orders(args, _FAMILY_RANGE):
         fams = listing(n)
         lines.append("%s(%d): %d %s families" % (args.algebra, n, len(fams),
-                                                 kind))
+                                                 args.kind))
         for fam in fams:
             H = fam.algebra
             rep, srep = verify(H, fam.values)
@@ -184,26 +194,12 @@ def _family_sweep(args, kind, listing, verify) -> int:
                 lines.append("    " + str(f))
             for label, expr in vals.items():
                 lines.append("    %s: %s" % (label, expr))
-    doc = {"command": kind + "s", "ok": ok, "results": results}
+    doc = {"command": args.kind + "s", "ok": ok, "results": results}
     if args.paper_examples:
         refs = []
         doc["reference_tables"] = refs
         doc["ok"] = _reference_section(refs, lines) and doc["ok"]
     return _emit(args, doc, lines)
-
-
-def cmd_actions(args) -> int:
-    from . import families
-    return _family_sweep(args, "action",
-                         getattr(families, _ACTION_LISTS[args.algebra]),
-                         families.verify_partial_action)
-
-
-def cmd_coactions(args) -> int:
-    from . import families
-    return _family_sweep(args, "coaction",
-                         getattr(families, _COACTION_LISTS[args.algebra]),
-                         families.verify_partial_coaction)
 
 
 def cmd_classify(args) -> int:
@@ -250,45 +246,28 @@ def cmd_classify(args) -> int:
     return 3
 
 
-def _taft_transport_pairs(n):
-    from .families import (
-        taft_parametric_action, taft_parametric_coaction,
-        taft_subgroup_action, taft_subgroup_coaction,
-    )
-    pairs = []
-    for k in divisors(n):
-        if k < n:
-            pairs.append((taft_subgroup_action(n, k),
-                          taft_subgroup_coaction(n, n // k)))
-    pairs.append((taft_parametric_action(n), taft_parametric_coaction(n)))
-    return pairs
-
-
-def _nichols_transport_pairs(n):
-    from .families import (
-        nichols_counit_action, nichols_global_coaction,
-        nichols_parametric_action, nichols_parametric_coaction,
-    )
-    return [(nichols_counit_action(n), nichols_global_coaction(n)),
-            (nichols_parametric_action(n), nichols_parametric_coaction(n))]
+def _transport_pairs(algebra: str, n: int):
+    """Each action family of ``algebra``(n) with the coaction family that
+    transport along H* -> H makes of it, from the two listings.  Both end
+    in the parametric family; the closed families before it pair in
+    reverse order, since the indicator of the subgroup of index k goes to
+    the average over the subgroup of order k."""
+    from . import families
+    acts = getattr(families, _ACTION_LISTS[algebra])(n)
+    coacts = getattr(families, _COACTION_LISTS[algebra])(n)
+    return zip(acts, coacts[-2::-1] + coacts[-1:])
 
 
 def cmd_duality(args) -> int:
-    from .duality import (
-        nichols_from_dual, nichols_to_dual, taft_from_dual, taft_to_dual,
-        transport, verify_inverse_pair,
-    )
+    from . import duality
     results, lines, ok = [], [], True
     for n in _orders(args, _DUALITY_RANGE):
-        if args.algebra == "taft":
-            iso, inv = taft_to_dual(n), taft_from_dual(n)
-            pairs = _taft_transport_pairs(n)
-        else:
-            iso, inv = nichols_to_dual(n), nichols_from_dual(n)
-            pairs = _nichols_transport_pairs(n)
+        iso = getattr(duality, args.algebra + "_to_dual")(n)
+        inv = getattr(duality, args.algebra + "_from_dual")(n)
+        pairs = _transport_pairs(args.algebra, n)
         lines.append("%s(%d):" % (args.algebra, n))
         checks = []
-        pair = verify_inverse_pair(iso, inv)
+        pair = duality.verify_inverse_pair(iso, inv)
         for tag, rep in (("to-dual morphism", pair.phi),
                          ("from-dual morphism", pair.psi)):
             ok = ok and rep.ok
@@ -306,7 +285,7 @@ def cmd_duality(args) -> int:
         lines.append("  round trip identity: %s"
                      % ("ok" if pair.round_trip else "FAILED"))
         for act, expected in pairs:
-            z = transport(act, inv)
+            z = duality.transport(act, inv)
             match = z.values == expected.values
             ok = ok and match
             vals = _values(z.values, z.algebra.basis)
@@ -323,18 +302,6 @@ def cmd_duality(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _identity_verdict(item):
-    kind = item[0]
-    if kind == "charsum":
-        # a few dozen per sweep; the q instances below import nothing
-        from .duality import check_character_sum
-        return check_character_sum(*item[1:])
-    _, name, indices, q = item
-    if kind == "pascal":
-        return qcomb.check_pascal(name, *indices, q)
-    return qcomb.check_identity(name, indices, q)
-
-
 def _sweep_qs(root_cap: int) -> list:
     """The q specs of the sweep, the generic q first."""
     qs = [qcomb.generic_q()]
@@ -345,58 +312,62 @@ def _sweep_qs(root_cap: int) -> list:
 
 
 def _q_instances(max_index: int) -> list:
-    """Every instance of the q-identities, as (kind, name, indices)."""
+    """Every instance of the q-identities, as (check, args): its verdict
+    at q is ``check(*args, q)``."""
+    pascal, identity = qcomb.check_pascal, qcomb.check_identity
     out = []
     for variant in qcomb.PASCAL_VARIANTS:
         for i in range(1, max_index + 5):
             for s in range(-2, max_index + 7):
-                out.append(("pascal", variant, (i, s)))
+                out.append((pascal, (variant, i, s)))
     bound = max_index + 1
     for i in range(bound):
         for t in range(bound):
             for k in range(bound):
-                out.append(("identity", "alternating_vandermonde", (i, t, k)))
+                out.append((identity, ("alternating_vandermonde",
+                                       (i, t, k))))
     for j in range(max_index + 3):
         for i in range(j + 1):
             for l in range(i + 1):
-                out.append(("identity", "trinomial_revision", (j, i, l)))
+                out.append((identity, ("trinomial_revision", (j, i, l))))
     for i in range(max_index):
         for j in range(max_index):
             for t in range(max_index):
                 for s in range(max_index):
-                    out.append(("identity", "four_index_inversion",
-                                (i, j, t, s)))
+                    out.append((identity, ("four_index_inversion",
+                                           (i, j, t, s))))
     for j in range(max_index):
         for t in range(max_index):
             for s in range(max_index):
-                out.append(("identity", "binomial_inversion", (j, t, s)))
+                out.append((identity, ("binomial_inversion", (j, t, s))))
     return out
 
 
-def identity_sweep_items(max_index: int, root_cap: int) -> list:
-    """Deterministic work list for the identity sweep: every q instance
-    under every q spec, q spec major, each item ending in its q scalar;
-    then the character sums."""
-    instances = _q_instances(max_index)
-    items = [inst + (q,) for q in _sweep_qs(root_cap) for inst in instances]
-    items += [("charsum", m, k, m // k)
-              for m in range(1, 2 * max_index + 1) for k in divisors(m)]
-    return items
-
-
-def run_identity_sweep(max_index: int, root_cap: int):
-    """Run the sweep, returning (per-suite counts, failure strings): each
-    item of ``identity_sweep_items`` checked once, in order.
+def identity_verdicts(max_index: int, root_cap: int):
+    """Every verdict of the identity sweep, in order: each q instance under
+    each q spec, q spec major, then the character sums.
 
     A q instance is checked under every q spec, not only at the generic q
     (whose verdict already decides every spec, as the ``qcomb`` module
     docstring shows), so the sweep also exercises the rational and
     cyclotomic arithmetic of each spec.
     """
+    instances = _q_instances(max_index)
+    for q in _sweep_qs(root_cap):
+        for check, args in instances:
+            yield check(*args, q)
+    from .duality import check_character_sum
+    for m in range(1, 2 * max_index + 1):
+        for k in divisors(m):
+            yield check_character_sum(m, k, m // k)
+
+
+def run_identity_sweep(max_index: int, root_cap: int):
+    """Run the sweep, returning (per-suite counts, failure strings) of
+    ``identity_verdicts``."""
     counts: dict = {}
     failures = []
-    for item in identity_sweep_items(max_index, root_cap):
-        v = _identity_verdict(item)
+    for v in identity_verdicts(max_index, root_cap):
         total, bad = counts.get(v.name, (0, 0))
         counts[v.name] = (total + 1, bad + (not v.ok))
         if not v.ok:
@@ -405,8 +376,8 @@ def run_identity_sweep(max_index: int, root_cap: int):
 
 
 # The largest --max and --n of the identity sweep (defaults 6 and 8): it
-# lists about max^4 q instances, each under 3 + n q specs, before its first
-# check, so the work grows without bound in both.
+# checks about max^4 q instances, each under 3 + n q specs, so the work
+# grows without bound in both.
 _IDENTITY_MAX_LIMIT = 8
 _IDENTITY_N_LIMIT = 16
 
@@ -480,14 +451,13 @@ def _parser() -> argparse.ArgumentParser:
                     "their base field.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def algebra_cmd(name, func, helptext, algebras, with_n=True):
+    def algebra_cmd(name, func, helptext, algebras):
         q = sub.add_parser(name, help=helptext)
         q.add_argument("algebra", choices=algebras)
-        if with_n:
-            q.add_argument("n", type=int, nargs="?", default=None,
-                           help="single order (default: a standard sweep)")
-            q.add_argument("--max", type=int, default=None,
-                           help="upper bound of the sweep when n is omitted")
+        q.add_argument("n", type=int, nargs="?", default=None,
+                       help="single order (default: a standard sweep)")
+        q.add_argument("--max", type=int, default=None,
+                       help="upper bound of the sweep when n is omitted")
         q.add_argument("--output", choices=("text", "json"), default="text")
         q.set_defaults(func=func)
         return q
@@ -498,16 +468,14 @@ def _parser() -> argparse.ArgumentParser:
     algebra_cmd("validate", cmd_validate,
                 "run the Hopf axiom checks on built-in algebras",
                 all_algebras)
-    q = algebra_cmd("actions", cmd_actions,
-                    "list and verify the partial-action families",
-                    all_algebras)
-    q.add_argument("--paper-examples", action="store_true",
-                   help="also diff the embedded reference tables")
-    q = algebra_cmd("coactions", cmd_coactions,
-                    "list and verify the partial-coaction families",
-                    self_dual)
-    q.add_argument("--paper-examples", action="store_true",
-                   help="also diff the embedded reference tables")
+    for kind, algebras in (("action", all_algebras),
+                           ("coaction", self_dual)):
+        q = algebra_cmd(kind + "s", cmd_families,
+                        "list and verify the partial-%s families" % kind,
+                        algebras)
+        q.add_argument("--paper-examples", action="store_true",
+                       help="also diff the embedded reference tables")
+        q.set_defaults(kind=kind)
     algebra_cmd("classify", cmd_classify,
                 "re-derive the action families from the axioms",
                 all_algebras)

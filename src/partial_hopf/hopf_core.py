@@ -216,10 +216,10 @@ class CheckFailure(namedtuple("CheckFailure", "check where lhs rhs")):
 class Report:
     __slots__ = ("subject", "checks_run", "failures")
 
-    def __init__(self, subject: str, checks_run: int = 0, failures=None):
+    def __init__(self, subject: str):
         self.subject = subject
-        self.checks_run = checks_run
-        self.failures = [] if failures is None else failures
+        self.checks_run = 0
+        self.failures = []
 
     @property
     def ok(self) -> bool:

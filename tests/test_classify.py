@@ -229,7 +229,7 @@ def test_constant_derived_constraint_is_a_contradiction():
     branch before any instance is evaluated."""
     H = group_algebra_cyclic(2)
     values = [ParamPoly.var(H.order, "u%d" % i) for i in range(H.dim)]
-    st = classify._State(values, [(0, 0)], [ParamPoly.one(H.order)])
+    st = classify._State(values, [(0, 0)], [ParamPoly.one(H.order)], [], "")
     assert classify._propagate(H, st) == ("contradiction",
                                           "derived constraint 1")
 

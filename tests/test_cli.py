@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from partial_hopf import (
-    classify, cli, exact_arith, families, qcomb, reference_tables,
+    classify, cli, duality, exact_arith, families, qcomb, reference_tables,
 )
 from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
@@ -20,9 +20,7 @@ from partial_hopf.algebras import (
 from partial_hopf.classify import (
     BranchLimitExceeded, ClassificationError, NonCyclicGrouplikes,
 )
-from partial_hopf.cli import (
-    _identity_verdict, identity_sweep_items, main, run_identity_sweep,
-)
+from partial_hopf.cli import identity_verdicts, main, run_identity_sweep
 from partial_hopf.exact_arith import divisors
 from partial_hopf.families import (
     taft_action_families, taft_coaction_families, verify_partial_action,
@@ -275,6 +273,66 @@ def test_duality_json(capsys):
     assert sum(k.startswith("transport") for k in kinds) == 2
 
 
+def _pair_names(algebra, n):
+    """The (action, coaction) names the self-duality pairs: the indicator
+    of the subgroup of index k (generated by g^k) with the average over
+    the subgroup of order k (generated by g^(n/k)), the counit with the
+    global coaction, and the parametric families with each other."""
+    if algebra == "nichols":
+        return [("counit", "global"), ("parametric", "parametric")]
+    names = [("counit", "global")]
+    names += [("subgroup<g^%d>" % k, "subgroup<g^%d>" % (n // k))
+              for k in divisors(n)[1:-1]]
+    return names + [("parametric", "parametric")]
+
+
+@pytest.mark.parametrize("algebra,orders", [
+    ("taft", range(2, 13)), ("nichols", range(2, 10))])
+def test_transport_pairs_follow_the_listings(algebra, orders):
+    """Beyond the default sweeps: every pair the listing-order rule makes
+    is one that transport along H* -> H carries over, value for value."""
+    for n in orders:
+        inv = getattr(duality, algebra + "_from_dual")(n)
+        pairs = list(cli._transport_pairs(algebra, n))
+        assert [(a.name, c.name) for a, c in pairs] == _pair_names(algebra, n)
+        for act, coact in pairs:
+            assert duality.transport(act, inv).values == coact.values, (
+                n, act.name)
+
+
+def test_handlers_resolve_layer_functions_when_they_run(monkeypatch,
+                                                        capsys):
+    """A handler reads each layer function off its module when it runs, so
+    a counter bound onto the module after import sees every call, as the
+    benchmark's tracer needs; a handler that captured a function at import
+    would leave its counter at 0."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((qcomb, "check_pascal"), (qcomb, "check_identity"),
+                         (duality, "check_character_sum"),
+                         (families, "taft_action_families"),
+                         (duality, "taft_from_dual")):
+        count(module, name)
+    counts, failures = run_identity_sweep(1, 2)
+    assert failures == []
+    assert calls["check_pascal"] + calls["check_identity"] + calls[
+        "check_character_sum"] == sum(t for t, _ in counts.values())
+    assert main(["duality", "taft", "2"]) == 0
+    capsys.readouterr()
+    assert calls["taft_action_families"] == calls["taft_from_dual"] == 1
+    assert all(calls[name] for name in ("check_pascal", "check_identity",
+                                        "check_character_sum"))
+
+
 def test_identities_small_sweep(capsys):
     code, out, _ = run(capsys, "identities", "--max", "2", "--n", "3",
                        "--output", "json")
@@ -290,14 +348,18 @@ def test_identities_small_sweep(capsys):
 
 
 def test_identity_sweep_default_size():
-    assert len(identity_sweep_items(6, 8)) == 25555
+    assert sum(1 for _ in identity_verdicts(6, 8)) == 25555
 
 
 def tally_every_item(max_index, root_cap):
-    """The sweep's result by checking every item under every q spec."""
+    """The sweep's result by checking every q instance under every q spec,
+    then every character sum."""
     counts, failures = {}, []
-    for item in identity_sweep_items(max_index, root_cap):
-        v = _identity_verdict(item)
+    verdicts = [check(*args, q) for q in cli._sweep_qs(root_cap)
+                for check, args in cli._q_instances(max_index)]
+    verdicts += [duality.check_character_sum(m, k, m // k)
+                 for m in range(1, 2 * max_index + 1) for k in divisors(m)]
+    for v in verdicts:
         total, bad = counts.get(v.name, (0, 0))
         counts[v.name] = (total + 1, bad + (not v.ok))
         if not v.ok:
@@ -354,7 +416,7 @@ def test_identity_sweep_reports_every_failure_of_a_wrong_binomial(
 
 def test_a_verdict_renders_its_rhs_only_when_the_sides_differ(
         wrong_binomial):
-    verdicts = [_identity_verdict(item) for item in identity_sweep_items(3, 3)]
+    verdicts = list(identity_verdicts(3, 3))
     failing = [v for v in verdicts if not v.ok]
     assert failing
     assert all(v.lhs != v.rhs for v in failing)
@@ -460,9 +522,9 @@ def test_a_q_spec_fails_only_where_the_generic_q_fails(request, binomial):
         request.getfixturevalue("wrong_binomial")
     generic, *specs = cli._sweep_qs(6)
     failing_at_generic = 0
-    for inst in cli._q_instances(5):
-        if _identity_verdict(inst + (generic,)).ok:
-            assert all(_identity_verdict(inst + (q,)).ok for q in specs), inst
+    for check, args in cli._q_instances(5):
+        if check(*args, generic).ok:
+            assert all(check(*args, q).ok for q in specs), args
         else:
             failing_at_generic += 1
     assert (failing_at_generic > 0) == (binomial == "wrong")

@@ -18,7 +18,7 @@ its term dict; ``classify_taft.json`` (orders 2-8) and
 ``classify_nichols.json`` (orders 2-5) were captured while the group-like
 support branch still enumerated every subset of G(H).
 ``identity_verdicts_n3_max3.txt`` holds ``str()`` of every verdict of
-``identity_sweep_items(3, 3)``, one a line, captured while the generic q
+``identity_verdicts(3, 3)``, one a line, captured while the generic q
 was a separate Laurent-polynomial class, except its ``character_sum``
 lines, regenerated when a character sum's sides became g-vectors such as
 ``(1/2)*g^0 + (1/2)*g^1``; a passing verdict prints its rendered side
@@ -38,7 +38,7 @@ from unittest import mock
 
 import pytest
 
-from partial_hopf.cli import _identity_verdict, identity_sweep_items, main
+from partial_hopf.cli import identity_verdicts, main
 from partial_hopf.families import (
     nichols_action_families, nichols_coaction_families, taft_action_families,
     taft_coaction_families, taft_parametric_action, verify_partial_action,
@@ -93,7 +93,7 @@ def test_export_matches_golden(capsys, name):
 
 
 def test_identity_verdicts_match_golden():
-    got = [str(_identity_verdict(item)) for item in identity_sweep_items(3, 3)]
+    got = [str(v) for v in identity_verdicts(3, 3)]
     want = (GOLDEN / "identity_verdicts_n3_max3.txt").read_text().splitlines()
     assert len(got) == 2390
     assert got == want

@@ -30,7 +30,15 @@ from partial_hopf.classify import (
 )
 from partial_hopf.exact_arith import ParamPoly, divisors
 from partial_hopf.families import instance_residual
-from partial_hopf.hopf_core import validate_grouplikes
+from partial_hopf.hopf_core import validate_grouplikes, vec_mul
+
+
+def product_table(H, gs):
+    """table[a][b]: the index of v_a v_b among the group-likes, the first of
+    equal vectors.  ``_analyze_grouplikes`` has checked that each product
+    is one of them."""
+    G = gs.vectors
+    return [[G.index(vec_mul(H.mult, va, vb)) for vb in G] for va in G]
 
 
 def reference_audit(H, gs):
@@ -43,13 +51,14 @@ def reference_audit(H, gs):
             f = f + U[i] * c
         forms.append(f)
     m = len(gs.vectors)
+    table = product_table(H, gs)
     for a in range(m):
         for b in range(m):
             combo = ParamPoly.zero(H.order)
             for i, ca in gs.vectors[a].items():
                 for j, cb in gs.vectors[b].items():
                     combo = combo + instance_residual(H, U, i, j) * (ca * cb)
-            want = forms[a] * forms[b] - forms[a] * forms[gs.table[a][b]]
+            want = forms[a] * forms[b] - forms[a] * forms[table[a][b]]
             if combo != want:
                 raise ClassificationError(
                     "reference audit failed at (%d, %d)" % (a, b))
@@ -79,12 +88,13 @@ def closed_supports(H, gs):
     the product table, by enumerating all 2^m subsets."""
     m = len(gs.vectors)
     ident = gs.vectors.index({i: c for i, c in H.unit})
+    table = product_table(H, gs)
     closed = []
     for mask in range(1 << m):
         if not (mask >> ident) & 1:
             continue
         members = [a for a in range(m) if (mask >> a) & 1]
-        if all((mask >> gs.table[a][b]) & 1 for a in members for b in members):
+        if all((mask >> table[a][b]) & 1 for a in members for b in members):
             closed.append(mask)
     return closed
 
