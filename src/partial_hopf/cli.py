@@ -356,10 +356,12 @@ def identity_verdicts(max_index: int, root_cap: int):
     for q in _sweep_qs(root_cap):
         for check, args in instances:
             yield check(*args, q)
-    from .duality import check_character_sum
-    for m in range(1, 2 * max_index + 1):
-        for k in divisors(m):
-            yield check_character_sum(m, k, m // k)
+    if max_index:
+        # only a sweep with character sums loads their layer
+        from .duality import check_character_sum
+        for m in range(1, 2 * max_index + 1):
+            for k in divisors(m):
+                yield check_character_sum(m, k, m // k)
 
 
 def run_identity_sweep(max_index: int, root_cap: int):

@@ -35,6 +35,13 @@ class ExprError(ValueError):
     """Malformed or unsupported coefficient expression."""
 
 
+def quote(value) -> str:
+    """repr(value) for an error message, cut to its first 60 characters: a
+    refusal names the value without repeating a hostile one whole."""
+    r = repr(value)
+    return r if len(r) <= 60 else "%s... (%d characters)" % (r[:60], len(r))
+
+
 def _literal(tok: str) -> int:
     if len(tok) > MAX_LITERAL_DIGITS:
         raise ExprError("integer literal of %d digits exceeds %d"
@@ -48,7 +55,8 @@ def _tokenize(s: str) -> list[str]:
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            raise ExprError("bad character %r in %r" % (s[pos], s))
+            raise ExprError("bad character %s in %s"
+                            % (quote(s[pos]), quote(s)))
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -108,7 +116,7 @@ class _Parser:
     def expect(self, tok):
         got = self.take()
         if got != tok:
-            raise ExprError("expected %r, got %r" % (tok, got))
+            raise ExprError("expected %s, got %s" % (quote(tok), quote(got)))
 
     def parse_expr(self) -> ParamPoly:
         value = self.parse_term()
@@ -151,7 +159,7 @@ class _Parser:
             sign = -1
         tok = self.take()
         if tok is None or not tok.isdigit():
-            raise ExprError("expected integer exponent, got %r" % (tok,))
+            raise ExprError("expected integer exponent, got %s" % quote(tok))
         exp = _literal(tok)
         if exp > MAX_EXPONENT:
             raise ExprError("exponent %d exceeds %d" % (exp, MAX_EXPONENT))
@@ -176,9 +184,9 @@ class _Parser:
             return ParamPoly.const(self.order, zeta_pow(self.order, 1))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             if self.params is not None and tok not in self.params:
-                raise ExprError("unknown parameter %r" % tok)
+                raise ExprError("unknown parameter %s" % quote(tok))
             return ParamPoly.var(self.order, tok)
-        raise ExprError("unexpected token %r" % tok)
+        raise ExprError("unexpected token %s" % quote(tok))
 
 
 def parse_poly(s: str, order: int, root_symbol: str = "z",
@@ -191,7 +199,7 @@ def parse_poly(s: str, order: int, root_symbol: str = "z",
     parser = _Parser(_tokenize(s), order, root_symbol, params)
     value = parser.parse_expr()
     if parser.peek() is not None:
-        raise ExprError("trailing tokens in %r" % s)
+        raise ExprError("trailing tokens in %s" % quote(s))
     return value
 
 

@@ -32,7 +32,8 @@ where it expects one, and parses each distinct coefficient string once.
 Those sweeps, the unit and counit laws, coassociativity and
 ``validate_antipode`` loop over the structure rows; the products that
 build whole vectors, in this module and in the others, run on one small
-sparse kernel over {index: scalar} dicts.  An element of H (x) H is such a
+sparse kernel over {index: scalar} dicts (no builder makes one: the
+built-in algebras are stated in closed form).  An element of H (x) H is such a
 dict keyed by basis pairs, with no class of its own, and every linear form
 on a vector given by its terms (lam(1), eps(z), lam(e_b e_y), the counit
 sums) is one ``_pair``.  Every check in
@@ -151,27 +152,6 @@ def vec_mul(mult: dict, u: dict, v: dict) -> dict:
                 for k, c in row:
                     prev = out.get(k)
                     out[k] = ab * c if prev is None else prev + ab * c
-    return {k: s for k, s in out.items() if s}
-
-
-def tensor_mul(mult: dict, s: dict, t: dict) -> dict:
-    """The product s t in H (x) H: (a (x) b)(c (x) d) = ac (x) bd."""
-    out: dict = {}
-    for (a1, b1), c1 in s.items():
-        for (a2, b2), c2 in t.items():
-            ra = mult.get((a1, a2))
-            if not ra:
-                continue
-            rb = mult.get((b1, b2))
-            if not rb:
-                continue
-            c12 = c1 * c2
-            for a, ca in ra:
-                for b, cb in rb:
-                    key = (a, b)
-                    add = c12 * (ca * cb)
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
     return {k: s for k, s in out.items() if s}
 
 
@@ -729,13 +709,17 @@ def to_json_dict(H: HopfData) -> dict:
 
 
 def _json(v, kind: type, what: str):
-    """A JSON field, row or entry of type ``kind`` (int, list or str); any
-    other JSON type is refused rather than converted: a float, bool or
-    string is not an integer, a string or object is not read entry by entry
-    as an array, and a number, null, array or object is not a string."""
+    """A JSON document, field, row or entry of type ``kind`` (dict, int,
+    list or str); any other JSON type is refused rather than converted: a
+    float, bool or string is not an integer, a string or object is not read
+    entry by entry as an array, and a number, null, array or object is not
+    a string.  The refusal quotes the value through ``expr.quote``, which
+    the importer has loaded already."""
     if type(v) is not kind:
-        noun = {int: "an integer", list: "an array", str: "a string"}[kind]
-        raise HopfFormatError("%s must be %s, not %r" % (what, noun, v))
+        from .expr import quote
+        noun = {dict: "an object", int: "an integer", list: "an array",
+                str: "a string"}[kind]
+        raise HopfFormatError("%s must be %s, not %s" % (what, noun, quote(v)))
     return v
 
 
@@ -748,15 +732,16 @@ def from_json_dict(data: dict) -> HopfData:
     the axioms fail on well-formed data.
     """
     # the only caller of the parser here, so no other command loads it
-    from .expr import parse_scalar
+    from .expr import parse_scalar, quote
 
     try:
+        data = _json(data, dict, "algebra description")
         dim = _json(data["dim"], int, "dim")
         order = _json(data["order"], int, "order")
         if dim > MAX_DIM or order > MAX_ORDER:
             raise HopfFormatError(
-                "dim %d / order %d beyond the import limits %d / %d"
-                % (dim, order, MAX_DIM, MAX_ORDER))
+                "dim %s / order %s beyond the import limits %d / %d"
+                % (quote(dim), quote(order), MAX_DIM, MAX_ORDER))
         basis = tuple(_json(b, str, "basis label")
                       for b in _json(data["basis"], list, "basis"))
         if len(basis) != dim or dim < 1 or order < 1:
@@ -778,7 +763,8 @@ def from_json_dict(data: dict) -> HopfData:
         def index(v, what):
             i = _json(v, int, what + " index")
             if not 0 <= i < dim:
-                raise HopfFormatError("%s index %d out of range" % (what, i))
+                raise HopfFormatError("%s index %s out of range"
+                                      % (what, quote(i)))
             return i
 
         def rows(v, what):

@@ -1,4 +1,6 @@
-"""Built-in Hopf algebras: relations, comultiplication, metadata."""
+"""Built-in Hopf algebras: relations, comultiplication, metadata, and the
+closed forms of Delta and S against the generator extensions they
+replaced."""
 import pytest
 
 from partial_hopf.exact_arith import CycNumber, zeta_pow
@@ -6,9 +8,9 @@ from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     nichols_dual, taft, taft_dual,
 )
-from partial_hopf.hopf_core import (
-    tensor_mul, validate_all, vec_map, vec_mul,
-)
+from partial_hopf.hopf_core import validate_all, vec_map, vec_mul
+
+from product_refs import extend, ref_tensor_mul
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -99,7 +101,7 @@ def test_taft_comult_is_power_of_primitive_row(n):
     acc = vec_map(H.comult, H.unit)
     for j in range(n):
         assert vec_map(H.comult, [(j, one)]) == acc  # index (0, j) = j
-        acc = tensor_mul(H.mult, acc, dx)
+        acc = ref_tensor_mul(H.mult, acc, dx)
 
 
 def test_nichols_delta_of_x1x2():
@@ -173,3 +175,39 @@ def test_taft_metadata():
 def test_nichols_degrees_are_popcounts():
     H = nichols(4)
     assert H.basis_degrees == tuple(bin(m >> 1).count("1") for m in range(16))
+
+
+# -- the closed forms against the products they replaced ----------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_taft_antipode_is_the_anti_homomorphic_extension(n):
+    """S(g^i x^j) = S(x)^j S(g)^i, from S(g) = g^(n-1), S(x) = -g^(n-1) x."""
+    H = taft(n)
+    one = CycNumber.one(n)
+    sg = {(n - 1) * n: one}
+    sx = {(n - 1) * n + 1: -one}
+    mul = lambda u, v: vec_mul(H.mult, u, v)
+    for i in range(n):
+        for j in range(n):
+            assert H.antipode[i * n + j] == extend(
+                mul, dict(H.unit), [sx] * j + [sg] * i), (i, j)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_nichols_delta_and_antipode_are_the_generator_extensions(n):
+    """Delta(g^e x_S) = Delta(g)^e Delta(x_s1) ... Delta(x_sk), from
+    Delta(g) = g (x) g and Delta(x_i) = x_i (x) 1 + g (x) x_i, and
+    S(g^e x_S) = S(x_sk) ... S(x_s1) S(g)^e, from S(g) = g and
+    S(x_i) = -g x_i, with s1 < ... < sk the x-bits of the index."""
+    H = nichols(n)
+    one = CycNumber.one(2)
+    tmul = lambda s, t: ref_tensor_mul(H.mult, s, t)
+    mul = lambda u, v: vec_mul(H.mult, u, v)
+    for m in range(H.dim):
+        xs = [i for i in range(1, n) if m >> i & 1]
+        deltas = [{(1 << i, 0): one, (1, 1 << i): one} for i in xs]
+        assert H.comult[m] == extend(
+            tmul, {(0, 0): one}, [{(1, 1): one}] * (m & 1) + deltas), m
+        antipodes = [{(1 << i) | 1: -one} for i in reversed(xs)]
+        assert H.antipode[m] == extend(
+            mul, {0: one}, antipodes + [{1: one}] * (m & 1)), m

@@ -782,6 +782,51 @@ def test_import_refuses_non_integer_numbers(tmp_path, capsys, edit, value):
     assert "must be an integer" in err and "Traceback" not in err
 
 
+def _set_counit(text):
+    def edit(doc):
+        doc["counit"][1] = text
+    return edit
+
+
+def _replace_document(value):
+    def edit(doc):
+        return value
+    return edit
+
+
+_LONG = "y" * 100000
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_set("dim", "x" * 10 ** 6), "dim must be an integer, not 'xxx"),
+    (_set("basis", "x" * 10 ** 6), "basis must be an array, not 'xxx"),
+    (_set_counit("a" + _LONG), "unknown parameter 'ayyy"),
+    (_set_counit("$" + _LONG), "bad character '$' in '$yyy"),
+    (_set_counit("1 " + _LONG), "trailing tokens in '1 yyy"),
+    (_set_counit("*" + _LONG), "unexpected token '*'"),
+    (_set_counit("(1 " + _LONG), "expected ')', got 'yyy"),
+    (_set_counit("1^" + _LONG), "expected integer exponent, got 'yyy"),
+    (_replace_document([1, 2, 3]),
+     "algebra description must be an object, not [1, 2, 3]"),
+    (_replace_document("x" * 10 ** 5),
+     "algebra description must be an object, not 'xxx"),
+], ids=["dim_string", "basis_string", "unknown_parameter", "bad_character",
+        "trailing_tokens", "unexpected_token", "expected_paren",
+        "expected_exponent", "top_level_array", "top_level_string"])
+def test_import_refusal_quotes_a_bounded_prefix(tmp_path, capsys, edit,
+                                                named):
+    """A refusal names the offending field and quotes at most about 60
+    characters of its value: a megabyte value is not repeated on stderr."""
+    doc = to_json_dict(taft(2))
+    doc = edit(doc) or doc
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300 and named in err
+
+
 def test_costly_power_at_a_large_order_is_refused_at_once(tmp_path,
                                                          capsys):
     doc = to_json_dict(taft(2))
@@ -978,6 +1023,8 @@ START_UP_LAYERS = ["algebras", "exact_arith", "hopf_core", "qcomb"]
                  id="duality"),
     pytest.param(("identities", "--n", "1", "--max", "1"),
                  ["duality", "families"], id="identities"),
+    pytest.param(("identities", "--n", "1", "--max", "0"), [],
+                 id="identities-no-character-sums"),
 ])
 def test_a_process_loads_only_its_layers(argv, layers):
     """A fresh process loads the start-up layers and its subcommand's own,

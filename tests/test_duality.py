@@ -6,7 +6,7 @@ import pytest
 
 from partial_hopf.exact_arith import CycNumber, divisors
 from partial_hopf.algebras import group_algebra_cyclic, nichols, taft
-from partial_hopf.hopf_core import Report, dense, sparse, validate_all
+from partial_hopf.hopf_core import Report, dense, sparse, validate_all, vec_mul
 from partial_hopf.families import (
     nichols_counit_action, nichols_global_coaction, nichols_parametric_action,
     nichols_parametric_coaction, taft_parametric_action,
@@ -21,6 +21,8 @@ from partial_hopf.duality import (
 )
 from partial_hopf.exact_arith import cyc_invert, zeta_pow
 from partial_hopf.qcomb import q_factorial
+
+from product_refs import extend
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +41,22 @@ def test_nichols_dual_validates(n):
 def test_taft_iso_is_hopf_morphism(n):
     assert verify_hopf_morphism(taft_to_dual(n)).ok
     assert verify_hopf_morphism(taft_from_dual(n)).ok
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_nichols_to_dual_is_the_multiplicative_extension(n):
+    """Each row of the closed form is the product in H* of the images of
+    the factors of g^e x_S, from g |-> 1* - g* and x_i |-> x_i* - (g x_i)*,
+    starting from the unit 1* + g* of H*."""
+    phi = nichols_to_dual(n)
+    one = CycNumber.one(2)
+    mul = lambda u, v: vec_mul(phi.target.mult, u, v)
+    g_img = [{0: one, 1: -one}]
+    for m in range(phi.source.dim):
+        x_imgs = [{1 << i: one, (1 << i) | 1: -one}
+                  for i in range(1, n) if m >> i & 1]
+        assert phi.rows[m] == extend(mul, {0: one, 1: one},
+                                     g_img * (m & 1) + x_imgs), m
 
 
 def taft_from_dual_closed_form(n, i, j):

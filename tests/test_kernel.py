@@ -27,8 +27,7 @@ from partial_hopf.families import (
     taft_parametric_coaction, verify_partial_coaction,
 )
 from partial_hopf.hopf_core import (
-    HopfData, _pair, dense, dual_hopf, sparse, tensor_map, tensor_mul,
-    vec_map, vec_mul,
+    HopfData, _pair, dense, dual_hopf, sparse, tensor_map, vec_map, vec_mul,
 )
 
 from fraction_scalars import cyc
@@ -72,28 +71,6 @@ def ref_vec_product(mult, u, v):
                 else:
                     out[k] = s
     return out
-
-
-def ref_tensor_mul(mult, t1, t2):
-    # algebras._tensor_mul, the loop of the deleted TensorSquare.__mul__;
-    # in src/, only the nichols builder still multiplies in H (x) H
-    out = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            ra = mult.get((a1, a2))
-            if not ra:
-                continue
-            rb = mult.get((b1, b2))
-            if not rb:
-                continue
-            c12 = c1 * c2
-            for a, ca in ra:
-                for b, cb in rb:
-                    key = (a, b)
-                    add = c12 * (ca * cb)
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def ref_multiply(mult, dim, zero, a, b):              # hopf_core.multiply
@@ -278,11 +255,6 @@ def _dense(rng, order, dim, poly):
                  for _ in range(dim))
 
 
-def _tensor(rng, order, dim, poly):
-    return {(rng.randrange(dim), rng.randrange(dim)):
-            _scalar(rng, order, poly) for _ in range(rng.randint(1, 4))}
-
-
 def _case(seed, order, poly):
     rng = random.Random(seed)
     dim = rng.randint(1, 4)
@@ -318,18 +290,6 @@ def test_vec_mul(seed, order, poly):
     got, want = same_work(lambda: vec_mul(mult, u, v),
                           lambda: ref_multiply(mult, dim, zero, a, b))
     assert dense(got, dim, zero) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(**CASES)
-def test_tensor_mul(seed, order, poly):
-    rng, dim, _ = _case(seed, order, poly)
-    mult = _mult(rng, order, dim)
-    s, t = _tensor(rng, order, dim, poly), _tensor(rng, order, dim, poly)
-    got, want = same_work(lambda: tensor_mul(mult, s, t),
-                          lambda: ref_tensor_mul(mult, s, t))
-    assert got == want
-    assert all(got.values())
 
 
 @settings(max_examples=150, deadline=None)
