@@ -216,7 +216,7 @@ def group_algebra_cyclic(n: int) -> HopfData:
 def _character_dual(H: HopfData) -> HopfData:
     """The dual of H with its declared group-likes: the characters
     chi_k(g^i) = zeta_m^(ik), k < m = H.order, on the declared group-likes
-    g^0 .. g^(m-1) of H, each zero on every other basis vector."""
+    g^0 .. g^(m-1) of H, zero elsewhere, on the tables of ``dual_hopf(H)``."""
     m = H.order
     zero = CycNumber.zero(m)
     characters = []
@@ -225,7 +225,7 @@ def _character_dual(H: HopfData) -> HopfData:
         for i, b in enumerate(H.grouplikes):
             vec[b] = zeta_pow(m, i * k)
         characters.append(tuple(vec))
-    return dual_hopf(H, grouplike_vectors=tuple(characters))
+    return dual_hopf(H)._replace(grouplike_vectors=tuple(characters))
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,6 @@ from .hopf_core import (
     Report, _compare, _pair, _transpose, dense, tensor_map, vec_map, vec_mul,
 )
 from .algebras import nichols, nichols_dual, taft, taft_dual
-from .families import Family
 from .qcomb import Verdict, q_factorial
 
 
@@ -213,15 +212,16 @@ def nichols_from_dual(n: int) -> HopfMorphism:
 # transport
 # ---------------------------------------------------------------------------
 
-def transport(fam: Family, phi: HopfMorphism) -> Family:
+def transport(fam, phi: HopfMorphism):
     """Partial action lam on H to the partial coaction phi(lam) on H,
-    through an isomorphism phi: H* -> H."""
+    through an isomorphism phi: H* -> H: the ``Family`` ``fam`` with the
+    values phi(lam) and no trace."""
     H = fam.algebra
     if phi.target is not H:
         raise ValueError("transport needs a map onto %s, got one onto %s"
                          % (H.name, phi.target.name))
     z = phi.apply(fam.values, ParamPoly.zero(H.order))
-    return Family(fam.name, H, fam.params, z)
+    return fam._replace(values=z, trace=())
 
 
 def check_character_sum(n: int, k: int, l: int) -> Verdict:

@@ -28,7 +28,7 @@ MAX_LITERAL_DIGITS = 256       # digits of an integer literal or exponent
 MAX_NESTING = 100              # depth of nested parentheses
 MAX_POWER_BITS = 1 << 16       # estimated bits of a power, all coordinates
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+_TOKEN = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])\s*")
 
 
 class ExprError(ValueError):
@@ -50,8 +50,9 @@ def _literal(tok: str) -> int:
 
 
 def _tokenize(s: str) -> list[str]:
+    """The tokens of s, skipping the whitespace before and after each."""
     out = []
-    pos = 0
+    pos = len(s) - len(s.lstrip())
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:

@@ -62,9 +62,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exact_arith import (
-    CycNumber, ParamPoly, cyc_invert, divisors, zeta_pow,
-)
+from .exact_arith import CycNumber, ParamPoly, divisors, zeta_pow
 from .hopf_core import (
     HopfData, Report, _cdict_add, _compare, _pair, dual_hopf, sparse,
     vec_mul,
@@ -72,7 +70,7 @@ from .hopf_core import (
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
-from .qcomb import q_binomial, q_factorial
+from .qcomb import q_binomial
 
 
 class NotADivisor(ValueError):
@@ -237,20 +235,16 @@ def _on_basis(H: HopfData, name: str, indices, value) -> Family:
 
 
 def taft_parametric_action(n: int) -> Family:
-    """The one-parameter action family on taft(n).
-
-    Nonzero values: lam(g^{n-i mod n} x^j) = q^(i(i+1)/2) (j i)_q (-1)^i a^j.
-    """
+    """The one-parameter action family on taft(n): lam(g^{n-i mod n} x^j)
+    = (-1)^i q^(i(i+1)/2) (j i)_q a^j for i <= j, zero for i > j, where
+    the q-binomial vanishes (below the order n it is a unit for i <= j)."""
     H = taft(n)
     q = zeta_pow(n, 1)
     coords = [ParamPoly.zero(n)] * H.dim
     for i in range(n):
         g_exp = (n - i) % n
-        for j in range(n):
-            c = q_binomial(j, i, q)
-            if c.is_zero():
-                continue
-            c = c * q ** (i * (i + 1) // 2)
+        for j in range(i, n):
+            c = q_binomial(j, i, q) * zeta_pow(n, i * (i + 1) // 2)
             if i % 2:
                 c = -c
             coords[g_exp * n + j] = ParamPoly.var(n, "a", j) * c
@@ -266,27 +260,24 @@ def taft_subgroup_action(n: int, k: int) -> Family:
 
 
 def taft_parametric_coaction(n: int) -> Family:
-    """The one-parameter coaction family on taft(n), from the closed-form
-    double sum with inverse q-factorial coefficients."""
+    """The one-parameter coaction family on taft(n): z(g^k) = 1/n, and
+    z(g^k x^j) = (1/n) (q - 1)^j (k+j-1 j)_q a^j for 1 <= j < n and
+    1 <= k <= n - j, zero elsewhere.  Gauss's q-binomial theorem turns the
+    double sum (1/n) q^(j(j-1)/2 + kj) sum_(i<=j) (-1)^i q^(i(i+1)/2 -
+    i(j+k)) / ((j-i)_q! (i)_q!) into (1/n) prod_(k<=m<k+j) (q^m - 1) /
+    (j)_q!, whose factor q^0 - 1 (k = 0) or q^n - 1 (k > n - j) is zero."""
     H = taft(n)
     q = zeta_pow(n, 1)
     inv_n = CycNumber.from_rational(n, 1, n)
     coords = [ParamPoly.zero(n)] * H.dim
     for k in range(n):
         coords[k * n] = ParamPoly.const(n, inv_n)
-    for k in range(n):
-        for j in range(1, n):
-            inner = CycNumber.zero(n)
-            for i in range(j + 1):
-                fact = q_factorial(j - i, q) * q_factorial(i, q)
-                assert not fact.is_zero(), "q-factorials below order are units"
-                term = (zeta_pow(n, i * (i + 1) // 2 - i * (j + k))
-                        * cyc_invert(fact))
-                inner = inner + (-term if i % 2 else term)
-            c = inv_n * zeta_pow(n, j * (j - 1) // 2 + k * j) * inner
-            if c.is_zero():
-                continue
-            coords[k * n + j] = ParamPoly.var(n, "a", j) * c
+    scale = inv_n
+    for j in range(1, n):
+        scale = scale * (q - 1)
+        for k in range(1, n - j + 1):
+            coords[k * n + j] = (ParamPoly.var(n, "a", j)
+                                 * (scale * q_binomial(k + j - 1, j, q)))
     return Family("parametric", H, ("a",), tuple(coords))
 
 

@@ -615,7 +615,7 @@ def _transpose(rows) -> dict:
 
 
 @lru_cache(maxsize=None)
-def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
+def dual_hopf(H: HopfData) -> HopfData:
     """The dual Hopf algebra on the dual basis, by transposing m, Delta, S.
 
     Built once per algebra: ``HopfData`` hashes by identity, so the cache
@@ -625,8 +625,8 @@ def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
     product table is the convolution product of H*; the coproduct is the
     transpose of mult, each row sorted by its (j, k) key; unit is the
     counit, counit is evaluation at 1.  Group-like metadata cannot be
-    inferred in general, so the caller declares it: ``grouplike_vectors``
-    are coordinate rows in the dual basis (algebra characters of H).
+    inferred in general, so none is declared; a caller that knows characters
+    of H adds them by ``_replace``, sharing every table of this record.
     """
     dim = H.dim
     comult = _transpose(H.mult.items())
@@ -642,9 +642,6 @@ def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
                      for i in range(dim)),
         counit=dense(dict(H.unit), dim, H.zero_scalar()),
         antipode=tuple(antipode.get(i, ()) for i in range(dim)),
-        grouplikes=(),
-        grouplike_vectors=grouplike_vectors,
-        skew_primitives=(),
         basis_degrees=H.basis_degrees,
     )
 
@@ -656,8 +653,10 @@ def dual_hopf(H: HopfData, grouplike_vectors: tuple = ()) -> HopfData:
 # Largest algebra, imported or built in: validation sweeps grow with dim^3,
 # and every scalar carries phi(order) coordinates.  The largest built-in
 # orders within the limits are taft 22, nichols 9 and cyclic group 512.
+# Reports echo names and labels; the longest built-in is gx1x2x3x4x5x6x7x8.
 MAX_DIM = 512
 MAX_ORDER = 1024
+MAX_LABEL = 64
 
 
 class HopfFormatError(ValueError):
@@ -726,10 +725,10 @@ def _json(v, kind: type, what: str):
 def from_json_dict(data: dict) -> HopfData:
     """Parse and fully validate an algebra description.
 
-    Raises HopfFormatError for structural problems, for a dim above MAX_DIM
-    or an order above MAX_ORDER, and for a coefficient the expression
-    parser refuses (see the limits in ``expr``); HopfValidationError when
-    the axioms fail on well-formed data.
+    Raises HopfFormatError for structural problems, for a dim, order, name
+    or basis label beyond MAX_DIM, MAX_ORDER or MAX_LABEL (characters), and
+    for a coefficient the expression parser refuses (see the limits in
+    ``expr``); HopfValidationError when the axioms fail on well-formed data.
     """
     # the only caller of the parser here, so no other command loads it
     from .expr import parse_scalar, quote
@@ -742,7 +741,14 @@ def from_json_dict(data: dict) -> HopfData:
             raise HopfFormatError(
                 "dim %s / order %s beyond the import limits %d / %d"
                 % (quote(dim), quote(order), MAX_DIM, MAX_ORDER))
-        basis = tuple(_json(b, str, "basis label")
+
+        def label(v, what):
+            if len(_json(v, str, what)) > MAX_LABEL:
+                raise HopfFormatError("%s longer than %d characters: %s"
+                                      % (what, MAX_LABEL, quote(v)))
+            return v
+
+        basis = tuple(label(b, "basis label")
                       for b in _json(data["basis"], list, "basis"))
         if len(basis) != dim or dim < 1 or order < 1:
             raise HopfFormatError("basis length / dim / order inconsistent")
@@ -813,7 +819,7 @@ def from_json_dict(data: dict) -> HopfData:
                                        "basis_degrees"))
         if degrees and len(degrees) != dim:
             raise HopfFormatError("basis_degrees length mismatch")
-        name = _json(data.get("name", "imported"), str, "name")
+        name = label(data.get("name", "imported"), "name")
     except HopfFormatError:
         raise
     except Exception as exc:

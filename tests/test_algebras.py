@@ -8,7 +8,7 @@ from partial_hopf.algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     nichols_dual, taft, taft_dual,
 )
-from partial_hopf.hopf_core import validate_all, vec_map, vec_mul
+from partial_hopf.hopf_core import dual_hopf, validate_all, vec_map, vec_mul
 
 from product_refs import extend, ref_tensor_mul
 
@@ -55,6 +55,21 @@ def test_dual_characters_in_k_order(dual, base, n):
     if base is nichols:
         sign = [CycNumber.from_rational(2, s) for s in (1, -1)]
         assert [row[1] for row in D.grouplike_vectors] == sign
+
+
+@pytest.mark.parametrize("dual,base", [
+    (taft_dual, taft), (nichols_dual, nichols),
+    (dual_group_algebra_cyclic, group_algebra_cyclic)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_character_dual_shares_the_one_transposition(dual, base, n):
+    """Each algebra is transposed once: the dual with declared characters
+    is ``dual_hopf(H)`` with its group-like vectors replaced, so both
+    records hold the same tables."""
+    D, bare = dual(n), dual_hopf(base(n))
+    assert D.mult is bare.mult
+    assert all(getattr(D, f) is getattr(bare, f)
+               for f in ("comult", "antipode", "unit", "counit", "basis"))
+    assert bare.grouplike_vectors == () and D.grouplike_vectors
 
 
 def test_bad_orders():

@@ -810,9 +810,13 @@ _LONG = "y" * 100000
      "algebra description must be an object, not [1, 2, 3]"),
     (_replace_document("x" * 10 ** 5),
      "algebra description must be an object, not 'xxx"),
+    (_set("name", "n" * 10 ** 6), "name longer than 64 characters: 'nnn"),
+    (_set("basis", ["1", _LONG, "x", "gx"]),
+     "basis label longer than 64 characters: 'yyy"),
 ], ids=["dim_string", "basis_string", "unknown_parameter", "bad_character",
         "trailing_tokens", "unexpected_token", "expected_paren",
-        "expected_exponent", "top_level_array", "top_level_string"])
+        "expected_exponent", "top_level_array", "top_level_string",
+        "long_name", "long_basis_label"])
 def test_import_refusal_quotes_a_bounded_prefix(tmp_path, capsys, edit,
                                                 named):
     """A refusal names the offending field and quotes at most about 60
@@ -1022,7 +1026,7 @@ START_UP_LAYERS = ["algebras", "exact_arith", "hopf_core", "qcomb"]
     pytest.param(("duality", "taft", "2"), ["duality", "families"],
                  id="duality"),
     pytest.param(("identities", "--n", "1", "--max", "1"),
-                 ["duality", "families"], id="identities"),
+                 ["duality"], id="identities"),
     pytest.param(("identities", "--n", "1", "--max", "0"), [],
                  id="identities-no-character-sums"),
 ])

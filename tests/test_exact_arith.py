@@ -555,6 +555,10 @@ def test_parse_scalar_examples():
     assert parse_scalar("(1+z)/2", 4) == (1 + zeta_pow(4, 1)) / 2
     assert parse_scalar("z^-1", 4) == zeta_pow(4, -1)
     assert fraction(parse_scalar("3/4", 1)) == Fraction(3, 4)
+    # whitespace before, between and after the tokens is skipped
+    assert parse_scalar("1 ", 4) == 1
+    assert parse_scalar("1 + z ", 4) == parse_scalar(" 1+z", 4) == (
+        1 + zeta_pow(4, 1))
 
 
 def test_parse_rejects_unknown_parameter():
@@ -580,6 +584,8 @@ def test_parse_rejects_junk():
     ("*2", "unexpected token '*'"),
     ("1 2", "trailing tokens in '1 2'"),
     ("(1)z", "trailing tokens in '(1)z'"),
+    ("1 $y", "bad character '$' in '1 $y'"),
+    ("1 + z \t.", "bad character '.' in '1 + z \\t.'"),
 ])
 def test_parse_scalar_refusals(text, message):
     with pytest.raises(ExprError) as exc:

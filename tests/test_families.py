@@ -5,8 +5,11 @@ import pytest
 
 from partial_hopf import exact_arith
 from partial_hopf.classify import classify_base_field_actions
-from partial_hopf.exact_arith import ParamPoly
+from partial_hopf.exact_arith import (
+    CycNumber, ParamPoly, cyc_invert, zeta_pow,
+)
 from partial_hopf.expr import parse_poly
+from partial_hopf.qcomb import q_binomial, q_factorial
 from partial_hopf.algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
@@ -117,6 +120,52 @@ def test_taft3_coaction_values():
     assert z[idx(1, 2)] == expect("-3*q*a^2")
     assert z[idx(0, 2)].is_zero()
     assert z[idx(2, 2)].is_zero()
+
+
+def _ref_taft_action(n):
+    """The values of ``taft_parametric_action(n)`` built as they once were:
+    every pair (i, j), a zero q-binomial skipped, q^(i(i+1)/2) a power."""
+    q = zeta_pow(n, 1)
+    coords = [ParamPoly.zero(n)] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            c = q_binomial(j, i, q)
+            if c.is_zero():
+                continue
+            c = c * q ** (i * (i + 1) // 2)
+            coords[(n - i) % n * n + j] = (ParamPoly.var(n, "a", j)
+                                           * (-c if i % 2 else c))
+    return tuple(coords)
+
+
+def _ref_taft_coaction(n):
+    """The values of ``taft_parametric_coaction(n)`` as the double sum they
+    once were: 1/n on each g^k, and on g^k x^j (j >= 1) the coefficient of
+    a^j is (1/n) q^(j(j-1)/2 + kj) sum_(i<=j) (-1)^i q^(i(i+1)/2 - i(j+k))
+    / ((j-i)_q! (i)_q!)."""
+    q = zeta_pow(n, 1)
+    inv_n = CycNumber.from_rational(n, 1, n)
+    coords = [ParamPoly.zero(n)] * (n * n)
+    for k in range(n):
+        coords[k * n] = ParamPoly.const(n, inv_n)
+        for j in range(1, n):
+            inner = CycNumber.zero(n)
+            for i in range(j + 1):
+                term = (zeta_pow(n, i * (i + 1) // 2 - i * (j + k))
+                        * cyc_invert(q_factorial(j - i, q)
+                                     * q_factorial(i, q)))
+                inner = inner + (-term if i % 2 else term)
+            c = inv_n * zeta_pow(n, j * (j - 1) // 2 + k * j) * inner
+            coords[k * n + j] = ParamPoly.var(n, "a", j) * c
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_taft_closed_forms_equal_the_sums_they_replace(n):
+    """The closed forms of the parametric Taft families, coordinate by
+    coordinate, against the constructions they replaced."""
+    assert taft_parametric_action(n).values == _ref_taft_action(n)
+    assert taft_parametric_coaction(n).values == _ref_taft_coaction(n)
 
 
 def test_parametric_action_at_zero_is_trivial_subgroup_indicator():
