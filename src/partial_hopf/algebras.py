@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .exact_arith import CycNumber, zeta_pow
 from .hopf_core import MAX_DIM, MAX_ORDER, HopfData, dual_hopf
-from .qcomb import q_binomial
 
 
 class InvalidOrder(ValueError):
@@ -43,6 +42,8 @@ def taft(n: int) -> HopfData:
     if n < 2:
         raise InvalidOrder("taft order must be >= 2, got %d" % n)
     _check_size("taft(%d)" % n, n * n, n)
+    # only a Taft algebra reads q-binomials, after its order is accepted
+    from .qcomb import q_binomial
     q = zeta_pow(n, 1)
     one = CycNumber.one(n)
     dim = n * n

@@ -17,9 +17,10 @@ identity sweep tallies the verdicts of one generator, `identity_verdicts`.
 
 A process loads only the layers its subcommand runs.  This module imports
 what start-up and argument parsing need (`algebras`, `exact_arith`,
-`hopf_core`, and through them `qcomb`); each handler imports its own layer
-(`families`, `classify`, `duality`, `reference_tables`) when it starts, and
-only `import` and `--paper-examples` load the expression parser `expr`.
+`hopf_core`); each handler imports its own layer (`families`, `classify`,
+`duality`, `reference_tables`) when it starts, only `import` and
+`--paper-examples` load the expression parser `expr`, and only a process
+that builds a Taft algebra or sweeps the identities loads `qcomb`.
 A handler reads each layer function off its module when it runs, never at
 import, so a wrapper bound onto the module later (a test's counter, the
 benchmark's tracer) sees every call.
@@ -45,7 +46,6 @@ import os
 import sys
 from math import isqrt
 
-from . import qcomb
 from .algebras import (
     InvalidOrder, dual_group_algebra_cyclic, group_algebra_cyclic, nichols,
     taft,
@@ -304,7 +304,8 @@ def cmd_duality(args) -> int:
 
 def _sweep_qs(root_cap: int) -> list:
     """The q specs of the sweep, the generic q first."""
-    qs = [qcomb.generic_q()]
+    from .qcomb import generic_q
+    qs = [generic_q()]
     qs += [CycNumber.from_rational(1, a, b)
            for a, b in ((2, 1), (3, 1), (5, 7))]
     qs += [zeta_pow(m, 1) for m in range(2, root_cap + 1)]
@@ -314,6 +315,7 @@ def _sweep_qs(root_cap: int) -> list:
 def _q_instances(max_index: int) -> list:
     """Every instance of the q-identities, as (check, args): its verdict
     at q is ``check(*args, q)``."""
+    from . import qcomb
     pascal, identity = qcomb.check_pascal, qcomb.check_identity
     out = []
     for variant in qcomb.PASCAL_VARIANTS:

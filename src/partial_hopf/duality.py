@@ -33,7 +33,6 @@ from .hopf_core import (
     Report, _compare, _pair, _transpose, dense, tensor_map, vec_map, vec_mul,
 )
 from .algebras import nichols, nichols_dual, taft, taft_dual
-from .qcomb import Verdict, q_factorial
 
 
 class HopfMorphism(namedtuple("HopfMorphism", "source target rows")):
@@ -162,6 +161,7 @@ def verify_inverse_pair(phi: HopfMorphism, psi: HopfMorphism) -> PairReport:
 @lru_cache(maxsize=None)
 def taft_to_dual(n: int) -> HopfMorphism:
     """g^i x^j  |->  sum_k (j)!_q q^(-i(k+j) - jk - j(j-1)/2) (g^k x^j)*."""
+    from .qcomb import q_factorial
     H, D = taft(n), taft_dual(n)
     q = zeta_pow(n, 1)
     rows = []
@@ -224,9 +224,11 @@ def transport(fam, phi: HopfMorphism):
     return fam._replace(values=z, trace=())
 
 
-def check_character_sum(n: int, k: int, l: int) -> Verdict:
+def check_character_sum(n: int, k: int, l: int):
     """(1/n) sum_t (sum_{i<l} q^(ikt)) g^t  =  (l/n) sum_{i<k} g^(il),
-    the scalar identity behind subgroup transport (requires n = k l)."""
+    the scalar identity behind subgroup transport (requires n = k l), as a
+    ``qcomb.Verdict`` whose sides are g-vectors."""
+    from .qcomb import Verdict
     if k * l != n:
         raise ValueError("need n = k*l, got %d != %d*%d" % (n, k, l))
     inv_n = CycNumber.from_rational(n, 1, n)
@@ -238,15 +240,21 @@ def check_character_sum(n: int, k: int, l: int) -> Verdict:
         # a vanishing sum stays zero: no product by 1/n
         lhs.append(inv_n * acc if acc else acc)
     lval = CycNumber.from_rational(n, l, n)
-    rhs = [lval if t % l == 0 else CycNumber.zero(n) for t in range(n)]
-    ok = lhs == rhs
-    text = _g_vector(lhs)
-    return Verdict("character_sum", (n, k, l), "q=zeta_%d" % n, ok, text,
-                   text if ok else _g_vector(rhs))
+    rhs = _GVector(lval if t % l == 0 else CycNumber.zero(n)
+                   for t in range(n))
+    lhs = _GVector(lhs)
+    return Verdict("character_sum", (n, k, l), "q=zeta_%d" % n, lhs == rhs,
+                   lhs, rhs)
 
 
-def _g_vector(coeffs) -> str:
-    """sum_t coeffs[t] g^t as text, zero terms left out."""
-    parts = ["(%s)*g^%d" % (c.render(), t)
-             for t, c in enumerate(coeffs) if c]
-    return " + ".join(parts) if parts else "0"
+class _GVector(tuple):
+    """sum_t c[t] g^t, held as its coefficients c and rendered only when a
+    verdict's side is read."""
+
+    __slots__ = ()
+
+    def render(self) -> str:
+        """The sum as text, zero terms left out."""
+        parts = ["(%s)*g^%d" % (c.render(), t)
+                 for t, c in enumerate(self) if c]
+        return " + ".join(parts) if parts else "0"

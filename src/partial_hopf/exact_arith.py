@@ -454,7 +454,8 @@ class ParamPoly:
     term dict and deletes a monomial only when its coefficients cancel, a
     product accumulates and drops the zero sums once, and a product by a
     nonzero scalar (a CycNumber, an int or a constant polynomial) scales
-    each coefficient and needs no test at all, because Q(zeta_n) is a field.
+    each coefficient and needs no test at all, because Q(zeta_n) is a field,
+    and a product by 1 is the polynomial itself.
     Every coefficient product is a ``CycNumber`` product, except in a
     product of two polynomials in one parameter with integer coefficients
     at phi = 1, which multiplies the integers (``_one_var_mul``).
@@ -603,6 +604,9 @@ class ParamPoly:
         # a product of nonzero coefficients in the field Q(zeta_n) is nonzero
         if not k:
             return _poly(self.order, {})
+        num = k.num
+        if num[0] == 1 and k.den == 1 and not any(num[1:]):
+            return self  # a product by 1; values are never mutated
         return _poly(self.order, {m: c * k for m, c in self.terms.items()})
 
     def __pow__(self, e: int):

@@ -70,7 +70,6 @@ from .hopf_core import (
 from .algebras import (
     dual_group_algebra_cyclic, group_algebra_cyclic, nichols, taft,
 )
-from .qcomb import q_binomial
 
 
 class NotADivisor(ValueError):
@@ -238,6 +237,7 @@ def taft_parametric_action(n: int) -> Family:
     """The one-parameter action family on taft(n): lam(g^{n-i mod n} x^j)
     = (-1)^i q^(i(i+1)/2) (j i)_q a^j for i <= j, zero for i > j, where
     the q-binomial vanishes (below the order n it is a unit for i <= j)."""
+    from .qcomb import q_binomial
     H = taft(n)
     q = zeta_pow(n, 1)
     coords = [ParamPoly.zero(n)] * H.dim
@@ -266,6 +266,7 @@ def taft_parametric_coaction(n: int) -> Family:
     double sum (1/n) q^(j(j-1)/2 + kj) sum_(i<=j) (-1)^i q^(i(i+1)/2 -
     i(j+k)) / ((j-i)_q! (i)_q!) into (1/n) prod_(k<=m<k+j) (q^m - 1) /
     (j)_q!, whose factor q^0 - 1 (k = 0) or q^n - 1 (k > n - j) is zero."""
+    from .qcomb import q_binomial
     H = taft(n)
     q = zeta_pow(n, 1)
     inv_n = CycNumber.from_rational(n, 1, n)

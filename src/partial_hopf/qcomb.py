@@ -16,9 +16,13 @@ recurrence is the definition; agreement with the factorial quotient
 properties, not assumptions.
 
 Every value at a q is read from the one table of that q (``_QTable``),
-found once per call by the type and value of q: its powers of q, its rows
-of q-binomials, its q-numbers and q-factorials, each built once from the
-one before.  The checks index the table; the public functions below read
+found by the type and value of q, and once per run of calls at the same q
+object: its powers of q, its rows of q-binomials, its q-numbers and
+q-factorials, each built once from the one before.  A check grows the
+table once, through the largest row and power its indices reach, and then
+reads (m choose l) as ``rows[m][l]`` and q^e as ``powers[e]``; the range
+0 <= l <= m of each binomial is written into the bounds of its sum, and a
+binomial outside it is the table's zero.  The public functions below read
 the same table, so the recurrence has one home.
 
 Why an instance that holds at the generic q holds at every q.  Both sides
@@ -30,12 +34,14 @@ multiplying both sides with the opposite nonnegative one, and
 nonzero, so s >= 0.  Both sides are therefore the values of two
 polynomials in Q[q] at the q given, and each q spec (a rational, or a
 root of unity in Q(zeta_n)) is a ring homomorphism out of Q[q].  The
-skips drop only terms and products that are zero at that q, so they do
-not change a side's value: a ``check_identity`` sum skips a term at its
-first zero binomial factor, before any product; a product of two sides,
-or of a q-power and a side, with a zero factor is not made and is zero;
-``check_pascal`` adds its q-power term only ``if second``/``if first``;
-and the recurrence adds q^l (m-1 l) only where (m-1 l) is nonzero.
+skips drop only terms that are zero at that q and products by 1, so they
+do not change a side's value: a sum runs only over the indices where each
+binomial factor is inside its range, and skips a term at its first zero
+binomial factor, before any product; a product of two sides, or of a
+q-power and a side, with a zero factor is not made and is zero; a q-power
+q^0 = 1 is not multiplied in; ``check_pascal`` adds its q-power term only
+``if second``/``if first``; and the recurrence adds q^l (m-1 l) only
+where (m-1 l) is nonzero.
 Equality at the generic q is equality in Q[q], and a homomorphism maps it
 to equality at every q spec.  So an instance that passes at the generic q
 and fails at some spec shows a fault in that spec's arithmetic (a
@@ -90,9 +96,10 @@ class _QTable:
     ``one`` and ``label``; ``powers[e]`` = q^e, each from the one before by
     one product; ``rows[m][l]`` = (m choose l) for 0 <= l <= m, each row
     from the one before by ``_pascal_row``; ``numbers[m]`` = (m)_q and
-    ``factorials[m]`` = (m)_q!, each from the one before.  ``power``,
-    ``binomial``, ``number`` and ``factorial`` grow their list as far as
-    the index asked for and read it there."""
+    ``factorials[m]`` = (m)_q!, each from the one before.  ``grow`` extends
+    the powers and rows at once; ``power``, ``binomial``, ``number`` and
+    ``factorial`` grow their list as far as the index asked for and read
+    it there."""
 
     __slots__ = ("q", "zero", "one", "label", "powers", "rows", "numbers",
                  "factorials")
@@ -107,23 +114,27 @@ class _QTable:
         self.numbers = [self.zero]
         self.factorials = [self.one]
 
+    def grow(self, m: int, e: int = 0):
+        """Extend ``rows`` through row m and ``powers`` through q^e (and
+        through q^(m-1), which row m is built with)."""
+        powers = self.powers
+        while len(powers) <= max(e, m - 1):
+            powers.append(powers[-1] * self.q)
+        rows = self.rows
+        while len(rows) <= m:
+            rows.append(_pascal_row(rows[-1], powers))
+
     def power(self, e: int):
         """q ** e for e >= 0."""
-        powers = self.powers
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.q)
-        return powers[e]
+        self.grow(0, e)
+        return self.powers[e]
 
     def binomial(self, m: int, l: int):
         """(m choose l), zero outside 0 <= l <= m."""
         if not 0 <= l <= m:
             return self.zero
-        rows = self.rows
-        if len(rows) <= m:
-            self.power(m - 1)
-            while len(rows) <= m:
-                rows.append(_pascal_row(rows[-1], self.powers))
-        return rows[m][l]
+        self.grow(m)
+        return self.rows[m][l]
 
     def number(self, m: int):
         numbers = self.numbers
@@ -139,10 +150,36 @@ class _QTable:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _table(q) -> _QTable:
-    """The one table of q.  Keyed on the type of q as well as its value: a
-    constant ParamPoly equals, and hashes like, the CycNumber it holds."""
+def _lookup(q) -> _QTable:
     return _QTable(q)
+
+
+# the q object last looked up, and its table
+_last = [None, None]
+
+
+def _table(q) -> _QTable:
+    """The one table of q.  Looked up on the type of q as well as its value
+    (a constant ParamPoly equals, and hashes like, the CycNumber it holds),
+    and only when q is not the object of the last lookup, so a run of
+    calls at one q object hashes it once.  ``_table.cache_clear()`` drops
+    every table and the last lookup; ``_table.cache_info()`` counts the
+    lookups."""
+    last = _last
+    if last[0] is q:
+        return last[1]
+    qt = _lookup(q)
+    last[0], last[1] = q, qt
+    return qt
+
+
+def _cache_clear():
+    _last[0] = _last[1] = None
+    _lookup.cache_clear()
+
+
+_table.cache_clear = _cache_clear
+_table.cache_info = _lookup.cache_info
 
 
 def q_label(q) -> str:
@@ -177,23 +214,30 @@ def q_binomial(m: int, l: int, q):
     return _table(q).binomial(m, l)
 
 
-class Verdict(namedtuple("Verdict", "name indices q_desc ok lhs rhs")):
-    """Outcome of one identity instance: exact equality or not."""
+class Verdict(namedtuple("Verdict", "name indices q_desc ok left right")):
+    """Outcome of one identity instance: exact equality or not.
+
+    ``left`` and ``right`` are the two sides as values, each with a
+    ``render()``; ``lhs``, ``rhs`` and ``str(v)`` render them when read,
+    so a verdict that is only tallied renders nothing.  Equal sides have
+    equal canonical forms and render identically, so a passing verdict
+    prints one text twice."""
 
     __slots__ = ()
 
+    @property
+    def lhs(self) -> str:
+        return self.left.render()
+
+    @property
+    def rhs(self) -> str:
+        return self.right.render()
+
     def __str__(self):
-        mark = "ok" if self.ok else "FAIL"
+        lhs = self.lhs
         return "%s%s @ %s: %s  [%s == %s]" % (
-            self.name, self.indices, self.q_desc, mark, self.lhs, self.rhs)
-
-
-def _verdict(name, indices, label, lhs, rhs) -> Verdict:
-    # equal canonical forms render identically, so a pass renders one side
-    ok = lhs == rhs
-    text = lhs.render()
-    return Verdict(name, tuple(indices), label, ok, text,
-                   text if ok else rhs.render())
+            self.name, self.indices, self.q_desc, "ok" if self.ok else "FAIL",
+            lhs, lhs if self.ok else self.rhs)
 
 
 PASCAL_VARIANTS = ("a", "b")
@@ -210,21 +254,24 @@ def check_pascal(variant: str, i: int, s: int, q) -> Verdict:
     if i < 1:
         raise PreconditionViolated("Pascal check needs i >= 1")
     qt = _table(q)
-    binom = qt.binomial
+    qt.grow(i)
+    zero, powers = qt.zero, qt.powers
+    row, prev = qt.rows[i], qt.rows[i - 1]
     # the binomial multiplied by the q-power is nonzero only inside its
     # range, where that power is nonnegative
-    lhs = binom(i, s)
+    lhs = row[s] if 0 <= s <= i else zero
     if variant == "a":
-        second = binom(i - 1, s)
-        rhs = binom(i - 1, s - 1)
+        second = prev[s] if 0 <= s < i else zero
+        rhs = prev[s - 1] if 0 < s <= i else zero
         if second:
-            rhs = rhs + qt.power(s) * second
+            rhs = rhs + _power_times(powers, s, second)
     else:
-        first = binom(i - 1, s - 1)
-        rhs = binom(i - 1, s)
+        first = prev[s - 1] if 0 < s <= i else zero
+        rhs = prev[s] if 0 <= s < i else zero
         if first:
-            rhs = rhs + qt.power(i - s) * first
-    return _verdict("pascal_" + variant, (i, s), qt.label, lhs, rhs)
+            rhs = rhs + _power_times(powers, i - s, first)
+    return Verdict("pascal_" + variant, (i, s), qt.label, lhs == rhs, lhs,
+                   rhs)
 
 
 IDENTITY_ARITY = {
@@ -251,8 +298,10 @@ def check_identity(name: str, indices, q) -> Verdict:
                                                            ==  (t s)
 
     Negative q-powers are cleared by multiplying both sides with the same
-    nonnegative q-power, so generic-q checks compare plain polynomials.  A
-    product with a zero factor is not made: its value, zero, is taken.
+    nonnegative q-power, so generic-q checks compare plain polynomials.
+    Each sum runs only over the indices where every binomial factor is
+    inside its range.  A product with a zero factor is not made: its
+    value, zero, is taken.  A product by q^0 = 1 is not made either.
     """
     indices = tuple(indices)
     arity = IDENTITY_ARITY.get(name)
@@ -265,68 +314,92 @@ def check_identity(name: str, indices, q) -> Verdict:
         raise PreconditionViolated("indices must be nonnegative: %r" % (indices,))
 
     qt = _table(q)
-    binom, power, zero = qt.binomial, qt.power, qt.zero
+    rows, powers, zero = qt.rows, qt.powers, qt.zero
 
     if name == "alternating_vandermonde":
         i, t, k = indices
+        # (i+t-s, i+k) is zero for s > t - k
+        top = min(i, t - k)
+        last = max(top, 0)
+        qt.grow(i + t, last * k + last * (last + 1) // 2)
+        row = rows[i]
         acc = zero
-        for s in range(i + 1):
-            first = binom(i, s)
-            second = first and binom(i + t - s, i + k)
+        for s in range(top + 1):
+            first = row[s]
+            second = first and rows[i + t - s][i + k]
             if not second:
                 continue
             term = first * second
-            term = term * power(s * k + s * (s + 1) // 2)
+            e = s * k + s * (s + 1) // 2
+            if e:
+                term = term * powers[e]
             acc = acc - term if s % 2 else acc + term
-        return _verdict(name, indices, qt.label, acc, binom(t, k))
+        lhs, rhs = acc, rows[t][k] if k <= t else zero
 
-    if name == "trinomial_revision":
+    elif name == "trinomial_revision":
         j, i, l = indices
         if not (l <= i <= j):
             raise PreconditionViolated(
                 "trinomial_revision needs l <= i <= j, got %r" % (indices,))
-        return _verdict(name, indices, qt.label,
-                        _product(binom(j, l), binom(j - l, i - l), zero),
-                        _product(binom(j, i), binom(i, l), zero))
+        qt.grow(j)
+        lhs = _product(rows[j][l], rows[j - l][i - l], zero)
+        rhs = _product(rows[j][i], rows[i][l], zero)
 
-    if name == "four_index_inversion":
+    elif name == "four_index_inversion":
         i, j, t, s = indices
+        # (l i) is zero for l < i, (j l) for l > j, and (j+t-l, i+s-l) for
+        # l > i + s, or for every l when i + s > j + t
+        top = min(j, i + s) if i + s <= j + t else i - 1
+        shift = s * (i - j)
+        last = max(top - i, 0)
+        qt.grow(j + t, max(last * (last - 1) // 2, abs(shift)))
         acc = zero
-        # (l i) is zero for l < i, so the sum starts at l = i
-        for l in range(i, j + 1):
-            third = binom(l, i)
-            first = third and binom(j, l)
-            second = first and binom(j + t - l, i + s - l)
+        for l in range(i, top + 1):
+            third = rows[l][i]
+            first = third and rows[j][l]
+            second = first and rows[j + t - l][i + s - l]
             if not second:
                 continue
             term = first * second * third
-            d = i - l
-            term = term * power(d * (d + 1) // 2)
+            d = l - i
+            e = d * (d - 1) // 2
+            if e:
+                term = term * powers[e]
             acc = acc - term if d % 2 else acc + term
-        rhs = _product(binom(j, i), binom(t, s), zero)
-        shift = s * (i - j)
+        rhs = (_product(rows[j][i], rows[t][s], zero) if i <= j and s <= t
+               else zero)
         if shift >= 0:
-            lhs = _product(power(shift), acc, zero)
+            lhs = _power_times(powers, shift, acc)
         else:
-            lhs = acc
-            rhs = _product(power(-shift), rhs, zero)
-        return _verdict(name, indices, qt.label, lhs, rhs)
+            lhs, rhs = acc, _power_times(powers, -shift, rhs)
 
-    # binomial_inversion
-    j, t, s = indices
-    acc = zero
-    for l in range(j + 1):
-        first = binom(j, l)
-        second = first and binom(j + t - l, s - l)
-        if not second:
-            continue
-        term = first * second
-        term = term * power(l * (l - 1) // 2)
-        acc = acc - term if l % 2 else acc + term
-    return _verdict(name, indices, qt.label, acc,
-                    _product(power(s * j), binom(t, s), zero))
+    else:  # binomial_inversion
+        j, t, s = indices
+        # (j+t-l, s-l) is zero for l > s, or for every l when s > j + t
+        top = min(j, s) if s <= j + t else -1
+        qt.grow(j + t, max(top * (top - 1) // 2, s * j))
+        row = rows[j]
+        acc = zero
+        for l in range(top + 1):
+            first = row[l]
+            second = first and rows[j + t - l][s - l]
+            if not second:
+                continue
+            term = first * second
+            e = l * (l - 1) // 2
+            if e:
+                term = term * powers[e]
+            acc = acc - term if l % 2 else acc + term
+        lhs = acc
+        rhs = _power_times(powers, s * j, rows[t][s] if s <= t else zero)
+    return Verdict(name, indices, qt.label, lhs == rhs, lhs, rhs)
 
 
 def _product(a, b, zero):
     """a * b, or ``zero`` without a product when a factor is zero."""
     return a * b if a and b else zero
+
+
+def _power_times(powers, e: int, x):
+    """q^e * x, with no product when e is 0 or x is zero."""
+    return powers[e] * x if e and x else x

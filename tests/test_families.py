@@ -364,15 +364,21 @@ def _counted(monkeypatch):
 
 
 @pytest.mark.parametrize("build,n,cyc,poly,checks", [
-    (taft_parametric_action, 8, 10885, 10885, 8194),
-    (nichols_parametric_action, 5, 464, 464, 2050)])
+    pytest.param(taft_parametric_action, 8, 9667, 10885, 8194,
+                 id="taft_parametric_action-8"),
+    pytest.param(nichols_parametric_action, 5, 320, 464, 2050,
+                 id="nichols_parametric_action-5")])
 def test_action_verifier_makes_the_same_products(monkeypatch, build, n, cyc,
                                                  poly, checks):
     """Scalar and polynomial products and checks of one verifier call on a
     built family: the row-at-a-time sweep makes the products of the
     per-pair sweep, less the scales of coproduct terms whose row of lam on
     products is empty, and one check per ordered basis pair and law plus
-    the two unit checks."""
+    the two unit checks.  A polynomial scaled by the constant 1 is returned
+    as it is, with no scalar product per coefficient: so taft(8) makes
+    9,667 ``_mul`` calls where it made 10,885 (one per polynomial product),
+    and nichols(5) 320 where it made 464; the polynomial products are
+    unchanged."""
     fam = build(n)
     calls = _counted(monkeypatch)
     reps = verify_partial_action(fam.algebra, fam.values)
@@ -382,7 +388,11 @@ def test_action_verifier_makes_the_same_products(monkeypatch, build, n, cyc,
 
 
 def test_classifier_makes_the_same_products(monkeypatch):
+    """The classifier's products on taft(7).  A polynomial scaled by the
+    constant 1 is returned as it is, with no scalar product per
+    coefficient, so it makes 10,925 ``_mul`` calls where it made 14,639;
+    the 14,462 polynomial products are unchanged."""
     H = taft(7)
     calls = _counted(monkeypatch)
     assert classify_base_field_actions(H).count() == 2
-    assert (calls["cyc"], calls["poly"]) == (14639, 14462)
+    assert (calls["cyc"], calls["poly"]) == (10925, 14462)
